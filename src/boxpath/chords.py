@@ -1,8 +1,8 @@
 """Analytic distributions for chords between uniform surface points.
 
 In this model the entry point is uniform on the box surface and the exit
-point is an independent uniform surface point, with same-face pairs
-rejected and redrawn.  Conditional on the (entry, exit) face pair the two
+point is an independent uniform surface point, redrawn while it lands on
+the entry face.  Conditional on the (entry, exit) face pair the two
 points are uniform on their faces, so every length law decomposes into
 sums of squared uniform offsets:
 
@@ -55,10 +55,11 @@ __all__ = [
 
 
 def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> float:
-    """P(exit face | entry face) under uniform resampling of same-face pairs.
+    """P(exit face | entry face) when the exit point is redrawn off the entry face.
 
-    Equals P_exit / (1 - P_entry); rejecting the pair jointly or redrawing
-    only the exit point yields the same conditional law.
+    Equals P_exit / (1 - P_entry).  Redrawing both points of a same-face
+    pair would give the same conditional, but would tilt the entry-face
+    law away from P_entry unless all faces have equal area.
     """
     if entry == exit:
         raise ValueError("entry and exit faces coincide")

@@ -164,6 +164,10 @@ def _jacobian_agreement(box: BoxDims) -> float:
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if cfg.direction_model != rays.DIRECTION_MODEL:
+        raise ValueError(
+            f"direction model {cfg.direction_model!r} has no analytic law; only {rays.DIRECTION_MODEL!r} has one"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = cfg.box_dims
@@ -200,14 +204,12 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             bio.write_density_csv(out / f"rays_exit_{cls.label}.csv", exit_pdf.density)
             outputs.append(f"rays_exit_{cls.label}.csv")
 
-    modes = {}
-    for model, builder in (("rays", combined.combined_length_pdf_rays), ("chords", combined.combined_length_pdf_chords)):
-        if model == "rays":
-            comb = builder(box, cfg.grid_nodes_1d, cfg.angle_nodes)
-        else:
-            comb = builder(box, cfg.grid_nodes_1d, cfg.s_nodes_conditional)
+    for model in ("rays", "chords"):
+        table = combined.class_law_table(
+            box, model, cfg.grid_nodes_1d, cfg.angle_nodes, s_nodes=cfg.s_nodes_conditional
+        )
+        comb = table.combined()
         meta = {
-            "mode": comb.mode,
             "integral": comb.integral,
             "terms": [
                 {"label": t.label, "multiplicity": t.multiplicity, "weight": t.weight, "mass": t.mass}
@@ -216,17 +218,15 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         }
         bio.save_density(out / f"combined_{model}.npz", comb.density, meta)
         outputs.append(f"combined_{model}.npz")
-        modes[model] = comb.mode
         if args.csv:
             bio.write_density_csv(out / f"combined_{model}.csv", comb.density)
             outputs.append(f"combined_{model}.csv")
         for axis in (1, 2, 3):
-            face = FaceId(axis, Side.LOW)
-            single = combined.single_face_length_pdf(box, face, model, cfg.grid_nodes_1d)
+            single = table.single_face(FaceId(axis, Side.LOW))
             bio.save_density(
                 out / f"single_face_{model}_axis{axis}.npz",
                 single.density,
-                {"mode": single.mode, "integral": single.integral, "entry_axis": axis},
+                {"integral": single.integral, "entry_axis": axis},
             )
             outputs.append(f"single_face_{model}_axis{axis}.npz")
 
@@ -236,7 +236,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         "config_hash": bio.config_hash(cfg.to_dict()),
         "version": __version__,
         "direction_model": cfg.direction_model,
-        "combination_modes": modes,
         "adjacent_jacobian_forms_max_gap": _jacobian_agreement(box),
         "outputs": sorted(outputs),
     }
@@ -307,6 +306,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     analytic_dir = Path(args.analytic)
     sample_dir = Path(args.sample)
+    configs = []
+    for directory in (analytic_dir, sample_dir):
+        with open(directory / "manifest.json") as fh:
+            configs.append(json.load(fh)["config"])
+    for key in ("box", "direction_model"):
+        if configs[0][key] != configs[1][key]:
+            raise ValueError(f"analytic {key} {configs[0][key]!r} differs from sample {key} {configs[1][key]!r}")
     report: dict = {"joint": {}, "length": {}}
     for model in ("rays", "chords"):
         hists, _ = bio.load_histograms(sample_dir / f"sample_{model}_hists.npz")

@@ -1,14 +1,13 @@
 """Length distributions combined over entry faces and exit faces.
 
-The combined law mixes the nine canonical face-pair classes with their
-multiplicities (each opposing class covers 2 ordered face pairs, each
-adjacent class covers 4).  Component length laws enter as sub-densities,
-carrying their own face-exit mass, weighted by entry-face probabilities
-(ray model) or by pair probabilities P_entry * P_exit /
-(1 - P_entry) (chord model).  With sub-density weighting the
-mixture integrates to one by construction; the alternative of
-renormalizing every component first does not, and the constructor picks
-whichever mode lands closer to unit mass and records it.
+Every length law here is a weighted sum of the per-class length laws of
+the nine canonical face-pair classes; only the weights differ.  A
+`ClassLawTable` holds those class laws for one box, one model and one set
+of nodes, so the all-entry law and each single-entry-face law mix the same
+table.  Ray class laws are sub-densities carrying their face-exit mass and
+are weighted by entry-face probabilities; chord class laws are unit
+densities weighted by pair probabilities P_entry * P_exit / (1 - P_entry).
+Either way the mixture integrates to one by construction.
 """
 
 from __future__ import annotations
@@ -19,25 +18,31 @@ import numpy as np
 
 from . import chords, rays
 from .density import GridDensity1D
+from .errors import NumericalError
 from .geometry import (
+    ALL_FACES,
     BoxDims,
     FaceId,
+    FacePairClass,
     IndexTriple,
     PairKind,
-    Side,
     canonical_classes,
     classify_pair,
     entry_probability,
 )
 
 __all__ = [
+    "ClassLawTable",
     "CombinedLengthPdf",
     "ComponentTerm",
+    "class_law_table",
     "combined_length_pdf_rays",
     "combined_length_pdf_chords",
     "expected_length",
     "single_face_length_pdf",
 ]
+
+_MASS_TOL = 0.2  # the mixture's |integral - 1| that GridDensity1D.normalized accepts
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,11 @@ class CombinedLengthPdf:
     """A combined length density with its bookkeeping.
 
     `integral` is the grid integral of `density` before any rescaling; a
-    value near one confirms the sub-density mixture is a probability
-    density on its own.
+    value near one confirms the mixture is a probability density on its
+    own.
     """
 
     density: GridDensity1D
-    mode: str
     integral: float
     terms: tuple[ComponentTerm, ...]
 
@@ -70,30 +74,99 @@ class CombinedLengthPdf:
         return self.density.normalized(force=True)
 
 
-def _mix(
-    parts: list[tuple[ComponentTerm, GridDensity1D]],
-    n_lo: float,
-    n_hi: float,
-    n_nodes: int,
-) -> CombinedLengthPdf:
-    grid = np.linspace(n_lo, n_hi, n_nodes)
-    sub = np.zeros(n_nodes)
-    renorm = np.zeros(n_nodes)
-    for term, dens in parts:
-        vals = dens.interp(grid)
-        sub += term.weight * vals
-        renorm += term.weight * vals / term.mass if term.mass > 0 else 0.0
-    d_sub = GridDensity1D(n_lo, n_hi, sub)
-    d_ren = GridDensity1D(n_lo, n_hi, renorm)
-    # Select the weighting that yields a unit-mass mixture; with sub-density
-    # components the masses already encode exit probabilities, so this is
-    # expected to pick "subdensity".
-    i_sub, i_ren = d_sub.integral(), d_ren.integral()
-    if abs(i_sub - 1.0) <= abs(i_ren - 1.0):
-        chosen, mode, integral = d_sub, "subdensity", i_sub
-    else:
-        chosen, mode, integral = d_ren, "per-component-normalized", i_ren
-    return CombinedLengthPdf(chosen, mode, integral, tuple(t for t, _ in parts))
+def _law_key(box: BoxDims, cls: FacePairClass) -> tuple:
+    # The ray and chord kernels see the box only through (X_i, X_j, X_k)
+    # and the diagonal, so classes with equal dims share one law.
+    i, j, k = cls.indices.as_tuple
+    return (cls.kind, box.dim(i), box.dim(j), box.dim(k))
+
+
+def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
+    """The five classes of one entry face: the opposing exit, then the adjacent ones."""
+    exits = [FaceId.from_code(entry_face.code ^ 1)] + [g for g in ALL_FACES if g.axis != entry_face.axis]
+    return [classify_pair(entry_face, g) for g in exits]
+
+
+@dataclass(frozen=True)
+class ClassLawTable:
+    """Length laws of canonical classes for one box, one model and one set of nodes.
+
+    `laws` is keyed by (kind, X_i, X_j, X_k); see `class_law_table`.
+    """
+
+    box: BoxDims
+    model: str
+    n_nodes: int
+    laws: dict[tuple, GridDensity1D]
+
+    def combined(self) -> CombinedLengthPdf:
+        """The length law over all entries: 2 opposing and 4 adjacent pairs per class."""
+        pairs = [
+            (cls, 2 if cls.kind is PairKind.OPPOSING else 4, entry_probability(self.box, cls.entry_face))
+            for cls in canonical_classes()
+        ]
+        return self._mix(pairs)
+
+    def single_face(self, entry_face: FaceId) -> CombinedLengthPdf:
+        """The length law conditional on one entry face."""
+        return self._mix([(cls, 1, 1.0) for cls in _exit_classes(entry_face)])
+
+    def _mix(self, pairs: list[tuple[FacePairClass, int, float]]) -> CombinedLengthPdf:
+        """Sum `multiplicity * p_entry * P(pair | entry) * law` over (class, multiplicity, p_entry).
+
+        For rays P(pair | entry) is carried by the sub-density law itself;
+        for chords it is P_exit / (1 - P_entry).
+        """
+        box = self.box
+        grid = np.linspace(0.0, box.diagonal, self.n_nodes)
+        values = np.zeros(self.n_nodes)
+        terms = []
+        for cls, mult, p_entry in pairs:
+            weight = mult * p_entry
+            if self.model == "chords":
+                weight = weight * entry_probability(box, cls.exit_face) / (1.0 - entry_probability(box, cls.entry_face))
+            law = self.laws[_law_key(box, cls)]
+            values += weight * law.interp(grid)
+            terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, law.integral()))
+        density = GridDensity1D(0.0, box.diagonal, values)
+        integral = density.integral()
+        if abs(integral - 1.0) > _MASS_TOL:
+            raise NumericalError(f"{self.model} length mixture has mass {integral:.6g}, off unity by more than {_MASS_TOL}")
+        return CombinedLengthPdf(density, integral, tuple(terms))
+
+
+def class_law_table(
+    box: BoxDims,
+    model: str = "rays",
+    n_nodes: int = 1025,
+    angle_nodes: int = 2048,
+    elevation_nodes: int = 256,
+    s_nodes: int = 2048,
+    classes: list[FacePairClass] | None = None,
+) -> ClassLawTable:
+    """Compute the length law of each class in `classes` (default: all nine).
+
+    "rays" laws are `rays.length_marginal_*` sub-densities at
+    `angle_nodes` (halved for adjacent classes) and `elevation_nodes`;
+    "chords" laws are `chords.pair_length_pdf` unit densities at
+    `s_nodes`.  A law is computed once per distinct (kind, X_i, X_j, X_k),
+    so on the cube one law serves every class of a kind.
+    """
+    if model not in ("rays", "chords"):
+        raise ValueError(f"unknown model {model!r}; use 'rays' or 'chords'")
+    box = BoxDims.from_any(box)
+    laws: dict[tuple, GridDensity1D] = {}
+    for cls in canonical_classes() if classes is None else classes:
+        key = _law_key(box, cls)
+        if key in laws:
+            continue
+        if model == "chords":
+            laws[key] = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes, s_nodes)
+        elif cls.kind is PairKind.OPPOSING:
+            laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes, angle_nodes)
+        else:
+            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes, angle_nodes // 2, elevation_nodes)
+    return ClassLawTable(box, model, n_nodes, laws)
 
 
 def combined_length_pdf_rays(
@@ -107,21 +180,7 @@ def combined_length_pdf_rays(
     f(n) = sum over entry faces of P_entry times the per-entry length law,
     expanded into 2 opposing + 4 adjacent weighted class marginals.
     """
-    box = BoxDims.from_any(box)
-    parts: list[tuple[ComponentTerm, GridDensity1D]] = []
-    for cls in canonical_classes():
-        p_entry = entry_probability(box, cls.entry_face)
-        if cls.kind is PairKind.OPPOSING:
-            dens = rays.length_marginal_opposing(box, cls.indices, n_nodes, angle_nodes)
-            mult = 2
-        else:
-            dens = rays.length_marginal_adjacent(
-                box, cls.indices, n_nodes, angle_nodes // 2, elevation_nodes
-            )
-            mult = 4
-        term = ComponentTerm(cls.label, cls.kind, cls.indices, mult, mult * p_entry, dens.integral())
-        parts.append((term, dens))
-    return _mix(parts, 0.0, box.diagonal, n_nodes)
+    return class_law_table(box, "rays", n_nodes, angle_nodes, elevation_nodes).combined()
 
 
 def combined_length_pdf_chords(
@@ -135,17 +194,7 @@ def combined_length_pdf_chords(
     ordered pairs pooled into each canonical class; the class laws are
     unit densities, so the weights themselves sum to one.
     """
-    box = BoxDims.from_any(box)
-    parts: list[tuple[ComponentTerm, GridDensity1D]] = []
-    for cls in canonical_classes():
-        p_f = entry_probability(box, cls.entry_face)
-        p_g = entry_probability(box, cls.exit_face)
-        mult = 2 if cls.kind is PairKind.OPPOSING else 4
-        weight = mult * p_f * p_g / (1.0 - p_f)
-        dens = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes, s_nodes)
-        term = ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, dens.integral())
-        parts.append((term, dens))
-    return _mix(parts, 0.0, box.diagonal, n_nodes)
+    return class_law_table(box, "chords", n_nodes, s_nodes=s_nodes).combined()
 
 
 def single_face_length_pdf(
@@ -153,46 +202,19 @@ def single_face_length_pdf(
     entry_face: FaceId,
     model: str = "rays",
     n_nodes: int = 1025,
-    **kwargs,
+    angle_nodes: int = 2048,
+    elevation_nodes: int = 256,
+    s_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density conditional on one entry face.
 
     `model` selects one of: "rays" (uniform entry on the face,
     component-uniform direction) or "chords" (exit uniform on the
     remaining surface).  The five exit faces contribute one opposing and
-    four adjacent terms; adjacent exit faces pair up by axis.
+    four adjacent terms; the table holds only the laws those need.
     """
-    box = BoxDims.from_any(box)
-    j = entry_face.axis
-    parts: list[tuple[ComponentTerm, GridDensity1D]] = []
-    exits = [FaceId(j, Side.HIGH if entry_face.side == Side.LOW else Side.LOW)]
-    exits += [FaceId(axis, side) for axis in (1, 2, 3) if axis != j for side in (Side.LOW, Side.HIGH)]
-    if model == "rays":
-        for exit_face in exits:
-            cls = classify_pair(entry_face, exit_face)
-            if cls.kind is PairKind.OPPOSING:
-                dens = rays.length_marginal_opposing(box, cls.indices, n_nodes, kwargs.get("angle_nodes", 2048))
-            else:
-                dens = rays.length_marginal_adjacent(
-                    box,
-                    cls.indices,
-                    n_nodes,
-                    kwargs.get("angle_nodes", 2048) // 2,
-                    kwargs.get("elevation_nodes", 256),
-                )
-            term = ComponentTerm(cls.label, cls.kind, cls.indices, 1, 1.0, dens.integral())
-            parts.append((term, dens))
-    elif model == "chords":
-        p_f = entry_probability(box, entry_face)
-        for exit_face in exits:
-            cls = classify_pair(entry_face, exit_face)
-            weight = entry_probability(box, exit_face) / (1.0 - p_f)
-            dens = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes, kwargs.get("s_nodes", 2048))
-            term = ComponentTerm(cls.label, cls.kind, cls.indices, 1, weight, dens.integral())
-            parts.append((term, dens))
-    else:
-        raise ValueError(f"unknown model {model!r}; use 'rays' or 'chords'")
-    return _mix(parts, 0.0, box.diagonal, n_nodes)
+    table = class_law_table(box, model, n_nodes, angle_nodes, elevation_nodes, s_nodes, _exit_classes(entry_face))
+    return table.single_face(entry_face)
 
 
 def expected_length(density: GridDensity1D) -> float:

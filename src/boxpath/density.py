@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
 from .errors import IncompatibleGridError, NumericalError
 
@@ -46,14 +45,6 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
-
-
-def _integrate_values(values: np.ndarray, dx: float, axis: int, method: str) -> np.ndarray:
-    if method == "trapezoid":
-        return np.trapezoid(values, dx=dx, axis=axis)
-    if method == "simpson":
-        return _sp_integrate.simpson(values, dx=dx, axis=axis)
-    raise ValueError(f"unknown quadrature method {method!r}; use 'trapezoid' or 'simpson'")
 
 
 def _validate_values(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -98,8 +89,8 @@ class GridDensity1D:
         """PL interpolation, zero outside [lo, hi]."""
         return np.interp(np.asarray(x, dtype=float), self.nodes, self.values, left=0.0, right=0.0)
 
-    def integral(self, method: str = "trapezoid") -> float:
-        return float(_integrate_values(self.values, self.spacing, 0, method))
+    def integral(self) -> float:
+        return float(np.trapezoid(self.values, dx=self.spacing))
 
     def mean(self) -> float:
         """First moment divided by mass."""
@@ -163,9 +154,9 @@ class GridDensity2D:
         lo, hi = self.domain[axis]
         return (hi - lo) / (self.values.shape[axis] - 1)
 
-    def integral(self, method: str = "trapezoid") -> float:
-        out = _integrate_values(self.values, self.spacing(1), 1, method)
-        return float(_integrate_values(out, self.spacing(0), 0, method))
+    def integral(self) -> float:
+        out = np.trapezoid(self.values, dx=self.spacing(1), axis=1)
+        return float(np.trapezoid(out, dx=self.spacing(0), axis=0))
 
     def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity2D":
         m = self.integral()
@@ -175,10 +166,10 @@ class GridDensity2D:
             raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
         return GridDensity2D(self.domain, self.values / m, self.axis_names)
 
-    def integrate_out(self, axis: int, method: str = "trapezoid") -> GridDensity1D:
+    def integrate_out(self, axis: int) -> GridDensity1D:
         """Marginal over the remaining axis after integrating `axis` away."""
         keep = 1 - axis
-        vals = _integrate_values(self.values, self.spacing(axis), axis, method)
+        vals = np.trapezoid(self.values, dx=self.spacing(axis), axis=axis)
         lo, hi = self.domain[keep]
         return GridDensity1D(lo, hi, np.maximum(vals, 0.0))
 
@@ -225,10 +216,10 @@ class GridDensity3D:
         lo, hi = self.domain[axis]
         return (hi - lo) / (self.values.shape[axis] - 1)
 
-    def integral(self, method: str = "trapezoid") -> float:
+    def integral(self) -> float:
         out = self.values
         for axis in (2, 1, 0):
-            out = _integrate_values(out, self.spacing(axis), axis, method)
+            out = np.trapezoid(out, dx=self.spacing(axis), axis=axis)
         return float(out)
 
     def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity3D":
@@ -239,21 +230,21 @@ class GridDensity3D:
             raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
         return GridDensity3D(self.domain, self.values / m, self.axis_names)
 
-    def integrate_out(self, axis: int, method: str = "trapezoid") -> GridDensity2D:
+    def integrate_out(self, axis: int) -> GridDensity2D:
         keep = tuple(a for a in range(3) if a != axis)
-        vals = _integrate_values(self.values, self.spacing(axis), axis, method)
+        vals = np.trapezoid(self.values, dx=self.spacing(axis), axis=axis)
         return GridDensity2D(
             (self.domain[keep[0]], self.domain[keep[1]]),
             np.maximum(vals, 0.0),
             (self.axis_names[keep[0]], self.axis_names[keep[1]]),
         )
 
-    def marginal_1d(self, axis: int, method: str = "trapezoid") -> GridDensity1D:
+    def marginal_1d(self, axis: int) -> GridDensity1D:
         """Integrate out both other axes."""
         others = [a for a in range(3) if a != axis]
-        out = self.integrate_out(others[1], method)
+        out = self.integrate_out(others[1])
         # After removing the higher axis, the lower one keeps its index.
-        return out.integrate_out(0 if axis > others[0] else 1, method)
+        return out.integrate_out(0 if axis > others[0] else 1)
 
     def band_integral(self, axis: int, lo: float, hi: float) -> GridDensity2D:
         """Exact PL integral over [lo, hi] along one axis; a partial marginal."""

@@ -4,7 +4,7 @@ Two samplers share one trajectory record format: `sample_rays` draws an
 entry point uniform on a face and a random direction (component-uniform
 by default, isotropic ball-rejection optionally) and propagates to the
 exit face; `sample_chords` draws two independent uniform surface points,
-redrawing pairs that land on a common face (optionally keeping them).
+redrawing the exit point while it lands on the entry face.
 
 Reproducibility contract: work is split over a fixed number of
 counter-based Philox streams (`STREAM_COUNT`), each seeded by spawn key,
@@ -15,19 +15,17 @@ thread parallelism only, so outputs are bitwise identical for any
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import ALL_FACES, BoxDims, FaceId, PairKind, canonical_classes, classify_pair
+from .pool import run_each
 
 __all__ = [
     "DIRECTION_MODELS",
     "JointHistogram",
     "STREAM_COUNT",
-    "Trajectory",
     "TrajectoryBatch",
     "canonical_histograms",
     "face_counts",
@@ -38,16 +36,6 @@ __all__ = [
 
 STREAM_COUNT = 64
 DIRECTION_MODELS = ("cube-components", "ball-rejection")
-
-
-class Trajectory(NamedTuple):
-    """One sampled path in face-local coordinates."""
-
-    entry_face: FaceId
-    entry_ab: tuple[float, float]
-    exit_face: FaceId
-    exit_ab: tuple[float, float]
-    length: float
 
 
 @dataclass
@@ -68,32 +56,6 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return self.entry_code.size
-
-    def row(self, idx: int) -> Trajectory:
-        return Trajectory(
-            FaceId.from_code(int(self.entry_code[idx])),
-            (float(self.entry_ab[idx, 0]), float(self.entry_ab[idx, 1])),
-            FaceId.from_code(int(self.exit_code[idx])),
-            (float(self.exit_ab[idx, 0]), float(self.exit_ab[idx, 1])),
-            float(self.length[idx]),
-        )
-
-    @classmethod
-    def concatenate(cls, batches: "list[TrajectoryBatch]") -> "TrajectoryBatch":
-        if not batches:
-            raise ValueError("nothing to concatenate")
-        box = batches[0].box
-        if any(b.box != box for b in batches):
-            raise ValueError("cannot concatenate batches over different boxes")
-        return cls(
-            box,
-            np.concatenate([b.entry_code for b in batches]),
-            np.concatenate([b.entry_ab for b in batches]),
-            np.concatenate([b.exit_code for b in batches]),
-            np.concatenate([b.exit_ab for b in batches]),
-            np.concatenate([b.length for b in batches]),
-            dict(batches[0].meta),
-        )
 
 
 def _face_probabilities(box: BoxDims) -> np.ndarray:
@@ -187,16 +149,6 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
-def _run_streams(task, counts: list[int], workers: int) -> None:
-    live = [s for s, c in enumerate(counts) if c > 0]
-    if workers <= 1:
-        for s in live:
-            task(s)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(task, live))
-
-
 def sample_rays(
     box: BoxDims,
     count: int,
@@ -228,7 +180,7 @@ def sample_rays(
         parts = _rays_stream(box, counts[stream], rng, model, entry_face.code if entry_face else None)
         entry_code[sl], entry_ab[sl], exit_code[sl], exit_ab[sl], length[sl] = parts
 
-    _run_streams(task, counts, workers)
+    run_each(task, [s for s, c in enumerate(counts) if c > 0], workers)
     meta = {
         "sampler": "rays",
         "model": model,
@@ -245,16 +197,15 @@ def sample_chords(
     seed: int,
     workers: int = 1,
     entry_face: FaceId | None = None,
-    exclude_same_face: bool = True,
 ) -> TrajectoryBatch:
     """Sample chords between two independent uniform surface points.
 
-    With `exclude_same_face` (the default) colliding pairs are redrawn
-    jointly until the faces differ; the attempt statistics end up in
-    `meta` (the collision rate estimates the sum of squared face
-    probabilities).  With `entry_face` set, the first point is pinned to
-    that face and only the second is redrawn, which induces the same
-    conditional law.
+    When the exit point lands on the entry face, only the exit point is
+    redrawn, so the exit face given entry face f has probability
+    P_exit / (1 - P_f).  The attempt statistics end up in `meta`; the
+    collision rate equals the sum of squared face probabilities only when
+    all faces have equal area.  With `entry_face` set, the entry point is
+    pinned to that face.
     """
     box = BoxDims.from_any(box)
     counts = _stream_counts(int(count))
@@ -279,18 +230,14 @@ def sample_chords(
         x_code = _draw_face_codes(rng, m, cum)
         p1 = _surface_points(rng, box, x_code)
         attempts, collisions = m, 0
-        if exclude_same_face:
-            bad = e_code == x_code
-            while bad.any():
-                nbad = int(bad.sum())
-                attempts += nbad
-                collisions += nbad
-                if entry_face is None:
-                    e_code[bad] = _draw_face_codes(rng, nbad, cum)
-                    p0[bad] = _surface_points(rng, box, e_code[bad])
-                x_code[bad] = _draw_face_codes(rng, nbad, cum)
-                p1[bad] = _surface_points(rng, box, x_code[bad])
-                bad[bad] = e_code[bad] == x_code[bad]
+        bad = e_code == x_code
+        while bad.any():
+            nbad = int(bad.sum())
+            attempts += nbad
+            collisions += nbad
+            x_code[bad] = _draw_face_codes(rng, nbad, cum)
+            p1[bad] = _surface_points(rng, box, x_code[bad])
+            bad[bad] = e_code[bad] == x_code[bad]
         sl = slice(offsets[stream], offsets[stream + 1])
         entry_code[sl] = e_code
         entry_ab[sl] = _local_coords(e_code, p0)
@@ -299,14 +246,13 @@ def sample_chords(
         length[sl] = np.sqrt(np.einsum("ij,ij->i", p1 - p0, p1 - p0))
         stats[stream] = (attempts, collisions)
 
-    _run_streams(task, counts, workers)
+    run_each(task, [s for s, c in enumerate(counts) if c > 0], workers)
     attempts, collisions = (int(v) for v in stats.sum(axis=0))
     meta = {
         "sampler": "chords",
         "seed": int(seed),
         "streams": STREAM_COUNT,
         "entry_face": entry_face.code if entry_face else None,
-        "exclude_same_face": exclude_same_face,
         "pair_attempts": attempts,
         "pair_collisions": collisions,
         "collision_rate": collisions / attempts if attempts else 0.0,
@@ -378,8 +324,7 @@ def canonical_histograms(
     """Pool the 30 ordered face pairs into the 9 canonical classes.
 
     Exit locations are mapped through each pair's reflection onto the
-    canonical frame before binning; same-face rows (possible only when a
-    chord batch kept them) are left out.
+    canonical frame before binning.
     """
     box = batch.box
     hists: dict[str, JointHistogram] = {}

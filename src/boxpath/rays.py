@@ -22,13 +22,13 @@ the remaining angular integrals below are bounded and regular.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import GridDensity1D, GridDensity2D, GridDensity3D, convolve_sum, ratio_density, uniform_density
 from .geometry import BoxDims, IndexTriple, PairKind
+from .pool import run_each
 
 __all__ = [
     "FaceJointPdf",
@@ -45,6 +45,9 @@ __all__ = [
     "length_marginal_adjacent",
     "length_marginal_opposing",
 ]
+
+# The sampler direction model (`montecarlo.DIRECTION_MODELS`) these laws describe.
+DIRECTION_MODEL = "cube-components"
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ def joint_pdf_opposing(
     def fill(idx: int) -> None:
         vals[idx] = _opposing_slice(n_grid[idx], a, b, xi, xj, xk, angle_nodes)
 
-    _run_slices(fill, n_nodes, workers)
+    run_each(fill, range(n_nodes), workers)
     dens = GridDensity3D(
         ((xj, box.diagonal), (0.0, xi), (0.0, xk)),
         vals,
@@ -308,7 +311,7 @@ def joint_pdf_adjacent(
     def fill(idx: int) -> None:
         vals[idx] = _adjacent_slice(n_grid[idx], a, e, xi, xj, xk, angle_nodes)
 
-    _run_slices(fill, n_nodes, workers)
+    run_each(fill, range(n_nodes), workers)
     dens = GridDensity3D(
         ((0.0, box.diagonal), (0.0, xi), (0.0, xj)),
         vals,
@@ -316,15 +319,6 @@ def joint_pdf_adjacent(
     )
     mass = dens.integral()
     return FaceJointPdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
-
-
-def _run_slices(fill, count: int, workers: int) -> None:
-    if workers <= 1:
-        for idx in range(count):
-            fill(idx)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(count)))
 
 
 # ---------------------------------------------------------------------------

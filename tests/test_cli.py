@@ -1,12 +1,14 @@
 """End-to-end CLI runs on tiny grids, plus figure rendering."""
 
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from boxpath import cli
+from boxpath import FaceId, Side, chords, cli, rays, single_face_length_pdf
+from boxpath import io as bio
 
 TINY = {
     "box": [1.0, 1.0, 1.0],
@@ -48,13 +50,58 @@ def test_analytic_outputs(workdir):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "analytic"
     assert len(manifest["config_hash"]) == 64
-    assert manifest["combination_modes"] == {"rays": "subdensity", "chords": "subdensity"}
     assert manifest["adjacent_jacobian_forms_max_gap"] <= 1e-12
     listed = set(manifest["outputs"])
     present = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert listed == present
     assert "rays_joint_opposing-entry2.npz" in listed
     assert "combined_chords.csv" in listed
+
+
+def test_analytic_computes_each_class_law_once(workdir, tmp_path, monkeypatch):
+    """On the cube one law per kind serves all nine classes, for both models."""
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rays, "length_marginal_adjacent")
+    counted(rays, "length_marginal_opposing")
+    counted(chords, "pair_length_pdf")
+    assert cli.main(["analytic", "--config", str(workdir / "tiny.json"), "--out", str(tmp_path)]) == 0
+    assert calls == {"length_marginal_adjacent": 1, "length_marginal_opposing": 1, "pair_length_pdf": 2}
+
+
+def test_single_face_uses_config_nodes(workdir):
+    cfg = cli.RunConfig.from_dict(TINY)
+    saved, _ = bio.load_density(workdir / "analytic" / "single_face_rays_axis2.npz")
+    law = single_face_length_pdf(cfg.box_dims, FaceId(2, Side.LOW), "rays", cfg.grid_nodes_1d, angle_nodes=cfg.angle_nodes)
+    assert np.array_equal(saved.values, law.density.values)
+
+
+def test_analytic_refuses_direction_model_without_law(workdir, tmp_path):
+    out = tmp_path / "analytic"
+    argv = ["analytic", "--config", str(workdir / "tiny.json"), "--direction-model", "ball-rejection", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("box", [1.0, 0.1, 1.0]), ("direction_model", "ball-rejection")])
+def test_compare_refuses_mismatched_runs(workdir, tmp_path, key, value):
+    sample = tmp_path / "sample"
+    shutil.copytree(workdir / "sample", sample)
+    manifest = json.loads((sample / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (sample / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["compare", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_sample_outputs(workdir):

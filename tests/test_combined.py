@@ -1,5 +1,7 @@
 """Combined (all-entry) length laws for both models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,20 @@ from boxpath import (
     ALL_FACES,
     BoxDims,
     FaceId,
+    GridDensity1D,
+    NumericalError,
     Side,
+    canonical_histograms,
     combined_length_pdf_chords,
     combined_length_pdf_rays,
+    entry_probability,
     expected_length,
     length_histogram,
+    sample_chords,
     single_face_length_pdf,
 )
+
+from boxpath.combined import class_law_table
 
 from conftest import binned_l1
 
@@ -41,11 +50,6 @@ def test_component_weights_form_a_partition(cube_combined_rays, cube_combined_ch
     assert sum(t.weight * t.mass for t in cube_combined_rays.terms) == pytest.approx(1.0, rel=2e-2)
     assert len(cube_combined_rays.terms) == 9
     assert {t.multiplicity for t in cube_combined_rays.terms} == {2, 4}
-
-
-def test_mode_recorded(cube_combined_rays, cube_combined_chords):
-    assert cube_combined_rays.mode == "subdensity"
-    assert cube_combined_chords.mode == "subdensity"
 
 
 def test_combined_matches_sampling(cube_combined_rays, cube_combined_chords, rays_batch_cube, chords_batch_cube):
@@ -94,6 +98,41 @@ def test_single_face_matches_pinned_sampling(cube):
         assert np.all(batch.entry_code == face.code)
         edges, counts = length_histogram(batch, 96)
         assert binned_l1(law.density, edges, counts) <= 0.03
+
+
+def test_combined_is_entry_weighted_sum_of_single_faces(skew_box):
+    """f(n) = sum over entry faces f of P_f times the single-face law of f."""
+    for model, combined, nodes in (
+        ("rays", combined_length_pdf_rays(skew_box, 129, 256, 64), {"angle_nodes": 256, "elevation_nodes": 64}),
+        ("chords", combined_length_pdf_chords(skew_box, 129, 256), {"s_nodes": 256}),
+    ):
+        total = np.zeros(129)
+        for face in ALL_FACES:
+            single = single_face_length_pdf(skew_box, face, model, 129, **nodes)
+            total += entry_probability(skew_box, face) * single.density.values
+        peak = combined.density.values.max()
+        assert np.max(np.abs(total - combined.density.values)) <= 1e-12 * peak
+
+
+def test_sampled_chord_class_shares_match_weights(slab):
+    """Each class's share of sampled chords matches its mixture weight.
+
+    The slab's unequal face areas separate redrawing only the exit point
+    (the law the weights P_f P_g / (1 - P_f) describe) from redrawing both
+    points of a same-face pair.
+    """
+    n = 400_000
+    totals = {label: h.total for label, h in canonical_histograms(sample_chords(slab, n, 31, 1), 2, 2, 2).items()}
+    for term in combined_length_pdf_chords(slab, 65, 256).terms:
+        sigma = np.sqrt(term.weight * (1.0 - term.weight) / n)
+        assert abs(totals[term.label] / n - term.weight) <= 5.0 * sigma, term.label
+
+
+def test_mixture_off_unit_mass_raises(cube):
+    table = class_law_table(cube, "chords", 65, s_nodes=256)
+    doubled = {key: GridDensity1D(law.lo, law.hi, 2.0 * law.values) for key, law in table.laws.items()}
+    with pytest.raises(NumericalError):
+        dataclasses.replace(table, laws=doubled).combined()
 
 
 def test_single_face_rejects_unknown_model(cube):
