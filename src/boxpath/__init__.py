@@ -24,7 +24,7 @@ from .combined import (
     expected_length,
     single_face_length_pdf,
 )
-from .density import GridDensity1D, GridDensity2D, GridDensity3D
+from .density import GridDensity, GridDensity1D
 from .errors import BoxpathError, EmptyCellError, IncompatibleGridError, NumericalError
 from .geometry import (
     ALL_FACES,
@@ -59,9 +59,8 @@ __all__ = [
     "EmptyCellError",
     "FaceId",
     "FacePairClass",
+    "GridDensity",
     "GridDensity1D",
-    "GridDensity2D",
-    "GridDensity3D",
     "IncompatibleGridError",
     "IndexTriple",
     "JointHistogram",

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import FaceJointPdf, FacePdf
+from .rays import FacePdf
 from .density import (
+    GridDensity,
     GridDensity1D,
-    GridDensity2D,
-    GridDensity3D,
     convolve_diff,
     convolve_sum,
     square_density,
@@ -132,14 +131,14 @@ def exit_pdf(box: BoxDims, kind: PairKind, indices: IndexTriple, nodes: int = 12
     other = box.dim(indices.k) if kind is PairKind.OPPOSING else box.dim(indices.j)
     vals = np.full((nodes, nodes), 1.0 / (xi * other))
     names = (f"x{indices.i}", f"x{indices.k}" if kind is PairKind.OPPOSING else f"x{indices.j}")
-    dens = GridDensity2D(((0.0, xi), (0.0, other)), vals, names)
+    dens = GridDensity(((0.0, xi), (0.0, other)), vals, names)
     entry = FaceId(indices.j, 0)
     exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
     mass = conditional_exit_probability(box, entry, exit_face)
     return FacePdf(kind, indices, dens, mass)
 
 
-def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int, s_nodes: int) -> FaceJointPdf:
+def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int, s_nodes: int) -> FacePdf:
     box = BoxDims.from_any(box)
     xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
     other = xk if kind is PairKind.OPPOSING else xj
@@ -169,11 +168,11 @@ def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_n
                 shift_sq = vv * vv
             vals[:, iu, iv] = _length_from_sum(f_s, shift_sq, n_grid) / area
     names = ("n", f"x{indices.i}", f"x{indices.k}" if kind is PairKind.OPPOSING else f"x{indices.j}")
-    dens = GridDensity3D(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, names)
+    dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, names)
     entry = FaceId(indices.j, 0)
     exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
     mass = conditional_exit_probability(box, entry, exit_face)
-    return FaceJointPdf(kind, indices, dens.normalized(force=True), mass)
+    return FacePdf(kind, indices, dens.normalized(force=True), mass)
 
 
 def joint_pdf_opposing(
@@ -183,7 +182,7 @@ def joint_pdf_opposing(
     u_nodes: int = 64,
     v_nodes: int = 64,
     s_nodes: int = 512,
-) -> FaceJointPdf:
+) -> FacePdf:
     """Joint (length, exit-location) density for an opposing face pair.
 
     The exit location is uniform on the face, so the joint factorizes into
@@ -199,7 +198,7 @@ def joint_pdf_adjacent(
     u_nodes: int = 64,
     v_nodes: int = 64,
     s_nodes: int = 512,
-) -> FaceJointPdf:
+) -> FacePdf:
     """Joint (length, exit-location) density for an adjacent face pair."""
     return _joint(box, PairKind.ADJACENT, indices, n_nodes, u_nodes, v_nodes, s_nodes)
 

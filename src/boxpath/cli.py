@@ -187,6 +187,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         for stem, pdf in (
             (f"rays_joint_{cls.label}", joint),
             (f"chords_joint_{cls.label}", cjoint),
+            (f"rays_exit_{cls.label}", exit_pdf),
         ):
             bio.save_density(
                 out / f"{stem}.npz",
@@ -194,12 +195,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
                 {"label": cls.label, "kind": pdf.kind.value, "indices": list(pdf.indices.as_tuple), "mass": pdf.mass},
             )
             outputs.append(f"{stem}.npz")
-        bio.save_density(
-            out / f"rays_exit_{cls.label}.npz",
-            exit_pdf.density,
-            {"label": cls.label, "kind": exit_pdf.kind.value, "indices": list(exit_pdf.indices.as_tuple), "mass": exit_pdf.mass},
-        )
-        outputs.append(f"rays_exit_{cls.label}.npz")
         if args.csv:
             bio.write_density_csv(out / f"rays_exit_{cls.label}.csv", exit_pdf.density)
             outputs.append(f"rays_exit_{cls.label}.csv")

@@ -15,9 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special as _sp_special
-from scipy import stats as _sp_stats
 
-from .density import GridDensity1D, GridDensity3D, bin_masses_1d, bin_masses_3d
+from .density import GridDensity, GridDensity1D, bin_masses_1d, bin_masses_3d
 from .errors import EmptyCellError, IncompatibleGridError
 from .montecarlo import JointHistogram
 
@@ -75,7 +74,7 @@ def _chi2_pooled(counts: np.ndarray, probs: np.ndarray, min_expected: float = 5.
         return 0.0, 0, 1.0
     stat = float(((kept_c - kept_e) ** 2 / kept_e).sum())
     dof = kept_e.size - 1
-    return stat, dof, float(_sp_stats.chi2.sf(stat, dof))
+    return stat, dof, float(_sp_special.chdtrc(dof, stat))
 
 
 def _ks_binned(counts_1d: np.ndarray, probs_1d: np.ndarray, n: int) -> tuple[float, float]:
@@ -85,7 +84,7 @@ def _ks_binned(counts_1d: np.ndarray, probs_1d: np.ndarray, n: int) -> tuple[flo
     return d, float(_sp_special.kolmogorov(np.sqrt(n) * d))
 
 
-def compare_joint(hist: JointHistogram, density: GridDensity3D) -> ComparisonReport:
+def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonReport:
     """Compare a pooled class histogram with an analytic joint density."""
     q = bin_masses_3d(density, hist.n_edges, hist.u_edges, hist.v_edges)
     q = np.clip(q, 0.0, None)
@@ -176,7 +175,7 @@ def _overlap_fractions(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def location_pdf_from_grid(
-    density: GridDensity3D, cell: tuple[float, float, float]
+    density: GridDensity, cell: tuple[float, float, float]
 ) -> GridDensity1D:
     """Length density of an analytic joint restricted to a location cell.
 

@@ -28,11 +28,9 @@ import numpy as np
 from .errors import IncompatibleGridError, NumericalError
 
 __all__ = [
+    "GridDensity",
     "GridDensity1D",
-    "GridDensity2D",
-    "GridDensity3D",
     "bin_masses_1d",
-    "bin_masses_2d",
     "bin_masses_3d",
     "convolve_diff",
     "convolve_sum",
@@ -45,6 +43,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+_DEFAULT_AXIS_NAMES = {2: ("u", "v"), 3: ("n", "u", "v")}
 
 
 def _validate_values(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -132,78 +131,27 @@ class GridDensity1D:
 
 
 @dataclass(frozen=True)
-class GridDensity2D:
-    """PL density on a tensor grid; values indexed [axis0, axis1]."""
+class GridDensity:
+    """PL density on a 2- or 3-axis tensor grid; values indexed [axis0, axis1, ...].
 
-    domain: tuple[tuple[float, float], tuple[float, float]]
-    values: np.ndarray
-    axis_names: tuple[str, str] = ("u", "v")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validate_values(self.values, 2))
-        object.__setattr__(self, "domain", tuple((float(a), float(b)) for a, b in self.domain))
-        for (lo, hi), n in zip(self.domain, self.values.shape):
-            if not (hi > lo and n >= 2):
-                raise ValueError("each axis needs hi > lo and at least 2 nodes")
-
-    def nodes(self, axis: int) -> np.ndarray:
-        lo, hi = self.domain[axis]
-        return np.linspace(lo, hi, self.values.shape[axis])
-
-    def spacing(self, axis: int) -> float:
-        lo, hi = self.domain[axis]
-        return (hi - lo) / (self.values.shape[axis] - 1)
-
-    def integral(self) -> float:
-        out = np.trapezoid(self.values, dx=self.spacing(1), axis=1)
-        return float(np.trapezoid(out, dx=self.spacing(0), axis=0))
-
-    def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity2D":
-        m = self.integral()
-        if m <= 0:
-            raise NumericalError("cannot normalize a zero-mass density")
-        if not force and abs(m - 1.0) > tol:
-            raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
-        return GridDensity2D(self.domain, self.values / m, self.axis_names)
-
-    def integrate_out(self, axis: int) -> GridDensity1D:
-        """Marginal over the remaining axis after integrating `axis` away."""
-        keep = 1 - axis
-        vals = np.trapezoid(self.values, dx=self.spacing(axis), axis=axis)
-        lo, hi = self.domain[keep]
-        return GridDensity1D(lo, hi, np.maximum(vals, 0.0))
-
-    def band_integral(self, axis: int, lo: float, hi: float) -> GridDensity1D:
-        """Exact PL integral over [lo, hi] along one axis."""
-        w = _hat_bin_weights(self.nodes(axis), np.array([lo, hi]))[:, 0]
-        vals = np.tensordot(self.values, w, axes=([axis], [0]))
-        keep = 1 - axis
-        klo, khi = self.domain[keep]
-        return GridDensity1D(klo, khi, np.maximum(vals, 0.0))
-
-    def interp(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation at point arrays, zero outside the domain."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        f = RegularGridInterpolator(
-            (self.nodes(0), self.nodes(1)), self.values, bounds_error=False, fill_value=0.0
-        )
-        return f(np.stack([np.asarray(u, float), np.asarray(v, float)], axis=-1))
-
-
-@dataclass(frozen=True)
-class GridDensity3D:
-    """PL density on a 3-axis tensor grid; values indexed [axis0, axis1, axis2]."""
+    Default axis names are ("u", "v") for 2 axes and ("n", "u", "v") for 3,
+    the length axis first in a (length, exit location) joint.
+    """
 
     domain: tuple[tuple[float, float], ...]
     values: np.ndarray
-    axis_names: tuple[str, str, str] = ("n", "u", "v")
+    axis_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _validate_values(self.values, 3))
+        rank = np.ndim(self.values)
+        if rank not in (2, 3):
+            raise ValueError(f"expected a 2-d or 3-d value array, got shape {np.shape(self.values)}")
+        names = _DEFAULT_AXIS_NAMES[rank] if self.axis_names is None else tuple(self.axis_names)
+        object.__setattr__(self, "values", _validate_values(self.values, rank))
         object.__setattr__(self, "domain", tuple((float(a), float(b)) for a, b in self.domain))
-        if len(self.domain) != 3:
-            raise ValueError("domain must list 3 axis ranges")
+        object.__setattr__(self, "axis_names", names)
+        if len(self.domain) != rank or len(names) != rank:
+            raise ValueError(f"domain and axis_names must each list {rank} axes")
         for (lo, hi), n in zip(self.domain, self.values.shape):
             if not (hi > lo and n >= 2):
                 raise ValueError("each axis needs hi > lo and at least 2 nodes")
@@ -218,52 +166,45 @@ class GridDensity3D:
 
     def integral(self) -> float:
         out = self.values
-        for axis in (2, 1, 0):
+        for axis in reversed(range(self.values.ndim)):
             out = np.trapezoid(out, dx=self.spacing(axis), axis=axis)
         return float(out)
 
-    def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity3D":
+    def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity":
         m = self.integral()
         if m <= 0:
             raise NumericalError("cannot normalize a zero-mass density")
         if not force and abs(m - 1.0) > tol:
             raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
-        return GridDensity3D(self.domain, self.values / m, self.axis_names)
+        return GridDensity(self.domain, self.values / m, self.axis_names)
 
-    def integrate_out(self, axis: int) -> GridDensity2D:
-        keep = tuple(a for a in range(3) if a != axis)
-        vals = np.trapezoid(self.values, dx=self.spacing(axis), axis=axis)
-        return GridDensity2D(
-            (self.domain[keep[0]], self.domain[keep[1]]),
-            np.maximum(vals, 0.0),
-            (self.axis_names[keep[0]], self.axis_names[keep[1]]),
+    def _without(self, axis: int, vals: np.ndarray) -> "GridDensity | GridDensity1D":
+        """The density on the axes other than `axis`, holding `vals`."""
+        keep = [a for a in range(self.values.ndim) if a != axis]
+        vals = np.maximum(vals, 0.0)
+        if len(keep) == 1:
+            lo, hi = self.domain[keep[0]]
+            return GridDensity1D(lo, hi, vals)
+        return GridDensity(
+            tuple(self.domain[a] for a in keep), vals, tuple(self.axis_names[a] for a in keep)
         )
 
-    def marginal_1d(self, axis: int) -> GridDensity1D:
-        """Integrate out both other axes."""
-        others = [a for a in range(3) if a != axis]
-        out = self.integrate_out(others[1])
-        # After removing the higher axis, the lower one keeps its index.
-        return out.integrate_out(0 if axis > others[0] else 1)
+    def integrate_out(self, axis: int) -> "GridDensity | GridDensity1D":
+        """Marginal over the remaining axes after integrating `axis` away."""
+        return self._without(axis, np.trapezoid(self.values, dx=self.spacing(axis), axis=axis))
 
-    def band_integral(self, axis: int, lo: float, hi: float) -> GridDensity2D:
+    def band_integral(self, axis: int, lo: float, hi: float) -> "GridDensity | GridDensity1D":
         """Exact PL integral over [lo, hi] along one axis; a partial marginal."""
         w = _hat_bin_weights(self.nodes(axis), np.array([lo, hi]))[:, 0]
-        vals = np.tensordot(self.values, w, axes=([axis], [0]))
-        keep = tuple(a for a in range(3) if a != axis)
-        return GridDensity2D(
-            (self.domain[keep[0]], self.domain[keep[1]]),
-            np.maximum(vals, 0.0),
-            (self.axis_names[keep[0]], self.axis_names[keep[1]]),
-        )
+        return self._without(axis, np.tensordot(self.values, w, axes=([axis], [0])))
 
-    def interp(self, pts: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        f = RegularGridInterpolator(
-            tuple(self.nodes(a) for a in range(3)), self.values, bounds_error=False, fill_value=0.0
-        )
-        return f(np.asarray(pts, dtype=float))
+    def marginal_1d(self, axis: int) -> GridDensity1D:
+        """Integrate out every other axis, the highest first."""
+        out = self
+        for other in reversed(range(self.values.ndim)):
+            if other != axis:
+                out = out.integrate_out(other)
+        return out
 
 
 def uniform_density(lo: float, hi: float, n: int = 513) -> GridDensity1D:
@@ -513,14 +454,8 @@ def bin_masses_1d(f: GridDensity1D, edges: np.ndarray) -> np.ndarray:
     return _hat_bin_weights(f.nodes, edges).T @ f.values
 
 
-def bin_masses_2d(f: GridDensity2D, edges0: np.ndarray, edges1: np.ndarray) -> np.ndarray:
-    w0 = _hat_bin_weights(f.nodes(0), edges0)
-    w1 = _hat_bin_weights(f.nodes(1), edges1)
-    return np.einsum("ia,jb,ij->ab", w0, w1, f.values, optimize=True)
-
-
 def bin_masses_3d(
-    f: GridDensity3D, edges0: np.ndarray, edges1: np.ndarray, edges2: np.ndarray
+    f: GridDensity, edges0: np.ndarray, edges1: np.ndarray, edges2: np.ndarray
 ) -> np.ndarray:
     w0 = _hat_bin_weights(f.nodes(0), edges0)
     w1 = _hat_bin_weights(f.nodes(1), edges1)

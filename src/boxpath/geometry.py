@@ -202,12 +202,6 @@ class FacePairClass:
             return f"opposing-entry{self.indices.j}"
         return f"adjacent-entry{self.indices.j}-exit{self.indices.k}"
 
-    @property
-    def exit_axis_names(self) -> tuple[str, str]:
-        """Names of the two canonical exit-plane coordinates."""
-        i, j, k = self.indices.as_tuple
-        return (f"x{i}", f"x{k}" if self.kind is PairKind.OPPOSING else f"x{j}")
-
     # The canonical exit coordinates are (x_i, x_k) on the plane x_j = X_j
     # for opposing pairs and (x_i, x_j) on the plane x_k = 0 for adjacent
     # pairs; entry coordinates are (x_i, x_k) on x_j = 0 for both kinds.

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import GridDensity1D, GridDensity2D, GridDensity3D
+from .density import GridDensity, GridDensity1D
 from .errors import IncompatibleGridError
 from .geometry import BoxDims, PairKind
 from .montecarlo import JointHistogram, TrajectoryBatch
@@ -69,15 +69,12 @@ def _meta_load(arr: np.ndarray) -> dict:
     return json.loads(bytes(arr).decode())
 
 
-def save_density(path, density: GridDensity1D | GridDensity2D | GridDensity3D, meta: Mapping | None = None) -> None:
+def save_density(path, density: GridDensity1D | GridDensity, meta: Mapping | None = None) -> None:
     """Serialize a gridded density plus free-form JSON metadata."""
     if isinstance(density, GridDensity1D):
         domain = np.array([[density.lo, density.hi]])
         names = ["x"]
-    elif isinstance(density, GridDensity2D):
-        domain = np.array(density.domain)
-        names = list(density.axis_names)
-    elif isinstance(density, GridDensity3D):
+    elif isinstance(density, GridDensity):
         domain = np.array(density.domain)
         names = list(density.axis_names)
     else:
@@ -93,7 +90,7 @@ def save_density(path, density: GridDensity1D | GridDensity2D | GridDensity3D, m
     )
 
 
-def load_density(path) -> tuple[GridDensity1D | GridDensity2D | GridDensity3D, dict]:
+def load_density(path) -> tuple[GridDensity1D | GridDensity, dict]:
     with np.load(path) as z:
         domain = z["domain"]
         values = z["values"]
@@ -101,10 +98,8 @@ def load_density(path) -> tuple[GridDensity1D | GridDensity2D | GridDensity3D, d
         meta = _meta_load(z["meta"])
     if values.ndim == 1:
         return GridDensity1D(domain[0, 0], domain[0, 1], values), meta
-    if values.ndim == 2:
-        return GridDensity2D(tuple(map(tuple, domain)), values, tuple(names)), meta
-    if values.ndim == 3:
-        return GridDensity3D(tuple(map(tuple, domain)), values, tuple(names)), meta
+    if values.ndim in (2, 3):
+        return GridDensity(tuple(map(tuple, domain)), values, tuple(names)), meta
     raise IncompatibleGridError(f"unsupported density rank {values.ndim}")
 
 
@@ -148,7 +143,7 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
-def write_density_csv(path, density: GridDensity1D | GridDensity2D | GridDensity3D, value_name: str = "density") -> None:
+def write_density_csv(path, density: GridDensity1D | GridDensity, value_name: str = "density") -> None:
     """Tabulate grid nodes and values; one row per node, C order."""
     if isinstance(density, GridDensity1D):
         names, axes = ["x"], [density.nodes]

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridDensity1D, GridDensity2D, GridDensity3D, convolve_sum, ratio_density, uniform_density
+from .density import GridDensity, GridDensity1D, convolve_sum, ratio_density, uniform_density
 from .geometry import BoxDims, IndexTriple, PairKind
 from .pool import run_each
 
 __all__ = [
-    "FaceJointPdf",
     "FacePdf",
     "exit_coordinate_marginal_opposing",
     "exit_pdf_adjacent",
@@ -52,29 +51,17 @@ DIRECTION_MODEL = "cube-components"
 
 @dataclass(frozen=True)
 class FacePdf:
-    """Exit-location density on one exit face, conditional on that exit.
+    """Density on one exit face of a face-pair class, conditional on that exit.
 
-    `density` integrates to one over the face; `mass` is the probability
-    of exiting through the face given entry through the class entry face.
+    `density` has the two exit-location axes, after a leading length axis
+    for a joint (length, exit-location) law.  It integrates to one; `mass`
+    is the probability of exiting through the face given entry through the
+    class entry face, so the physical sub-density is mass * density.
     """
 
     kind: PairKind
     indices: IndexTriple
-    density: GridDensity2D
-    mass: float
-
-
-@dataclass(frozen=True)
-class FaceJointPdf:
-    """Joint (length, exit-location) density for one face-pair class.
-
-    `density` integrates to one; `mass` is the face-exit probability, so
-    the physical sub-density is mass * density.
-    """
-
-    kind: PairKind
-    indices: IndexTriple
-    density: GridDensity3D
+    density: GridDensity
     mass: float
 
 
@@ -119,7 +106,7 @@ def exit_pdf_opposing(
     ga = _overlap(a[:, None], alpha[None, :], xi)
     gb = _overlap(b[:, None], alpha[None, :], xk)
     vals = np.einsum("as,bs->ab", ga, gb, optimize=True) / slope_nodes
-    dens = GridDensity2D(((0.0, xi), (0.0, xk)), vals, (f"x{indices.i}", f"x{indices.k}"))
+    dens = GridDensity(((0.0, xi), (0.0, xk)), vals, (f"x{indices.i}", f"x{indices.k}"))
     mass = dens.integral()
     return FacePdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
 
@@ -161,7 +148,7 @@ def exit_pdf_adjacent(
     esub = h * _midpoints(edge_subnodes)
     cell_mass = rows(esub).mean(axis=1) * h
     vals[:, 0] = np.maximum(0.0, 2.0 * (cell_mass - vals[:, 1] * h / 2.0) / h)
-    dens = GridDensity2D(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
+    dens = GridDensity(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
     mass = dens.integral()
     return FacePdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
 
@@ -238,7 +225,7 @@ def joint_pdf_opposing(
     b_nodes: int = 64,
     angle_nodes: int = 2048,
     workers: int = 1,
-) -> FaceJointPdf:
+) -> FacePdf:
     """Joint density of (path length n, exit location) on the opposing face.
 
     Support starts at n = X_j (the straight crossing).  The radial part of
@@ -257,13 +244,13 @@ def joint_pdf_opposing(
         vals[idx] = _opposing_slice(n_grid[idx], a, b, xi, xj, xk, angle_nodes)
 
     run_each(fill, range(n_nodes), workers)
-    dens = GridDensity3D(
+    dens = GridDensity(
         ((xj, box.diagonal), (0.0, xi), (0.0, xk)),
         vals,
         ("n", f"x{indices.i}", f"x{indices.k}"),
     )
     mass = dens.integral()
-    return FaceJointPdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
+    return FacePdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
 
 
 def _adjacent_slice(
@@ -294,7 +281,7 @@ def joint_pdf_adjacent(
     e_nodes: int = 64,
     angle_nodes: int = 1024,
     workers: int = 1,
-) -> FaceJointPdf:
+) -> FacePdf:
     """Joint density of (length, exit location) on the adjacent face x_k = 0.
 
     The entry-depth integral is closed (the exit pins the depth
@@ -312,13 +299,13 @@ def joint_pdf_adjacent(
         vals[idx] = _adjacent_slice(n_grid[idx], a, e, xi, xj, xk, angle_nodes)
 
     run_each(fill, range(n_nodes), workers)
-    dens = GridDensity3D(
+    dens = GridDensity(
         ((0.0, box.diagonal), (0.0, xi), (0.0, xj)),
         vals,
         ("n", f"x{indices.i}", f"x{indices.j}"),
     )
     mass = dens.integral()
-    return FaceJointPdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
+    return FacePdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """End-to-end CLI runs on tiny grids, plus figure rendering."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boxpath
 from boxpath import FaceId, Side, chords, cli, rays, single_face_length_pdf
 from boxpath import io as bio
 
@@ -193,3 +198,12 @@ def test_workers_env_override(cube, monkeypatch):
     monkeypatch.delenv("BOXPATH_WORKERS")
     assert cli.RunConfig().resolved_workers() == 1
     assert cli.RunConfig(workers=2).resolved_workers() == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of import on every CLI run
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    code = "import sys, boxpath.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,20 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from boxpath import EmptyCellError, GridDensity3D, IncompatibleGridError, compare
+from boxpath import EmptyCellError, GridDensity, IncompatibleGridError, compare
 from boxpath.density import bin_masses_3d
 from boxpath.geometry import IndexTriple, PairKind
 from boxpath.montecarlo import JointHistogram
 
 
-def make_density(seed: int = 0) -> GridDensity3D:
+def make_density(seed: int = 0) -> GridDensity:
     rng = np.random.default_rng(seed)
     vals = rng.random((16, 12, 12)) + 0.3
-    d = GridDensity3D(((1.0, 2.0), (0.0, 1.0), (0.0, 1.0)), vals)
+    d = GridDensity(((1.0, 2.0), (0.0, 1.0), (0.0, 1.0)), vals)
     return d.normalized(force=True)
 
 
-def hist_from_density(density: GridDensity3D, n_samples: int, seed: int, bins=(8, 6, 6)) -> JointHistogram:
+def hist_from_density(density: GridDensity, n_samples: int, seed: int, bins=(8, 6, 6)) -> JointHistogram:
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(density.domain, bins)]
     masses = bin_masses_3d(density, *edges)
     rng = np.random.default_rng(seed)
@@ -50,7 +50,7 @@ def test_mismatched_density_rejected():
 def test_incompatible_domains_raise():
     d = make_density()
     h = hist_from_density(d, 1000, 3)
-    shifted = GridDensity3D(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), d.values)
+    shifted = GridDensity(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), d.values)
     with pytest.raises(IncompatibleGridError):
         compare.compare_joint(h, shifted)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boxpath import GridDensity1D, GridDensity2D, GridDensity3D, IncompatibleGridError, sample_rays
+from boxpath import GridDensity, GridDensity1D, IncompatibleGridError, sample_rays
 from boxpath import io as bio
 from boxpath.geometry import BoxDims
 from boxpath.montecarlo import canonical_histograms
@@ -14,8 +14,8 @@ def densities():
     rng = np.random.default_rng(12)
     return [
         GridDensity1D(0.5, 2.0, rng.random(33)),
-        GridDensity2D(((0.0, 1.0), (0.0, 2.0)), rng.random((9, 11)), ("a", "e")),
-        GridDensity3D(((1.0, 2.0), (0.0, 1.0), (0.0, 1.0)), rng.random((5, 6, 7))),
+        GridDensity(((0.0, 1.0), (0.0, 2.0)), rng.random((9, 11)), ("a", "e")),
+        GridDensity(((1.0, 2.0), (0.0, 1.0), (0.0, 1.0)), rng.random((5, 6, 7))),
     ]
 
 
@@ -28,6 +28,21 @@ def test_density_round_trip(tmp_path, densities):
         assert np.array_equal(back.values, d.values)
         assert back.axis_names == d.axis_names if hasattr(d, "axis_names") else True
         assert meta == {"tag": i, "nested": {"x": [1, 2]}}
+
+
+def test_load_density_rejects_domain_rank_mismatch(tmp_path):
+    path = tmp_path / "bad.npz"
+    bio.write_npz(
+        path,
+        {
+            "domain": np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
+            "values": np.ones((3, 4)),
+            "axis_names": np.array(["u", "v"]),
+            "meta": np.frombuffer(b"{}", dtype=np.uint8),
+        },
+    )
+    with pytest.raises(ValueError, match="axes"):
+        bio.load_density(path)
 
 
 def test_npz_bytes_deterministic(tmp_path, densities):
