@@ -28,6 +28,7 @@ from .density import GridDensity, GridDensity1D
 from .errors import BoxpathError, EmptyCellError, IncompatibleGridError, NumericalError
 from .geometry import (
     ALL_FACES,
+    FACE_PAIRS,
     BoxDims,
     FaceId,
     FacePairClass,
@@ -52,6 +53,7 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     "ALL_FACES",
+    "FACE_PAIRS",
     "BoxDims",
     "BoxpathError",
     "CombinedLengthPdf",

@@ -17,8 +17,6 @@ are exact up to grid resolution; no sampling is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rays import FacePdf
@@ -31,24 +29,13 @@ from .density import (
     uniform_density,
 )
 from .errors import NumericalError
-from .geometry import (
-    ALL_FACES,
-    BoxDims,
-    FaceId,
-    FacePairClass,
-    IndexTriple,
-    PairKind,
-    classify_pair,
-    entry_probability,
-)
+from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
 
 __all__ = [
     "conditional_exit_probability",
     "conditional_length_pdf",
-    "exit_pdf",
     "joint_pdf_adjacent",
     "joint_pdf_opposing",
-    "location_length_pdf",
     "pair_length_pdf",
 ]
 
@@ -122,20 +109,6 @@ def conditional_length_pdf(
     n_grid = np.linspace(n_lo, n_hi, n_nodes)
     dens = GridDensity1D(n_lo, n_hi, _length_from_sum(f_s, shift_sq, n_grid))
     return dens.normalized(force=True)
-
-
-def exit_pdf(box: BoxDims, kind: PairKind, indices: IndexTriple, nodes: int = 129) -> FacePdf:
-    """Exit-location density given the face pair: uniform on the exit face."""
-    box = BoxDims.from_any(box)
-    xi = box.dim(indices.i)
-    other = box.dim(indices.k) if kind is PairKind.OPPOSING else box.dim(indices.j)
-    vals = np.full((nodes, nodes), 1.0 / (xi * other))
-    names = (f"x{indices.i}", f"x{indices.k}" if kind is PairKind.OPPOSING else f"x{indices.j}")
-    dens = GridDensity(((0.0, xi), (0.0, other)), vals, names)
-    entry = FaceId(indices.j, 0)
-    exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
-    mass = conditional_exit_probability(box, entry, exit_face)
-    return FacePdf(kind, indices, dens, mass)
 
 
 def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int, s_nodes: int) -> FacePdf:
@@ -237,49 +210,3 @@ def pair_length_pdf(
     n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
     vals = _length_from_sum(f_s, shift_sq, n_grid)
     return GridDensity1D(n_lo, box.diagonal, vals).normalized(force=True)
-
-
-def location_length_pdf(
-    box: BoxDims,
-    exit_face: FaceId,
-    cell: tuple[float, float, float],
-    n_nodes: int = 513,
-    s_nodes: int = 2048,
-    cell_points: int = 3,
-) -> GridDensity1D:
-    """Length density given the exit lies in a small cell of one face.
-
-    `cell` is (a, b, half_width) in the exit face's local coordinates; the
-    cell is clipped to the face.  Entry faces are mixed with the posterior
-    weights P_entry / (1 - P_entry) (the uniform exit location carries no
-    information about the entry face beyond ruling out the same face).
-    The conditional is averaged over a small grid of points spanning the
-    cell, adequate while the cell is small against the face.
-    """
-    box = BoxDims.from_any(box)
-    a, b, half = (float(x) for x in cell)
-    p_ax, q_ax = exit_face.plane_axes
-    a_lo, a_hi = max(0.0, a - half), min(box.dim(p_ax), a + half)
-    b_lo, b_hi = max(0.0, b - half), min(box.dim(q_ax), b + half)
-    if not (a_hi > a_lo and b_hi > b_lo):
-        raise ValueError("cell does not intersect the exit face")
-    pa = a_lo + (np.arange(cell_points) + 0.5) * (a_hi - a_lo) / cell_points
-    pb = b_lo + (np.arange(cell_points) + 0.5) * (b_hi - b_lo) / cell_points
-    pts = np.array([(x, y) for x in pa for y in pb])
-
-    n_hi = box.diagonal
-    n_grid = np.linspace(0.0, n_hi, n_nodes)
-    acc = np.zeros(n_nodes)
-    w_total = 0.0
-    for entry in ALL_FACES:
-        if entry == exit_face:
-            continue
-        w = entry_probability(box, entry) / (1.0 - entry_probability(box, entry))
-        cls = classify_pair(entry, exit_face)
-        uv = cls.exit_local_to_canonical(box, pts)
-        for row in uv:
-            cond = conditional_length_pdf(box, cls.kind, cls.indices, (row[0], row[1]), n_nodes, s_nodes)
-            acc += w * cond.interp(n_grid)
-        w_total += w * len(pts)
-    dens = GridDensity1D(0.0, n_hi, acc / w_total)
-    return dens.normalized(force=True)

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, chords, combined, compare, geometry, io as bio, montecarlo, rays, svg
+from . import __version__, chords, combined, compare, io as bio, montecarlo, rays, svg
 from .errors import EmptyCellError, IncompatibleGridError, NumericalError
-from .geometry import ALL_FACES, BoxDims, FaceId, PairKind, Side, canonical_classes
+from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
 
 __all__ = ["build_parser", "main"]
 
@@ -152,7 +152,7 @@ def _jacobian_agreement(box: BoxDims) -> float:
     """Max relative gap between the two adjacent-face Jacobian forms."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     worst = 0.0
-    indices = geometry.IndexTriple(1, 2, 3)
+    indices = IndexTriple(1, 2, 3)
     for _ in range(32):
         entry = rng.uniform(0.05, 0.95, 2) * [box.dim(1), box.dim(3)]
         direction = rng.uniform(0.05, 1.0, 3) * [1.0, 1.0, -1.0]
@@ -375,34 +375,6 @@ def _figure_elevation(analytic_dir: Path, out: Path, files: list[str]) -> None:
         files += [f"{stem}.csv", f"{stem}.svg"]
 
 
-def _pooled_location_pdf(analytic_dir: Path, model: str, box: BoxDims, exit_face: FaceId, cell) -> "object":
-    """Mix entry faces for the length law at one exit-face cell."""
-    from .density import GridDensity1D
-
-    acc = None
-    grid = None
-    for entry in ALL_FACES:
-        if entry == exit_face:
-            continue
-        cls = geometry.classify_pair(entry, exit_face)
-        density, meta = _load_joint(analytic_dir, model, cls.label)
-        uv = cls.exit_local_to_canonical(box, np.array([[cell[0], cell[1]]]))[0]
-        u_dom, v_dom = density.domain[1], density.domain[2]
-        a0, a1 = max(u_dom[0], uv[0] - cell[2]), min(u_dom[1], uv[0] + cell[2])
-        b0, b1 = max(v_dom[0], uv[1] - cell[2]), min(v_dom[1], uv[1] + cell[2])
-        if not (a1 > a0 and b1 > b0):
-            continue
-        part = density.band_integral(1, a0, a1).band_integral(1, b0, b1)
-        weight = geometry.entry_probability(box, entry) * meta["mass"]
-        if acc is None:
-            grid = np.linspace(0.0, box.diagonal, 513)
-            acc = np.zeros_like(grid)
-        acc += weight * part.interp(grid)
-    if acc is None or acc.sum() <= 0:
-        raise NumericalError("location cell has no analytic mass; widen the cell")
-    return GridDensity1D(0.0, box.diagonal, acc).normalized(force=True)
-
-
 def _figure_location(
     analytic_dir: Path,
     sample_dir: Path | None,
@@ -414,10 +386,15 @@ def _figure_location(
 ) -> None:
     """Length-law overlay at a small exit-location cell, both models."""
     exit_face = FaceId.from_code(face_code)
+    labels = {pair.label for pair in FACE_PAIRS if pair.exit_face == exit_face}
     series = []
     columns: dict[str, np.ndarray] = {}
     for model, dash in (("rays", False), ("chords", True)):
-        dens = _pooled_location_pdf(analytic_dir, model, box, exit_face, cell)
+        joints = {}
+        for label in labels:
+            density, meta = _load_joint(analytic_dir, model, label)
+            joints[label] = rays.FacePdf(PairKind(meta["kind"]), IndexTriple(*meta["indices"]), density, meta["mass"])
+        dens = combined.location_length_pdf(joints, box, exit_face, cell)
         x = dens.nodes
         series.append({"x": x, "y": dens.values, "label": f"{model} analytic", "dash": dash})
         columns["n"] = x

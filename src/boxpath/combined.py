@@ -13,6 +13,7 @@ Either way the mixture integrates to one by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -20,14 +21,13 @@ from . import chords, rays
 from .density import GridDensity1D
 from .errors import NumericalError
 from .geometry import (
-    ALL_FACES,
+    FACE_PAIRS,
     BoxDims,
     FaceId,
     FacePairClass,
     IndexTriple,
     PairKind,
     canonical_classes,
-    classify_pair,
     entry_probability,
 )
 
@@ -39,6 +39,7 @@ __all__ = [
     "combined_length_pdf_rays",
     "combined_length_pdf_chords",
     "expected_length",
+    "location_length_pdf",
     "single_face_length_pdf",
 ]
 
@@ -83,8 +84,8 @@ def _law_key(box: BoxDims, cls: FacePairClass) -> tuple:
 
 def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
     """The five classes of one entry face: the opposing exit, then the adjacent ones."""
-    exits = [FaceId.from_code(entry_face.code ^ 1)] + [g for g in ALL_FACES if g.axis != entry_face.axis]
-    return [classify_pair(entry_face, g) for g in exits]
+    pairs = [pair for pair in FACE_PAIRS if pair.entry_face == entry_face]
+    return sorted(pairs, key=lambda pair: pair.kind is PairKind.ADJACENT)
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,42 @@ def single_face_length_pdf(
     """
     table = class_law_table(box, model, n_nodes, angle_nodes, elevation_nodes, s_nodes, _exit_classes(entry_face))
     return table.single_face(entry_face)
+
+
+def location_length_pdf(
+    joints: Mapping[str, rays.FacePdf],
+    box: BoxDims,
+    exit_face: FaceId,
+    cell: tuple[float, float, float],
+) -> GridDensity1D:
+    """Length density given the exit lies in a square cell of one face.
+
+    `joints` maps each class label to that class's (length, exit) joint
+    for one model; `cell` is (a, b, half_width) in the exit face's local
+    coordinates and is clipped to each joint's domain.  Every pair that
+    exits through `exit_face` adds, in entry-code order, its joint's mass
+    over the cell weighted by P_entry and the face-exit mass; the sum is
+    renormalized on 513 nodes.  Raises NumericalError when the cell holds
+    no mass.
+    """
+    box = BoxDims.from_any(box)
+    grid = np.linspace(0.0, box.diagonal, 513)
+    acc = np.zeros_like(grid)
+    for pair in FACE_PAIRS:
+        if pair.exit_face != exit_face:
+            continue
+        joint = joints[pair.label]
+        u, v = pair.exit_local_to_canonical(box, np.array([[cell[0], cell[1]]]))[0]
+        (u_lo, u_hi), (v_lo, v_hi) = joint.density.domain[1], joint.density.domain[2]
+        a0, a1 = max(u_lo, u - cell[2]), min(u_hi, u + cell[2])
+        b0, b1 = max(v_lo, v - cell[2]), min(v_hi, v + cell[2])
+        if not (a1 > a0 and b1 > b0):
+            continue
+        part = joint.density.band_integral(1, a0, a1).band_integral(1, b0, b1)
+        acc += entry_probability(box, pair.entry_face) * joint.mass * part.interp(grid)
+    if acc.sum() <= 0:
+        raise NumericalError("location cell has no analytic mass; widen the cell")
+    return GridDensity1D(0.0, box.diagonal, acc).normalized(force=True)
 
 
 def expected_length(density: GridDensity1D) -> float:

@@ -14,7 +14,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special as _sp_special
 
 from .density import GridDensity, GridDensity1D, bin_masses_1d, bin_masses_3d
 from .errors import EmptyCellError, IncompatibleGridError
@@ -27,7 +26,6 @@ __all__ = [
     "compare_length",
     "histogram_l1",
     "location_counts",
-    "location_pdf_from_grid",
 ]
 
 
@@ -72,16 +70,22 @@ def _chi2_pooled(counts: np.ndarray, probs: np.ndarray, min_expected: float = 5.
         kept_e = np.append(kept_e, expected[small].sum())
     if kept_e.size < 2:
         return 0.0, 0, 1.0
+    # scipy.special is imported on use: it is slow to import, and every CLI
+    # stage imports this module.
+    from scipy.special import chdtrc
+
     stat = float(((kept_c - kept_e) ** 2 / kept_e).sum())
     dof = kept_e.size - 1
-    return stat, dof, float(_sp_special.chdtrc(dof, stat))
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def _ks_binned(counts_1d: np.ndarray, probs_1d: np.ndarray, n: int) -> tuple[float, float]:
+    from scipy.special import kolmogorov
+
     emp = np.cumsum(counts_1d) / max(1, counts_1d.sum())
     mod = np.cumsum(probs_1d)
     d = float(np.abs(emp - mod).max())
-    return d, float(_sp_special.kolmogorov(np.sqrt(n) * d))
+    return d, float(kolmogorov(np.sqrt(n) * d))
 
 
 def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonReport:
@@ -172,21 +176,3 @@ def _overlap_fractions(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
     left = np.maximum(edges[:-1], lo)
     right = np.minimum(edges[1:], hi)
     return np.clip(right - left, 0.0, None) / np.diff(edges)
-
-
-def location_pdf_from_grid(
-    density: GridDensity, cell: tuple[float, float, float]
-) -> GridDensity1D:
-    """Length density of an analytic joint restricted to a location cell.
-
-    The cell is clipped to the grid domain; the restriction uses exact PL
-    integration over the cell rectangle and is renormalized.
-    """
-    u, v, half = cell
-    (u_lo, u_hi), (v_lo, v_hi) = density.domain[1], density.domain[2]
-    a0, a1 = max(u_lo, u - half), min(u_hi, u + half)
-    b0, b1 = max(v_lo, v - half), min(v_hi, v + half)
-    if not (a1 > a0 and b1 > b0):
-        raise ValueError("cell does not intersect the density domain")
-    part = density.band_integral(1, a0, a1).band_integral(1, b0, b1)
-    return part.normalized(force=True)

@@ -21,11 +21,11 @@ Two numerical points deserve attention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleGridError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "GridDensity",

@@ -7,14 +7,14 @@ perpendicular (adjacent) faces.  Each class fixes an index triple (i, j, k)
 where j is the entry-face axis; the canonical frame places the entry face
 on the plane x_j = 0, an opposing exit on x_j = X_j, and an adjacent exit
 on x_k = 0.  Mapping any concrete pair onto its class is a composition of
-axis reflections, which this module provides in both directions.
+axis reflections.  `FACE_PAIRS` classifies all 30 pairs once; the sampler
+binning, the length mixtures and the location law all read it.
 
 Axes are numbered 1..3 in the public API.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -23,13 +23,13 @@ import numpy as np
 __all__ = [
     "ALL_FACES",
     "BoxDims",
+    "FACE_PAIRS",
     "FaceId",
     "FacePairClass",
     "IndexTriple",
     "PairKind",
     "Side",
     "canonical_classes",
-    "canonical_pdf_count",
     "classify_pair",
     "entry_probability",
 ]
@@ -124,10 +124,6 @@ class FaceId:
         p, q = self.plane_axes
         return box.dim(p) * box.dim(q)
 
-    def normal_value(self, box: BoxDims) -> float:
-        """Coordinate of the face plane along its axis."""
-        return 0.0 if self.side == Side.LOW else box.dim(self.axis)
-
     def __str__(self) -> str:
         return f"x{self.axis}={'X' + str(self.axis) if self.side == Side.HIGH else '0'}"
 
@@ -181,8 +177,7 @@ class FacePairClass:
     """An ordered face pair together with its reduction onto a canonical class.
 
     `reflected_axes` lists the axes whose coordinate must be mirrored
-    (v -> X_v - v) to move the pair into the canonical frame; the map is an
-    involution, so it also converts canonical coordinates back.
+    (v -> X_v - v) to move the pair into the canonical frame.
     """
 
     kind: PairKind
@@ -202,71 +197,24 @@ class FacePairClass:
             return f"opposing-entry{self.indices.j}"
         return f"adjacent-entry{self.indices.j}-exit{self.indices.k}"
 
-    # The canonical exit coordinates are (x_i, x_k) on the plane x_j = X_j
-    # for opposing pairs and (x_i, x_j) on the plane x_k = 0 for adjacent
-    # pairs; entry coordinates are (x_i, x_k) on x_j = 0 for both kinds.
+    def exit_local_to_canonical(self, box: BoxDims, ab: np.ndarray) -> np.ndarray:
+        """Map exit-face local coordinates (ascending-axis order) to canonical ones.
 
-    def _exit_canonical_axes(self) -> tuple[int, int]:
-        i, j, k = self.indices.as_tuple
-        return (i, k) if self.kind is PairKind.OPPOSING else (i, j)
-
-    def _reflect(self, box: BoxDims, pts: np.ndarray) -> np.ndarray:
-        out = pts.copy()
-        for axis in self.reflected_axes:
-            out[:, axis - 1] = box.dim(axis) - out[:, axis - 1]
-        return out
-
-    def _local_to_points(self, face: FaceId, box: BoxDims, ab: np.ndarray) -> np.ndarray:
+        The canonical exit coordinates are (x_i, x_k) on the plane x_j = X_j
+        for opposing pairs and (x_i, x_j) on the plane x_k = 0 for adjacent
+        pairs.
+        """
+        box = BoxDims.from_any(box)
         ab = np.atleast_2d(np.asarray(ab, dtype=float))
-        pts = np.empty((ab.shape[0], 3), dtype=float)
-        p, q = face.plane_axes
+        pts = np.zeros((ab.shape[0], 3))  # the exit-axis column is never read
+        p, q = self.exit_face.plane_axes
         pts[:, p - 1] = ab[:, 0]
         pts[:, q - 1] = ab[:, 1]
-        pts[:, face.axis - 1] = face.normal_value(box)
-        return pts
-
-    @staticmethod
-    def _points_to_local(face: FaceId, pts: np.ndarray) -> np.ndarray:
-        p, q = face.plane_axes
-        return np.stack([pts[:, p - 1], pts[:, q - 1]], axis=1)
-
-    def exit_local_to_canonical(self, box: BoxDims, ab: np.ndarray) -> np.ndarray:
-        """Map exit-face local coordinates (ascending-axis order) to canonical ones."""
-        box = BoxDims.from_any(box)
-        pts = self._reflect(box, self._local_to_points(self.exit_face, box, ab))
-        u, v = self._exit_canonical_axes()
-        return np.stack([pts[:, u - 1], pts[:, v - 1]], axis=1)
-
-    def canonical_to_exit_local(self, box: BoxDims, uv: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`exit_local_to_canonical`."""
-        box = BoxDims.from_any(box)
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
+        for axis in self.reflected_axes:
+            pts[:, axis - 1] = box.dim(axis) - pts[:, axis - 1]
         i, j, k = self.indices.as_tuple
-        pts = np.empty((uv.shape[0], 3), dtype=float)
-        u, v = self._exit_canonical_axes()
-        pts[:, u - 1] = uv[:, 0]
-        pts[:, v - 1] = uv[:, 1]
-        if self.kind is PairKind.OPPOSING:
-            pts[:, j - 1] = box.dim(j)
-        else:
-            pts[:, k - 1] = 0.0
-        return self._points_to_local(self.exit_face, self._reflect(box, pts))
-
-    def entry_local_to_canonical(self, box: BoxDims, ab: np.ndarray) -> np.ndarray:
-        """Map entry-face local coordinates to canonical (x_i, x_k) on x_j = 0."""
-        box = BoxDims.from_any(box)
-        pts = self._reflect(box, self._local_to_points(self.entry_face, box, ab))
-        i, _, k = self.indices.as_tuple
-        return np.stack([pts[:, i - 1], pts[:, k - 1]], axis=1)
-
-    def canonical_to_entry_local(self, box: BoxDims, uv: np.ndarray) -> np.ndarray:
-        box = BoxDims.from_any(box)
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        i, _, k = self.indices.as_tuple
-        pts = np.zeros((uv.shape[0], 3), dtype=float)
-        pts[:, i - 1] = uv[:, 0]
-        pts[:, k - 1] = uv[:, 1]
-        return self._points_to_local(self.entry_face, self._reflect(box, pts))
+        u, v = (i, k) if self.kind is PairKind.OPPOSING else (i, j)
+        return np.stack([pts[:, u - 1], pts[:, v - 1]], axis=1)
 
 
 def classify_pair(entry: FaceId, exit: FaceId) -> FacePairClass:
@@ -298,25 +246,13 @@ def classify_pair(entry: FaceId, exit: FaceId) -> FacePairClass:
     )
 
 
+# The 30 ordered (entry, exit) pairs, by entry code and then exit code.
+FACE_PAIRS: tuple[FacePairClass, ...] = tuple(
+    classify_pair(entry, exit) for entry in ALL_FACES for exit in ALL_FACES if entry != exit
+)
+
+
 def canonical_classes() -> list[FacePairClass]:
-    """The 9 canonical classes via their reflection-free representative pairs."""
-    reps: list[FacePairClass] = []
-    for j in (1, 2, 3):
-        reps.append(classify_pair(FaceId(j, Side.LOW), FaceId(j, Side.HIGH)))
-    for j, k in itertools.permutations((1, 2, 3), 2):
-        reps.append(classify_pair(FaceId(j, Side.LOW), FaceId(k, Side.LOW)))
-    return reps
-
-
-def canonical_pdf_count() -> tuple[int, int]:
-    """Count distinct canonical classes over all 30 ordered face pairs.
-
-    Returns (opposing, adjacent); enumeration, not a hard-coded constant.
-    """
-    keys = {
-        classify_pair(e, x).canonical_key
-        for e, x in itertools.permutations(ALL_FACES, 2)
-        if e != x
-    }
-    n_opp = sum(1 for kind, _ in keys if kind is PairKind.OPPOSING)
-    return (n_opp, len(keys) - n_opp)
+    """The 9 canonical classes via their reflection-free pairs: 3 opposing, then 6 adjacent."""
+    reps = [pair for pair in FACE_PAIRS if not pair.reflected_axes]
+    return sorted(reps, key=lambda pair: pair.kind is PairKind.ADJACENT)

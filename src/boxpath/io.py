@@ -189,6 +189,8 @@ def write_trajectories(path, batch: TrajectoryBatch) -> None:
 
 
 def read_trajectories(path) -> TrajectoryBatch:
+    """Read a spill; IncompatibleGridError for a bad magic, a truncated file,
+    or a record whose face codes are not a traversal pair."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _TRAJ_MAGIC:
@@ -200,6 +202,9 @@ def read_trajectories(path) -> TrajectoryBatch:
     rec = np.frombuffer(blob[:whole], dtype=_TRAJ_DTYPE)
     if rec.size != count or whole != len(blob):
         raise IncompatibleGridError(f"{path}: truncated spill ({rec.size} of {count} records)")
+    bad = (rec["entry_face"] > 5) | (rec["exit_face"] > 5) | (rec["entry_face"] == rec["exit_face"])
+    if bad.any():
+        raise IncompatibleGridError(f"{path}: record {int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit")
     return TrajectoryBatch(
         box,
         rec["entry_face"].copy(),

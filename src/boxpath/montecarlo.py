@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ALL_FACES, BoxDims, FaceId, PairKind, canonical_classes, classify_pair
+from .geometry import ALL_FACES, FACE_PAIRS, BoxDims, FaceId, PairKind, canonical_classes
 from .pool import run_each
 
 __all__ = [
@@ -74,15 +74,12 @@ def _surface_points(rng: np.random.Generator, box: BoxDims, codes: np.ndarray) -
     return pts
 
 
+# The two in-plane axes (0-based, ascending) of the faces normal to each axis.
+_PLANE_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 def _local_coords(codes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ab = np.empty((codes.size, 2))
-    ax = codes >> 1
-    for a in range(3):
-        rows = ax == a
-        p, q = (b for b in range(3) if b != a)
-        ab[rows, 0] = pts[rows, p]
-        ab[rows, 1] = pts[rows, q]
-    return ab
+    return np.take_along_axis(pts, _PLANE_AXES[codes >> 1], axis=1)
 
 
 def _draw_directions(rng: np.random.Generator, count: int, model: str) -> np.ndarray:
@@ -337,24 +334,24 @@ def canonical_histograms(
             counts=np.zeros((n_bins, u_bins, v_bins), dtype=np.uint64),
             total=0,
         )
-    for e_code in range(6):
-        entry_rows = batch.entry_code == e_code
-        if not entry_rows.any():
+    # One pair code per row, entry * 6 + exit, in int16 so that no face byte
+    # wraps; rows with a face code outside 0..5 get code 36, which no pair
+    # bins.  A stable sort of 16-bit keys is a radix sort.
+    valid = (batch.entry_code < 6) & (batch.exit_code < 6)
+    code = np.where(valid, batch.entry_code.astype(np.int16) * 6 + batch.exit_code, 36).astype(np.int16)
+    order = np.argsort(code, kind="stable")
+    starts = np.searchsorted(code[order], np.arange(37))
+    for pair in FACE_PAIRS:
+        c = pair.entry_face.code * 6 + pair.exit_face.code
+        rows = order[starts[c] : starts[c + 1]]
+        if rows.size == 0:
             continue
-        for x_code in range(6):
-            if x_code == e_code:
-                continue
-            rows = entry_rows & (batch.exit_code == x_code)
-            m = int(rows.sum())
-            if m == 0:
-                continue
-            cls = classify_pair(FaceId.from_code(e_code), FaceId.from_code(x_code))
-            hist = hists[cls.label]
-            uv = cls.exit_local_to_canonical(box, batch.exit_ab[rows])
-            sample = np.column_stack([batch.length[rows], uv])
-            h, _ = np.histogramdd(sample, bins=(hist.n_edges, hist.u_edges, hist.v_edges))
-            hist.counts += h.astype(np.uint64)
-            hist.total += m
+        hist = hists[pair.label]
+        uv = pair.exit_local_to_canonical(box, batch.exit_ab[rows])
+        sample = np.column_stack([batch.length[rows], uv])
+        h, _ = np.histogramdd(sample, bins=(hist.n_edges, hist.u_edges, hist.v_edges))
+        hist.counts += h.astype(np.uint64)
+        hist.total += rows.size
     return hists
 
 

@@ -1,10 +1,9 @@
-"""Surface-chord model: conditional, pair, joint, and location laws."""
+"""Surface-chord model: conditional, pair and joint laws."""
 
 import numpy as np
 import pytest
 
-from boxpath import BoxDims, FaceId, IndexTriple, PairKind, Side, chords
-from boxpath.geometry import entry_probability
+from boxpath import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, chords, combined
 
 IDX = IndexTriple(1, 2, 3)
 
@@ -58,12 +57,6 @@ def test_conditional_support_endpoints(cube):
     assert dens.hi == pytest.approx(np.sqrt(0.7**2 + 0.7**2 + 1.0))
 
 
-def test_exit_pdf_uniform(cube):
-    pdf = chords.exit_pdf(cube, PairKind.OPPOSING, IDX)
-    assert np.allclose(pdf.density.values, 1.0, atol=1e-12)
-    assert pdf.mass == pytest.approx(0.2, abs=1e-12)
-
-
 def test_conditional_exit_probability(slab):
     entry = FaceId(2, Side.LOW)
     total = sum(
@@ -108,7 +101,12 @@ def test_pair_length_laws_match_sampling(cube):
 def test_location_length_law_matches_cell_sampling(cube, chords_batch_cube):
     cell = (0.6, 0.3, 0.05)
     face = FaceId(2, Side.HIGH)
-    loc = chords.location_length_pdf(cube, face, cell)
+    joints = {}
+    for pair in FACE_PAIRS:
+        if pair.exit_face == face and pair.label not in joints:
+            build = chords.joint_pdf_opposing if pair.kind is PairKind.OPPOSING else chords.joint_pdf_adjacent
+            joints[pair.label] = build(cube, pair.indices, 64, 48, 48, 384)
+    loc = combined.location_length_pdf(joints, cube, face, cell)
     assert loc.integral() == pytest.approx(1.0, abs=1e-9)
     b = chords_batch_cube
     rows = b.exit_code == face.code

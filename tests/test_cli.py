@@ -201,9 +201,10 @@ def test_workers_env_override(cube, monkeypatch):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second of import on every CLI run
+    # scipy.stats and scipy.special cost most of the import time of every
+    # CLI run; compare imports scipy.special only when it computes a p-value
     src = str(Path(boxpath.__file__).resolve().parents[1])
-    code = "import sys, boxpath.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = "import sys, boxpath.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

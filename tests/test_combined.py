@@ -7,11 +7,15 @@ import pytest
 
 from boxpath import (
     ALL_FACES,
+    FACE_PAIRS,
     BoxDims,
     FaceId,
+    GridDensity,
     GridDensity1D,
     NumericalError,
+    PairKind,
     Side,
+    canonical_classes,
     canonical_histograms,
     combined_length_pdf_chords,
     combined_length_pdf_rays,
@@ -22,7 +26,8 @@ from boxpath import (
     single_face_length_pdf,
 )
 
-from boxpath.combined import class_law_table
+from boxpath.combined import class_law_table, location_length_pdf
+from boxpath.rays import FacePdf
 
 from conftest import binned_l1
 
@@ -138,3 +143,27 @@ def test_mixture_off_unit_mass_raises(cube):
 def test_single_face_rejects_unknown_model(cube):
     with pytest.raises(ValueError):
         single_face_length_pdf(cube, FaceId(1, Side.LOW), "banana")
+
+
+def test_location_length_pdf_consistent(skew_box):
+    """A whole-face cell gives the weighted mix of the joints' length marginals."""
+    rng = np.random.default_rng(3)
+    joints = {}
+    for cls in canonical_classes():
+        i, j, k = (skew_box.dim(a) for a in cls.indices.as_tuple)
+        n_lo, other = (j, k) if cls.kind is PairKind.OPPOSING else (0.0, j)
+        density = GridDensity(((n_lo, skew_box.diagonal), (0.0, i), (0.0, other)), rng.random((17, 9, 11)) + 0.1)
+        joints[cls.label] = FacePdf(cls.kind, cls.indices, density.normalized(force=True), rng.uniform(0.05, 0.3))
+    face = FaceId(3, Side.HIGH)
+    law = location_length_pdf(joints, skew_box, face, (0.65, 0.4, 2.0))
+    mix = sum(
+        entry_probability(skew_box, pair.entry_face)
+        * joints[pair.label].mass
+        * joints[pair.label].density.marginal_1d(0).interp(law.nodes)
+        for pair in FACE_PAIRS
+        if pair.exit_face == face
+    )
+    expected = GridDensity1D(0.0, skew_box.diagonal, mix).normalized(force=True)
+    assert np.max(np.abs(law.values - expected.values)) <= 1e-9
+    with pytest.raises(NumericalError):
+        location_length_pdf(joints, skew_box, face, (40.0, 40.0, 0.01))

@@ -107,16 +107,6 @@ def test_empty_cell_raises():
     assert info.value.count == 0
 
 
-def test_location_pdf_from_grid_consistent():
-    d = make_density()
-    full = compare.location_pdf_from_grid(d, (0.5, 0.5, 1.0))  # covers the whole face
-    marg = d.marginal_1d(0).normalized(force=True)
-    x = np.linspace(1.0, 2.0, 200)
-    assert np.max(np.abs(full.interp(x) - marg.interp(x))) <= 1e-9
-    with pytest.raises(ValueError):
-        compare.location_pdf_from_grid(d, (5.0, 5.0, 0.01))
-
-
 def test_report_round_trips_json():
     d = make_density()
     h = hist_from_density(d, 50_000, 9)

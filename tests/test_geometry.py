@@ -5,6 +5,7 @@ import pytest
 
 from boxpath import (
     ALL_FACES,
+    FACE_PAIRS,
     BoxDims,
     FaceId,
     IndexTriple,
@@ -12,9 +13,9 @@ from boxpath import (
     Side,
     canonical_classes,
     classify_pair,
+    combined_length_pdf_chords,
     entry_probability,
 )
-from boxpath.geometry import canonical_pdf_count
 
 
 def test_face_codes_round_trip():
@@ -42,15 +43,26 @@ def test_entry_probabilities_sum_to_one(dims):
 
 
 def test_thirty_ordered_pairs_pool_into_nine_classes():
-    assert canonical_pdf_count() == (3, 6)
-    labels = set()
-    for entry in ALL_FACES:
-        for exit in ALL_FACES:
-            if entry == exit:
-                continue
-            labels.add(classify_pair(entry, exit).label)
-    assert len(labels) == 9
-    assert labels == {c.label for c in canonical_classes()}
+    keys = {pair.canonical_key for pair in FACE_PAIRS}
+    assert sum(1 for kind, _ in keys if kind is PairKind.OPPOSING) == 3
+    assert len(keys) == 9
+    assert {pair.label for pair in FACE_PAIRS} == {c.label for c in canonical_classes()}
+
+
+def test_face_pairs_table(cube):
+    """30 distinct ordered pairs, by entry code then exit code, each its own class."""
+    codes = [(pair.entry_face.code, pair.exit_face.code) for pair in FACE_PAIRS]
+    assert codes == sorted(set(codes)) and len(codes) == 30
+    assert all(e != x for e, x in codes)
+    for pair in FACE_PAIRS:
+        assert pair == classify_pair(pair.entry_face, pair.exit_face)
+    # each class pools as many ordered pairs as the combined length laws
+    # weight it by: 2 opposing, 4 adjacent
+    terms = combined_length_pdf_chords(cube, 65, 64).terms
+    assert len(terms) == 9
+    for term in terms:
+        count = sum(1 for pair in FACE_PAIRS if pair.label == term.label)
+        assert count == term.multiplicity == (2 if term.kind is PairKind.OPPOSING else 4)
 
 
 def test_same_face_pair_rejected():
@@ -77,23 +89,6 @@ def test_adjacent_classes_cover_all_axis_pairs():
         assert i == 6 - j - k
         seen.add((j, k))
     assert seen == {(j, k) for j in (1, 2, 3) for k in (1, 2, 3) if j != k}
-
-
-def test_canonical_round_trips_all_pairs(skew_box):
-    rng = np.random.default_rng(5)
-    for entry in ALL_FACES:
-        for exit in ALL_FACES:
-            if entry == exit:
-                continue
-            cls = classify_pair(entry, exit)
-            p, q = exit.plane_axes
-            pts = rng.uniform(0.0, 1.0, (40, 2)) * [skew_box.dim(p), skew_box.dim(q)]
-            uv = cls.exit_local_to_canonical(skew_box, pts)
-            assert np.allclose(cls.canonical_to_exit_local(skew_box, uv), pts, atol=1e-12)
-            p, q = entry.plane_axes
-            pts = rng.uniform(0.0, 1.0, (40, 2)) * [skew_box.dim(p), skew_box.dim(q)]
-            uv = cls.entry_local_to_canonical(skew_box, pts)
-            assert np.allclose(cls.canonical_to_entry_local(skew_box, uv), pts, atol=1e-12)
 
 
 def test_canonical_ranges(skew_box):

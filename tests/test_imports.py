@@ -1,0 +1,31 @@
+"""Every name a module imports at module level is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import boxpath
+
+MODULES = sorted(p for p in Path(boxpath.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_is_found():
+    assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -94,6 +94,20 @@ def test_trajectory_truncation_detected(tmp_path, cube):
         bio.read_trajectories(path)
 
 
+@pytest.mark.parametrize("exit_byte", [6, None], ids=["face-byte-6", "same-face"])
+def test_trajectory_bad_face_codes_rejected(tmp_path, cube, exit_byte):
+    batch = sample_rays(cube, 1_000, 33, "cube-components", 1)
+    path = tmp_path / "t.bin"
+    bio.write_trajectories(path, batch)
+    blob = bytearray(path.read_bytes())
+    rec = 40 + 7 * bio._TRAJ_DTYPE.itemsize  # past magic, dims and count, to record 7
+    # a record starts with its entry face byte, then its exit face byte
+    blob[rec + 1] = blob[rec] if exit_byte is None else exit_byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IncompatibleGridError, match="face codes"):
+        bio.read_trajectories(path)
+
+
 def test_csv_floats_round_trip_exactly(tmp_path, densities):
     path = tmp_path / "d.csv"
     bio.write_density_csv(path, densities[0])

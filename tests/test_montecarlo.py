@@ -19,8 +19,8 @@ from boxpath import (
     sample_chords,
     sample_rays,
 )
-from boxpath.geometry import entry_probability
-from boxpath.montecarlo import _draw_directions, _stream_rng
+from boxpath.geometry import canonical_classes, classify_pair, entry_probability
+from boxpath.montecarlo import _draw_directions, _stream_rng, class_bin_edges
 
 
 def rebuild_points(box: BoxDims, codes: np.ndarray, ab: np.ndarray) -> np.ndarray:
@@ -165,6 +165,46 @@ def test_canonical_histograms_partition_samples(rays_batch_cube):
     assert h.overflow <= 1e-3 * h.total
     probs = h.probabilities()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sampler", ["rays", "chords"])
+def test_canonical_histograms_match_per_pair_reference(skew_box, sampler):
+    """Every ordered pair binned on its own, through classify_pair."""
+    if sampler == "rays":
+        batch = sample_rays(skew_box, 200_000, 41, "cube-components", 1)
+    else:
+        batch = sample_chords(skew_box, 200_000, 42, 1)
+    bins = (6, 5, 4)
+    ref = {}
+    for cls in canonical_classes():
+        edges = class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, *bins)
+        ref[cls.label] = [edges, np.zeros(bins), 0]
+    for entry in ALL_FACES:
+        for exit in ALL_FACES:
+            rows = (batch.entry_code == entry.code) & (batch.exit_code == exit.code)
+            if entry == exit:
+                assert not rows.any()
+                continue
+            cls = classify_pair(entry, exit)
+            edges, counts, total = ref[cls.label]
+            uv = cls.exit_local_to_canonical(skew_box, batch.exit_ab[rows])
+            h, _ = np.histogramdd(np.column_stack([batch.length[rows], uv]), bins=edges)
+            ref[cls.label] = [edges, counts + h, total + int(rows.sum())]
+    hists = canonical_histograms(batch, *bins)
+    assert list(hists) == [cls.label for cls in canonical_classes()]
+    for label, (_, counts, total) in ref.items():
+        assert np.array_equal(hists[label].counts, counts)
+        assert hists[label].total == total
+    assert sum(h.total for h in hists.values()) == len(batch)
+
+
+def test_canonical_histograms_skip_bad_face_codes(cube):
+    """Rows with a face code outside 0..5 are counted in no class."""
+    batch = sample_rays(cube, 1_000, 43, "cube-components", 1)
+    batch.entry_code[:10], batch.exit_code[:10] = 0, 8  # 0 * 6 + 8 is the code of pair (1, 2)
+    batch.entry_code[10:20], batch.exit_code[10:20] = 43, 0  # 43 * 6 wraps to 2 in uint8
+    hists = canonical_histograms(batch, 2, 2, 2)
+    assert sum(h.total for h in hists.values()) == len(batch) - 20
 
 
 def test_class_occupancies_match_analytic_masses(rays_batch_cube):
