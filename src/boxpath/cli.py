@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+import threading
 import zipfile
 from pathlib import Path
 
@@ -243,40 +245,69 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 # sample
 
 
+def _sample_streams(sampler, box: BoxDims, cfg: RunConfig, workers: int, spill: Path | None):
+    """Draw, bin and spill each Philox stream of one model inside its pool task.
+
+    The integer counts are summed under a lock: integer sums do not depend
+    on the order the streams finish in.  Returns the class histograms, the
+    length counts (all entry faces, then entry axes 1..3), the entry and
+    exit face counts, and the run's sampler meta.
+    """
+    binning = montecarlo.JointBinning(box, *cfg.bins_joint)
+    hists = binning.histograms()
+    lengths = np.zeros((4, cfg.bins_length), dtype=np.uint64)
+    faces = np.zeros((2, 6), dtype=np.int64)
+    metas: list[dict] = [{}] * montecarlo.STREAM_COUNT
+    lock = threading.Lock()
+    if spill is not None:
+        bio.start_trajectories(spill, box, cfg.samples)
+
+    def task(stream: int, rows: slice) -> None:
+        batch = sampler(stream=stream)
+        part = montecarlo.canonical_histograms(batch, binning=binning)
+        part_lengths = [montecarlo.length_histogram(batch, cfg.bins_length, entry_axis=a)[1] for a in (None, 1, 2, 3)]
+        part_faces = montecarlo.face_counts(batch)
+        if spill is not None:
+            bio.write_trajectories(spill, batch, at=rows.start)
+        metas[stream] = batch.meta
+        with lock:
+            for label, hist in part.items():
+                hists[label].counts += hist.counts
+                hists[label].total += hist.total
+            lengths[:] += part_lengths
+            faces[:] += part_faces
+
+    montecarlo.for_each_stream(cfg.samples, workers, task)
+    return hists, lengths, faces, montecarlo.merge_meta(metas)
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = cfg.box_dims
     workers = cfg.resolved_workers()
-    nb, ub, vb = cfg.bins_joint
     outputs: list[str] = []
     stats: dict = {}
-
-    batches = {
-        "rays": montecarlo.sample_rays(box, cfg.samples, cfg.seed, cfg.direction_model, workers),
-        "chords": montecarlo.sample_chords(box, cfg.samples, cfg.seed + 1, workers),
-    }
     length_arrays: dict[str, np.ndarray] = {}
-    for name, batch in batches.items():
-        hists = montecarlo.canonical_histograms(batch, nb, ub, vb)
-        bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **batch.meta})
+    # The edges np.histogram gives every stream's length counts.
+    edges = np.histogram_bin_edges(np.empty(0), cfg.bins_length, range=(0.0, box.diagonal))
+    samplers = {
+        "rays": functools.partial(montecarlo.sample_rays, box, cfg.samples, cfg.seed, cfg.direction_model),
+        "chords": functools.partial(montecarlo.sample_chords, box, cfg.samples, cfg.seed + 1),
+    }
+    for name, sampler in samplers.items():
+        spill = out / f"{name}.bin" if args.spill else None
+        hists, lengths, faces, meta = _sample_streams(sampler, box, cfg, workers, spill)
+        bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **meta})
         outputs.append(f"sample_{name}_hists.npz")
-        edges, counts = montecarlo.length_histogram(batch, cfg.bins_length)
         length_arrays[f"{name}/edges"] = edges
-        length_arrays[f"{name}/counts"] = counts
+        length_arrays[f"{name}/counts"] = lengths[0]
         for axis in (1, 2, 3):
-            _, axis_counts = montecarlo.length_histogram(batch, cfg.bins_length, entry_axis=axis)
-            length_arrays[f"{name}_axis{axis}/counts"] = axis_counts
-        entry_counts, exit_counts = montecarlo.face_counts(batch)
-        stats[name] = {
-            "meta": batch.meta,
-            "entry_face_counts": entry_counts.tolist(),
-            "exit_face_counts": exit_counts.tolist(),
-        }
-        if args.spill:
-            bio.write_trajectories(out / f"{name}.bin", batch)
-            outputs.append(f"{name}.bin")
+            length_arrays[f"{name}_axis{axis}/counts"] = lengths[axis]
+        stats[name] = {"meta": meta, "entry_face_counts": faces[0].tolist(), "exit_face_counts": faces[1].tolist()}
+        if spill is not None:
+            outputs.append(spill.name)
     bio.write_npz(out / "sample_lengths.npz", length_arrays)
     outputs.append("sample_lengths.npz")
 
@@ -298,16 +329,24 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # compare
 
 
+def _read_manifest(directory: Path) -> dict:
+    with open(directory / "manifest.json") as fh:
+        return json.load(fh)
+
+
+def _check_same_run(analytic: dict, sample: dict) -> None:
+    """Refuse a sample run of another box or direction model than the analytic run's."""
+    for key in ("box", "direction_model"):
+        if analytic["config"][key] != sample["config"][key]:
+            raise ValueError(
+                f"analytic {key} {analytic['config'][key]!r} differs from sample {key} {sample['config'][key]!r}"
+            )
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     analytic_dir = Path(args.analytic)
     sample_dir = Path(args.sample)
-    configs = []
-    for directory in (analytic_dir, sample_dir):
-        with open(directory / "manifest.json") as fh:
-            configs.append(json.load(fh)["config"])
-    for key in ("box", "direction_model"):
-        if configs[0][key] != configs[1][key]:
-            raise ValueError(f"analytic {key} {configs[0][key]!r} differs from sample {key} {configs[1][key]!r}")
+    _check_same_run(_read_manifest(analytic_dir), _read_manifest(sample_dir))
     report: dict = {"joint": {}, "length": {}}
     for model in ("rays", "chords"):
         hists, _ = bio.load_histograms(sample_dir / f"sample_{model}_hists.npz")
@@ -375,9 +414,18 @@ def _figure_elevation(analytic_dir: Path, out: Path, files: list[str]) -> None:
         files += [f"{stem}.csv", f"{stem}.svg"]
 
 
+def _cell_lengths(spill: Path, face_code: int, cell: tuple[float, float, float]) -> np.ndarray:
+    """Lengths of a spill's paths that exit face `face_code` inside the cell."""
+    batch = bio.read_trajectories(spill)
+    rows = batch.exit_code == face_code
+    ab = batch.exit_ab[rows]
+    inside = (np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])
+    return batch.length[rows][inside]
+
+
 def _figure_location(
     analytic_dir: Path,
-    sample_dir: Path | None,
+    sample_files: dict[str, Path],
     out: Path,
     box: BoxDims,
     face_code: int,
@@ -399,22 +447,17 @@ def _figure_location(
         series.append({"x": x, "y": dens.values, "label": f"{model} analytic", "dash": dash})
         columns["n"] = x
         columns[f"{model}_density"] = dens.values
-    if sample_dir is not None:
-        for model in ("rays", "chords"):
-            spill = sample_dir / f"{model}.bin"
-            if not spill.exists():
-                continue
-            batch = bio.read_trajectories(spill)
-            rows = batch.exit_code == face_code
-            ab = batch.exit_ab[rows]
-            inside = (np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])
-            lengths = batch.length[rows][inside]
-            if lengths.size == 0:
-                raise EmptyCellError(f"no {model} samples in the requested cell", 0)
-            counts, edges = np.histogram(lengths, bins=32, range=(0.0, box.diagonal))
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            dens_vals = counts / counts.sum() / np.diff(edges)
-            series.append({"x": centers, "y": dens_vals, "label": f"{model} sampled"})
+    for model in ("rays", "chords"):
+        spill = sample_files.get(f"{model}.bin")
+        if spill is None:
+            continue
+        lengths = _cell_lengths(spill, face_code, cell)
+        if lengths.size == 0:
+            raise EmptyCellError(f"no {model} samples in the requested cell", 0)
+        counts, edges = np.histogram(lengths, bins=32, range=(0.0, box.diagonal))
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        dens_vals = counts / counts.sum() / np.diff(edges)
+        series.append({"x": centers, "y": dens_vals, "label": f"{model} sampled"})
     bio.write_series_csv(out / "location_length.csv", columns)
     svg.line_svg(
         out / "location_length.svg",
@@ -426,15 +469,15 @@ def _figure_location(
     files += ["location_length.csv", "location_length.svg"]
 
 
-def _figure_lengths(analytic_dir: Path, sample_dir: Path | None, out: Path, files: list[str]) -> None:
+def _figure_lengths(analytic_dir: Path, sample_files: dict[str, Path], out: Path, files: list[str]) -> None:
     """Combined and per-entry-axis length overlays for both models."""
     specs = [("all", "combined_{model}.npz", "{model}/")] + [
         (f"axis{j}", "single_face_{model}_axis" + str(j) + ".npz", "{model}_axis" + str(j) + "/")
         for j in (1, 2, 3)
     ]
     lengths = None
-    if sample_dir is not None and (sample_dir / "sample_lengths.npz").exists():
-        lengths = np.load(sample_dir / "sample_lengths.npz")
+    if "sample_lengths.npz" in sample_files:
+        lengths = np.load(sample_files["sample_lengths.npz"])
     try:
         for tag, npz_tpl, hist_tpl in specs:
             series = []
@@ -467,11 +510,17 @@ def _figure_lengths(analytic_dir: Path, sample_dir: Path | None, out: Path, file
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     analytic_dir = Path(args.analytic)
-    sample_dir = Path(args.sample) if args.sample else None
+    manifest = _read_manifest(analytic_dir)
+    # Only the files the sample run lists are its own; a rerun without
+    # --spill leaves an older run's spills in place.
+    sample_files: dict[str, Path] = {}
+    if args.sample:
+        sample_dir = Path(args.sample)
+        sample_manifest = _read_manifest(sample_dir)
+        _check_same_run(manifest, sample_manifest)
+        sample_files = {name: sample_dir / name for name in sample_manifest["outputs"]}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(analytic_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
     box = BoxDims.from_any(manifest["config"]["box"])
     which = set(args.which.split(",")) if args.which else {"band", "elevation", "location", "lengths"}
     unknown = which - {"band", "elevation", "location", "lengths"}
@@ -483,9 +532,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if "elevation" in which:
         _figure_elevation(analytic_dir, out, files)
     if "location" in which:
-        _figure_location(analytic_dir, sample_dir, out, box, args.cell_face, tuple(args.cell), files)
+        _figure_location(analytic_dir, sample_files, out, box, args.cell_face, tuple(args.cell), files)
     if "lengths" in which:
-        _figure_lengths(analytic_dir, sample_dir, out, files)
+        _figure_lengths(analytic_dir, sample_files, out, files)
     _write_json(out / "figures_manifest.json", {"command": "figures", "outputs": sorted(files)})
     print(f"figures written to {out} ({len(files)} files)")
     return 0

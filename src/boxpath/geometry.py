@@ -197,6 +197,15 @@ class FacePairClass:
             return f"opposing-entry{self.indices.j}"
         return f"adjacent-entry{self.indices.j}-exit{self.indices.k}"
 
+    @property
+    def exit_frame(self) -> tuple[tuple[int, int, bool], tuple[int, int, bool]]:
+        """For each canonical exit coordinate: its axis, the exit-face local
+        column it is read from, and whether it is mirrored (x -> X - x)."""
+        i, j, k = self.indices.as_tuple
+        plane = self.exit_face.plane_axes
+        uv = (i, k) if self.kind is PairKind.OPPOSING else (i, j)
+        return tuple((axis, plane.index(axis), axis in self.reflected_axes) for axis in uv)  # type: ignore[return-value]
+
     def exit_local_to_canonical(self, box: BoxDims, ab: np.ndarray) -> np.ndarray:
         """Map exit-face local coordinates (ascending-axis order) to canonical ones.
 
@@ -206,15 +215,10 @@ class FacePairClass:
         """
         box = BoxDims.from_any(box)
         ab = np.atleast_2d(np.asarray(ab, dtype=float))
-        pts = np.zeros((ab.shape[0], 3))  # the exit-axis column is never read
-        p, q = self.exit_face.plane_axes
-        pts[:, p - 1] = ab[:, 0]
-        pts[:, q - 1] = ab[:, 1]
-        for axis in self.reflected_axes:
-            pts[:, axis - 1] = box.dim(axis) - pts[:, axis - 1]
-        i, j, k = self.indices.as_tuple
-        u, v = (i, k) if self.kind is PairKind.OPPOSING else (i, j)
-        return np.stack([pts[:, u - 1], pts[:, v - 1]], axis=1)
+        out = np.empty((ab.shape[0], 2))
+        for c, (axis, col, mirror) in enumerate(self.exit_frame):
+            out[:, c] = box.dim(axis) - ab[:, col] if mirror else ab[:, col]
+        return out
 
 
 def classify_pair(entry: FaceId, exit: FaceId) -> FacePairClass:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io as _io
 import json
+import os
 import zipfile
 from typing import Mapping
 
@@ -29,6 +30,7 @@ __all__ = [
     "read_trajectories",
     "save_density",
     "save_histograms",
+    "start_trajectories",
     "write_density_csv",
     "write_npz",
     "write_series_csv",
@@ -47,6 +49,7 @@ _TRAJ_DTYPE = np.dtype(
         ("length", "<f8"),
     ]
 )
+_TRAJ_HEADER = 40  # magic, three box dims, record count
 
 
 def write_npz(path, arrays: Mapping[str, np.ndarray]) -> None:
@@ -171,8 +174,28 @@ def write_series_csv(path, columns: Mapping[str, np.ndarray]) -> None:
             fh.write(",".join(_format_float(v) for v in row) + "\n")
 
 
-def write_trajectories(path, batch: TrajectoryBatch) -> None:
-    """Raw little-endian spill: 8-byte magic, box dims, count, then records."""
+def start_trajectories(path, box: BoxDims, count: int) -> None:
+    """Begin a spill of `count` records: write its header and size the file.
+
+    `write_trajectories(path, batch, at=...)` then fills the records, in
+    any order and from any thread.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_TRAJ_MAGIC)
+        fh.write(box.as_array().astype("<f8").tobytes())
+        fh.write(np.array(count, dtype="<u8").tobytes())
+        fh.truncate(_TRAJ_HEADER + count * _TRAJ_DTYPE.itemsize)
+
+
+def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> None:
+    """Raw little-endian spill: 8-byte magic, box dims, count, then records.
+
+    Without `at` the batch is the whole spill.  With `at` its records are
+    written from record `at` on into a spill begun by `start_trajectories`.
+    """
+    if at is None:
+        start_trajectories(path, batch.box, len(batch))
+        at = 0
     rec = np.empty(len(batch), dtype=_TRAJ_DTYPE)
     rec["entry_face"] = batch.entry_code
     rec["exit_face"] = batch.exit_code
@@ -181,27 +204,28 @@ def write_trajectories(path, batch: TrajectoryBatch) -> None:
     rec["exit_a"] = batch.exit_ab[:, 0]
     rec["exit_b"] = batch.exit_ab[:, 1]
     rec["length"] = batch.length
-    with open(path, "wb") as fh:
-        fh.write(_TRAJ_MAGIC)
-        fh.write(batch.box.as_array().astype("<f8").tobytes())
-        fh.write(np.array(len(batch), dtype="<u8").tobytes())
-        fh.write(rec.tobytes())
+    offset = _TRAJ_HEADER + at * _TRAJ_DTYPE.itemsize
+    with open(path, "r+b") as fh:
+        if os.fstat(fh.fileno()).st_size < offset + rec.nbytes:
+            raise ValueError(f"{path}: records {at}..{at + len(batch)} lie past the end of the spill")
+        fh.seek(offset)
+        rec.tofile(fh)
 
 
 def read_trajectories(path) -> TrajectoryBatch:
     """Read a spill; IncompatibleGridError for a bad magic, a truncated file,
     or a record whose face codes are not a traversal pair."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _TRAJ_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_TRAJ_HEADER)
+        if header[:8] != _TRAJ_MAGIC:
             raise IncompatibleGridError(f"{path}: not a trajectory spill (bad magic)")
-        box = BoxDims(*np.frombuffer(fh.read(24), dtype="<f8"))
-        (count,) = np.frombuffer(fh.read(8), dtype="<u8")
-        blob = fh.read()
-    whole = len(blob) - len(blob) % _TRAJ_DTYPE.itemsize
-    rec = np.frombuffer(blob[:whole], dtype=_TRAJ_DTYPE)
-    if rec.size != count or whole != len(blob):
-        raise IncompatibleGridError(f"{path}: truncated spill ({rec.size} of {count} records)")
+        count = int.from_bytes(header[32:], "little")
+        if len(header) < _TRAJ_HEADER or size != _TRAJ_HEADER + count * _TRAJ_DTYPE.itemsize:
+            found = max(0, size - _TRAJ_HEADER) // _TRAJ_DTYPE.itemsize
+            raise IncompatibleGridError(f"{path}: truncated spill ({found} of {count} records)")
+        rec = np.fromfile(fh, dtype=_TRAJ_DTYPE, count=count)
+    box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
     bad = (rec["entry_face"] > 5) | (rec["exit_face"] > 5) | (rec["entry_face"] == rec["exit_face"])
     if bad.any():
         raise IncompatibleGridError(f"{path}: record {int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit")

@@ -6,16 +6,27 @@ by default, isotropic ball-rejection optionally) and propagates to the
 exit face; `sample_chords` draws two independent uniform surface points,
 redrawing the exit point while it lands on the entry face.
 
-Reproducibility contract: work is split over a fixed number of
-counter-based Philox streams (`STREAM_COUNT`), each seeded by spawn key,
-and results are concatenated in stream order.  The worker count controls
-thread parallelism only, so outputs are bitwise identical for any
-`workers` value and a given seed.
+Reproducibility contract: a run of N paths is split over a fixed number
+of counter-based Philox streams (`STREAM_COUNT`), each seeded by spawn
+key; stream s draws rows offsets[s]:offsets[s + 1] of the run.
+`for_each_stream` runs one task per stream on the worker pool, and every
+sampling run goes through it.  A sampler called with `stream=s` returns
+that stream's rows alone, and without it collects every stream's rows
+in order.  The worker count controls thread parallelism only, so
+outputs are bitwise identical for any `workers` value and a given seed.
+
+Counts made from a run (histograms, face counts, sampler counters) are
+integer sums over its streams, so a caller that bins each stream inside
+its task and drops the rows gets the same counts as one that bins the
+collected batch, while holding O(workers x stream) rows instead of
+O(N).  `JointBinning` holds the class-histogram tables for that, built
+once per box and bin counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,18 +35,24 @@ from .pool import run_each
 
 __all__ = [
     "DIRECTION_MODELS",
+    "JointBinning",
     "JointHistogram",
     "STREAM_COUNT",
     "TrajectoryBatch",
     "canonical_histograms",
     "face_counts",
+    "for_each_stream",
     "length_histogram",
+    "merge_meta",
     "sample_chords",
     "sample_rays",
 ]
 
 STREAM_COUNT = 64
 DIRECTION_MODELS = ("cube-components", "ball-rejection")
+# Integer sampler counters in `TrajectoryBatch.meta`; a run's value is the
+# sum of its streams' values.
+_COUNTERS = ("zero_component_redraws", "direction_draws", "pair_attempts", "pair_collisions")
 
 
 @dataclass
@@ -82,30 +99,32 @@ def _local_coords(codes: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.take_along_axis(pts, _PLANE_AXES[codes >> 1], axis=1)
 
 
-def _draw_directions(rng: np.random.Generator, count: int, model: str) -> np.ndarray:
+def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[np.ndarray, int]:
+    """`count` directions, and the number of proposals drawn for them."""
     if model == "cube-components":
-        return rng.uniform(-1.0, 1.0, (count, 3))
+        return rng.uniform(-1.0, 1.0, (count, 3)), count
     if model == "ball-rejection":
         out = np.empty((count, 3))
-        filled = 0
+        filled = draws = 0
         while filled < count:
             draw = rng.uniform(-1.0, 1.0, (count - filled, 3))
+            draws += count - filled
             r2 = np.einsum("ij,ij->i", draw, draw)
             keep = (r2 <= 1.0) & (r2 > 0.0)
             k = int(keep.sum())
             out[filled : filled + k] = draw[keep]
             filled += k
-        return out
+        return out, draws
     raise ValueError(f"unknown direction model {model!r}; choose from {DIRECTION_MODELS}")
 
 
-def _rays_stream(
+def _ray_rows(
     box: BoxDims,
     count: int,
     rng: np.random.Generator,
     model: str,
     entry_code: int | None,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
     cum = np.cumsum(_face_probabilities(box))
     codes = (
@@ -114,15 +133,19 @@ def _rays_stream(
         else _draw_face_codes(rng, count, cum)
     )
     p0 = _surface_points(rng, box, codes)
-    d = _draw_directions(rng, count, model)
+    d, draws = _draw_directions(rng, count, model)
     ax = codes >> 1
     rows = np.arange(count)
     inward = 1.0 - 2.0 * (codes & 1)
+    redraws = 0
     while True:
         zero = d[rows, ax] == 0.0
         if not zero.any():
             break
-        d[zero] = _draw_directions(rng, int(zero.sum()), model)
+        k = int(zero.sum())
+        d[zero], more = _draw_directions(rng, k, model)
+        redraws += k
+        draws += more
     d[rows, ax] = inward * np.abs(d[rows, ax])
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hi = np.where(d > 0.0, (x[None, :] - p0) / d, np.inf)
@@ -134,7 +157,39 @@ def _rays_stream(
     exit_code = (exit_ax.astype(np.uint8) << 1) | exit_side
     p1 = np.clip(p0 + t[:, None] * d, 0.0, x[None, :])
     length = t * np.sqrt(np.einsum("ij,ij->i", d, d))
-    return codes, _local_coords(codes, p0), exit_code, _local_coords(exit_code, p1), length
+    counters = {"zero_component_redraws": redraws}
+    if model == "ball-rejection":
+        counters["direction_draws"] = draws
+    return (codes, _local_coords(codes, p0), exit_code, _local_coords(exit_code, p1), length), counters
+
+
+def _chord_rows(
+    box: BoxDims,
+    count: int,
+    rng: np.random.Generator,
+    entry_code: int | None,
+) -> tuple[tuple[np.ndarray, ...], dict]:
+    cum = np.cumsum(_face_probabilities(box))
+    e_code = (
+        np.full(count, entry_code, dtype=np.uint8)
+        if entry_code is not None
+        else _draw_face_codes(rng, count, cum)
+    )
+    p0 = _surface_points(rng, box, e_code)
+    x_code = _draw_face_codes(rng, count, cum)
+    p1 = _surface_points(rng, box, x_code)
+    attempts, collisions = count, 0
+    bad = e_code == x_code
+    while bad.any():
+        nbad = int(bad.sum())
+        attempts += nbad
+        collisions += nbad
+        x_code[bad] = _draw_face_codes(rng, nbad, cum)
+        p1[bad] = _surface_points(rng, box, x_code[bad])
+        bad[bad] = e_code[bad] == x_code[bad]
+    length = np.sqrt(np.einsum("ij,ij->i", p1 - p0, p1 - p0))
+    rows = (e_code, _local_coords(e_code, p0), x_code, _local_coords(x_code, p1), length)
+    return rows, {"pair_attempts": attempts, "pair_collisions": collisions}
 
 
 def _stream_counts(total: int) -> list[int]:
@@ -146,6 +201,66 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
+def for_each_stream(count: int, workers: int, task: Callable[[int, slice], None]) -> None:
+    """Call `task(stream, rows)` for each of the STREAM_COUNT streams of a run.
+
+    `rows` is the stream's slice of the run's `count` paths (empty when
+    the run has fewer paths than streams).  Tasks run on `workers`
+    threads, so at most `workers` streams are in flight at once.
+    """
+    offsets = np.concatenate([[0], np.cumsum(_stream_counts(int(count)))]).tolist()
+    run_each(lambda s: task(s, slice(offsets[s], offsets[s + 1])), range(STREAM_COUNT), workers)
+
+
+def merge_meta(metas: Sequence[dict]) -> dict:
+    """A run's meta from its streams' metas: counters summed, rates recomputed."""
+    meta = dict(metas[0])
+    for key in _COUNTERS:
+        if key in meta:
+            meta[key] = sum(m[key] for m in metas)
+    if "pair_attempts" in meta:
+        attempts = meta["pair_attempts"]
+        meta["collision_rate"] = meta["pair_collisions"] / attempts if attempts else 0.0
+    return meta
+
+
+def _stream_batch(box: BoxDims, count: int, seed: int, stream: int, draw, meta: dict) -> TrajectoryBatch:
+    """Stream `stream`'s rows of a `count`-path run; `draw(rng, m)` draws m rows and their counters."""
+    if not 0 <= stream < STREAM_COUNT:
+        raise ValueError(f"stream must be in 0..{STREAM_COUNT - 1}, got {stream!r}")
+    rows, counters = draw(_stream_rng(seed, stream), _stream_counts(int(count))[stream])
+    return TrajectoryBatch(box, *rows, merge_meta([{**meta, **counters}]))
+
+
+def _sample(box: BoxDims, count: int, seed: int, workers: int, stream: int | None, draw, meta: dict) -> TrajectoryBatch:
+    """One stream's batch, or with `stream` None the run's streams collected in order."""
+    if stream is not None:
+        return _stream_batch(box, count, seed, stream, draw, meta)
+    count = int(count)
+    batch = TrajectoryBatch(
+        box,
+        np.empty(count, dtype=np.uint8),
+        np.empty((count, 2)),
+        np.empty(count, dtype=np.uint8),
+        np.empty((count, 2)),
+        np.empty(count),
+    )
+    metas: list[dict] = [{}] * STREAM_COUNT
+
+    def task(s: int, rows: slice) -> None:
+        part = _stream_batch(box, count, seed, s, draw, meta)
+        batch.entry_code[rows] = part.entry_code
+        batch.entry_ab[rows] = part.entry_ab
+        batch.exit_code[rows] = part.exit_code
+        batch.exit_ab[rows] = part.exit_ab
+        batch.length[rows] = part.length
+        metas[s] = part.meta
+
+    for_each_stream(count, workers, task)
+    batch.meta = merge_meta(metas)
+    return batch
+
+
 def sample_rays(
     box: BoxDims,
     count: int,
@@ -153,39 +268,26 @@ def sample_rays(
     model: str = "cube-components",
     workers: int = 1,
     entry_face: FaceId | None = None,
+    *,
+    stream: int | None = None,
 ) -> TrajectoryBatch:
     """Sample paths from uniform face-entry points along random directions.
 
     The entry face is drawn with probability proportional to its area
     unless pinned by `entry_face`.  The direction's entry-axis component
-    is forced inward; the exit is the first face plane hit.
+    is forced inward (a zero component is redrawn); the exit is the first
+    face plane hit.  `meta` counts the redraws, and for `ball-rejection`
+    the direction proposals, whose acceptance rate is
+    (count + zero_component_redraws) / direction_draws.  With `stream`,
+    only that stream's rows of the `count`-path run are drawn, and
+    `workers` is unused.
     """
     box = BoxDims.from_any(box)
     if model not in DIRECTION_MODELS:
         raise ValueError(f"unknown direction model {model!r}; choose from {DIRECTION_MODELS}")
-    counts = _stream_counts(int(count))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    entry_code = np.empty(count, dtype=np.uint8)
-    entry_ab = np.empty((count, 2))
-    exit_code = np.empty(count, dtype=np.uint8)
-    exit_ab = np.empty((count, 2))
-    length = np.empty(count)
-
-    def task(stream: int) -> None:
-        rng = _stream_rng(seed, stream)
-        sl = slice(offsets[stream], offsets[stream + 1])
-        parts = _rays_stream(box, counts[stream], rng, model, entry_face.code if entry_face else None)
-        entry_code[sl], entry_ab[sl], exit_code[sl], exit_ab[sl], length[sl] = parts
-
-    run_each(task, [s for s, c in enumerate(counts) if c > 0], workers)
-    meta = {
-        "sampler": "rays",
-        "model": model,
-        "seed": int(seed),
-        "streams": STREAM_COUNT,
-        "entry_face": entry_face.code if entry_face else None,
-    }
-    return TrajectoryBatch(box, entry_code, entry_ab, exit_code, exit_ab, length, meta)
+    code = entry_face.code if entry_face else None
+    meta = {"sampler": "rays", "model": model, "seed": int(seed), "streams": STREAM_COUNT, "entry_face": code}
+    return _sample(box, count, seed, workers, stream, lambda rng, m: _ray_rows(box, m, rng, model, code), meta)
 
 
 def sample_chords(
@@ -194,6 +296,8 @@ def sample_chords(
     seed: int,
     workers: int = 1,
     entry_face: FaceId | None = None,
+    *,
+    stream: int | None = None,
 ) -> TrajectoryBatch:
     """Sample chords between two independent uniform surface points.
 
@@ -202,59 +306,12 @@ def sample_chords(
     P_exit / (1 - P_f).  The attempt statistics end up in `meta`; the
     collision rate equals the sum of squared face probabilities only when
     all faces have equal area.  With `entry_face` set, the entry point is
-    pinned to that face.
+    pinned to that face.  `stream` is as in `sample_rays`.
     """
     box = BoxDims.from_any(box)
-    counts = _stream_counts(int(count))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    entry_code = np.empty(count, dtype=np.uint8)
-    entry_ab = np.empty((count, 2))
-    exit_code = np.empty(count, dtype=np.uint8)
-    exit_ab = np.empty((count, 2))
-    length = np.empty(count)
-    stats = np.zeros((STREAM_COUNT, 2), dtype=np.int64)  # attempts, collisions
-
-    def task(stream: int) -> None:
-        rng = _stream_rng(seed, stream)
-        m = counts[stream]
-        cum = np.cumsum(_face_probabilities(box))
-        e_code = (
-            np.full(m, entry_face.code, dtype=np.uint8)
-            if entry_face is not None
-            else _draw_face_codes(rng, m, cum)
-        )
-        p0 = _surface_points(rng, box, e_code)
-        x_code = _draw_face_codes(rng, m, cum)
-        p1 = _surface_points(rng, box, x_code)
-        attempts, collisions = m, 0
-        bad = e_code == x_code
-        while bad.any():
-            nbad = int(bad.sum())
-            attempts += nbad
-            collisions += nbad
-            x_code[bad] = _draw_face_codes(rng, nbad, cum)
-            p1[bad] = _surface_points(rng, box, x_code[bad])
-            bad[bad] = e_code[bad] == x_code[bad]
-        sl = slice(offsets[stream], offsets[stream + 1])
-        entry_code[sl] = e_code
-        entry_ab[sl] = _local_coords(e_code, p0)
-        exit_code[sl] = x_code
-        exit_ab[sl] = _local_coords(x_code, p1)
-        length[sl] = np.sqrt(np.einsum("ij,ij->i", p1 - p0, p1 - p0))
-        stats[stream] = (attempts, collisions)
-
-    run_each(task, [s for s, c in enumerate(counts) if c > 0], workers)
-    attempts, collisions = (int(v) for v in stats.sum(axis=0))
-    meta = {
-        "sampler": "chords",
-        "seed": int(seed),
-        "streams": STREAM_COUNT,
-        "entry_face": entry_face.code if entry_face else None,
-        "pair_attempts": attempts,
-        "pair_collisions": collisions,
-        "collision_rate": collisions / attempts if attempts else 0.0,
-    }
-    return TrajectoryBatch(box, entry_code, entry_ab, exit_code, exit_ab, length, meta)
+    code = entry_face.code if entry_face else None
+    meta = {"sampler": "chords", "seed": int(seed), "streams": STREAM_COUNT, "entry_face": code}
+    return _sample(box, count, seed, workers, stream, lambda rng, m: _chord_rows(box, m, rng, code), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -312,47 +369,116 @@ def class_bin_edges(
     return n_edges, u_edges, v_edges
 
 
+class JointBinning:
+    """The canonical class histograms' bins for one box and bin counts.
+
+    Tables indexed by pair code (entry * 6 + exit; 36 for a row with a
+    face code outside 0..5) give each pair's class, the exit-face columns
+    of its canonical (u, v) and their mirroring; per-class tables hold the
+    edges of `class_bin_edges`.  Each row gets one flat bin index and one
+    `np.bincount` counts them.  Bin membership is exactly
+    `np.histogramdd`'s over those edges: a bin is [e_i, e_i+1), the last
+    one closed, and rows outside every bin count only in `total`.  Rows
+    are binned by floor, then corrected against the edges, as
+    `np.histogram` does for equal bins.
+    """
+
+    _CHUNK = 1 << 18  # rows binned per pass, which bounds the temporaries
+
+    def __init__(self, box: BoxDims, n_bins: int, u_bins: int, v_bins: int):
+        self.box = BoxDims.from_any(box)
+        self.shape = (int(n_bins), int(u_bins), int(v_bins))
+        self.classes = canonical_classes()
+        self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
+        slot = {c.label: s for s, c in enumerate(self.classes)}
+        none = len(self.classes)
+        self._cls = np.full(37, none, dtype=np.intp)
+        self._col = np.zeros((2, 37), dtype=np.intp)
+        self._mirror = np.zeros((2, 37), dtype=bool)
+        self._dim = np.zeros((2, 37))
+        for pair in FACE_PAIRS:
+            code = pair.entry_face.code * 6 + pair.exit_face.code
+            self._cls[code] = slot[pair.label]
+            for c, (axis, col, mirror) in enumerate(pair.exit_frame):
+                self._col[c, code], self._mirror[c, code], self._dim[c, code] = col, mirror, self.box.dim(axis)
+        # Per axis, one row of edges per class plus a placeholder row for
+        # rows of no class, and the floor's scale b / (hi - lo).
+        self._edge_rows = [
+            np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)
+        ]
+        self._scale = [b / (rows[:, -1] - rows[:, 0]) for b, rows in zip(self.shape, self._edge_rows)]
+
+    def histograms(self, batch: TrajectoryBatch | None = None) -> dict[str, JointHistogram]:
+        """The class histograms of `batch`, or empty ones to add counts into."""
+        counts = np.zeros((len(self.classes), *self.shape), dtype=np.uint64)
+        totals = np.zeros(len(self.classes), dtype=np.int64)
+        if batch is not None:
+            if batch.box != self.box:
+                raise ValueError(f"batch box {batch.box} differs from the binning's box {self.box}")
+            for lo in range(0, len(batch), self._CHUNK):
+                rows = slice(lo, lo + self._CHUNK)
+                c, t = self._count(batch.entry_code[rows], batch.exit_code[rows], batch.exit_ab[rows], batch.length[rows])
+                counts += c
+                totals += t
+        return {
+            cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=counts[s], total=int(totals[s]))
+            for s, (cls, edges) in enumerate(zip(self.classes, self.edges))
+        }
+
+    def _count(self, entry_code, exit_code, exit_ab, length) -> tuple[np.ndarray, np.ndarray]:
+        none = len(self.classes)
+        valid = (entry_code < 6) & (exit_code < 6)
+        code = np.where(valid, entry_code.astype(np.intp) * 6 + exit_code, 36)
+        cls = self._cls[code]
+        flat = cls.copy()
+        inside = cls < none
+        for axis, b in enumerate(self.shape):
+            x = length if axis == 0 else self._canonical(axis - 1, code, exit_ab)
+            idx, ok = self._bin(axis, cls, x)
+            flat *= b
+            flat += idx
+            inside &= ok
+        size = none * int(np.prod(self.shape))
+        flat[~inside] = size
+        counts = np.bincount(flat, minlength=size + 1)[:size].reshape(none, *self.shape)
+        return counts.astype(np.uint64), np.bincount(cls, minlength=none + 1)[:none]
+
+    def _canonical(self, c: int, code: np.ndarray, exit_ab: np.ndarray) -> np.ndarray:
+        """Canonical exit coordinate c (0: u, 1: v), as `exit_local_to_canonical` gives it."""
+        a = np.where(self._col[c][code] == 0, exit_ab[:, 0], exit_ab[:, 1])
+        return np.where(self._mirror[c][code], self._dim[c][code] - a, a)
+
+    def _bin(self, axis: int, cls: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each value's bin along `axis` of its class, and whether it lies in one."""
+        rows = self._edge_rows[axis]
+        b = self.shape[axis]
+        lo, hi = rows[cls, 0], rows[cls, b]
+        inside = (x >= lo) & (x <= hi)
+        guess = (x - lo) * self._scale[axis][cls]
+        np.copyto(guess, 0.0, where=~inside)  # NaN or far-out values would not cast
+        idx = np.minimum(guess.astype(np.intp), b - 1)
+        at = cls * (b + 1) + idx
+        flat = rows.ravel()
+        idx -= x < flat[at]
+        idx += (x >= flat[at + 1]) & (idx != b - 1)
+        return idx, inside
+
+
 def canonical_histograms(
     batch: TrajectoryBatch,
     n_bins: int = 8,
     u_bins: int = 8,
     v_bins: int = 8,
+    *,
+    binning: JointBinning | None = None,
 ) -> dict[str, JointHistogram]:
     """Pool the 30 ordered face pairs into the 9 canonical classes.
 
     Exit locations are mapped through each pair's reflection onto the
-    canonical frame before binning.
+    canonical frame before binning.  A `binning` built once serves many
+    batches of its box, and its bin counts replace the three given here.
     """
-    box = batch.box
-    hists: dict[str, JointHistogram] = {}
-    for cls in canonical_classes():
-        edges = class_bin_edges(box, cls.kind, cls.indices.as_tuple, n_bins, u_bins, v_bins)
-        hists[cls.label] = JointHistogram(
-            cls.kind,
-            cls.indices.as_tuple,
-            *edges,
-            counts=np.zeros((n_bins, u_bins, v_bins), dtype=np.uint64),
-            total=0,
-        )
-    # One pair code per row, entry * 6 + exit, in int16 so that no face byte
-    # wraps; rows with a face code outside 0..5 get code 36, which no pair
-    # bins.  A stable sort of 16-bit keys is a radix sort.
-    valid = (batch.entry_code < 6) & (batch.exit_code < 6)
-    code = np.where(valid, batch.entry_code.astype(np.int16) * 6 + batch.exit_code, 36).astype(np.int16)
-    order = np.argsort(code, kind="stable")
-    starts = np.searchsorted(code[order], np.arange(37))
-    for pair in FACE_PAIRS:
-        c = pair.entry_face.code * 6 + pair.exit_face.code
-        rows = order[starts[c] : starts[c + 1]]
-        if rows.size == 0:
-            continue
-        hist = hists[pair.label]
-        uv = pair.exit_local_to_canonical(box, batch.exit_ab[rows])
-        sample = np.column_stack([batch.length[rows], uv])
-        h, _ = np.histogramdd(sample, bins=(hist.n_edges, hist.u_edges, hist.v_edges))
-        hist.counts += h.astype(np.uint64)
-        hist.total += rows.size
-    return hists
+    return (binning or JointBinning(batch.box, n_bins, u_bins, v_bins)).histograms(batch)
 
 
 def length_histogram(

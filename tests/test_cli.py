@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,8 +13,22 @@ import numpy as np
 import pytest
 
 import boxpath
-from boxpath import FaceId, Side, chords, cli, rays, single_face_length_pdf
+from boxpath import (
+    FACE_PAIRS,
+    BoxDims,
+    FaceId,
+    JointHistogram,
+    Side,
+    canonical_classes,
+    chords,
+    cli,
+    rays,
+    sample_chords,
+    sample_rays,
+    single_face_length_pdf,
+)
 from boxpath import io as bio
+from boxpath.montecarlo import class_bin_edges
 
 TINY = {
     "box": [1.0, 1.0, 1.0],
@@ -124,6 +139,114 @@ def test_sample_rerun_byte_identical(workdir, tmp_path):
     assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "s2"), "--spill"]) == 0
     for name in ("sample_lengths.npz", "rays.bin", "manifest.json"):
         assert (tmp_path / "s2" / name).read_bytes() == (workdir / "sample" / name).read_bytes()
+
+
+SAMPLE_FILES = ("sample_rays_hists.npz", "sample_chords_hists.npz", "sample_lengths.npz", "rays.bin", "chords.bin")
+
+
+def whole_batch_sample(cfg: dict, out: Path) -> dict:
+    """The `sample` stage's files, built from whole batches with per-pair
+    `histogramdd` and `np.histogram`; returns the manifest's stats."""
+    box = BoxDims.from_any(cfg["box"])
+    nb, ub, vb = cfg["bins_joint"]
+    n, seed, bins = cfg["samples"], cfg["seed"], cfg["bins_length"]
+    batches = {"rays": sample_rays(box, n, seed, "cube-components", 1), "chords": sample_chords(box, n, seed + 1, 1)}
+    lengths, stats = {}, {}
+    for name, batch in batches.items():
+        hists = {}
+        for cls in canonical_classes():
+            edges = class_bin_edges(box, cls.kind, cls.indices.as_tuple, nb, ub, vb)
+            hists[cls.label] = JointHistogram(cls.kind, cls.indices.as_tuple, *edges, np.zeros((nb, ub, vb), np.uint64), 0)
+        for pair in FACE_PAIRS:
+            rows = (batch.entry_code == pair.entry_face.code) & (batch.exit_code == pair.exit_face.code)
+            hist = hists[pair.label]
+            sample = np.column_stack([batch.length[rows], pair.exit_local_to_canonical(box, batch.exit_ab[rows])])
+            counts, _ = np.histogramdd(sample, bins=(hist.n_edges, hist.u_edges, hist.v_edges))
+            hist.counts += counts.astype(np.uint64)
+            hist.total += int(rows.sum())
+        bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **batch.meta})
+        counts, lengths[f"{name}/edges"] = np.histogram(batch.length, bins=bins, range=(0.0, box.diagonal))
+        lengths[f"{name}/counts"] = counts.astype(np.uint64)
+        for axis in (1, 2, 3):
+            on_axis = batch.length[(batch.entry_code >> 1) == axis - 1]
+            lengths[f"{name}_axis{axis}/counts"] = np.histogram(on_axis, bins=bins, range=(0.0, box.diagonal))[0].astype(np.uint64)
+        bio.write_trajectories(out / f"{name}.bin", batch)
+        stats[name] = {
+            "meta": batch.meta,
+            "entry_face_counts": np.bincount(batch.entry_code, minlength=6).tolist(),
+            "exit_face_counts": np.bincount(batch.exit_code, minlength=6).tolist(),
+        }
+    bio.write_npz(out / "sample_lengths.npz", lengths)
+    return json.loads(json.dumps(stats))
+
+
+@pytest.mark.parametrize(
+    "box, samples",
+    [([1.0, 1.0, 1.0], 6_421), ([1.0, 0.1, 1.0], 37), ([1.3, 0.8, 1.1], 4_099)],
+    ids=["not-a-multiple-of-64", "fewer-than-64", "skew-box"],
+)
+def test_sample_same_bytes_by_any_route(tmp_path, box, samples):
+    """Streamed binning and spilling at any worker count equal the whole-batch route."""
+    cfg = {"box": box, "seed": 17, "samples": samples, "bins_joint": [6, 5, 4], "bins_length": 48}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often while the tasks add up their counts
+    try:
+        for workers in (1, 3):
+            argv = ["sample", "--config", str(tmp_path / "cfg.json"), "--workers", str(workers), "--out", str(tmp_path / f"w{workers}"), "--spill"]
+            assert cli.main(argv) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    (tmp_path / "ref").mkdir()
+    stats = whole_batch_sample(cfg, tmp_path / "ref")
+    for name in SAMPLE_FILES:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes(), name
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+    manifests = [json.loads((tmp_path / w / "manifest.json").read_text()) for w in ("w1", "w3")]
+    for manifest in manifests:  # the config records the worker count
+        del manifest["config"]["workers"], manifest["config_hash"]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["stats"] == stats
+
+
+def test_sample_memory_is_bounded_by_streams(tmp_path):
+    """The stage holds a few streams' rows at a time, not both models' whole
+    batches (42 bytes per path each)."""
+    n = 500_000
+    argv = ["sample", "--samples", str(n), "--seed", "5", "--workers", "1", "--out", str(tmp_path), "--spill"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 42 * n / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_figures_reads_only_the_spills_the_sample_run_lists(workdir, tmp_path):
+    """A rerun without --spill leaves the older run's spills behind."""
+    sample = tmp_path / "sample"
+    shutil.copytree(workdir / "sample", sample)
+    assert cli.main(["sample", "--config", str(workdir / "tiny.json"), "--seed", "7", "--out", str(sample)]) == 0
+    assert (sample / "rays.bin").exists()
+    out = tmp_path / "figs"
+    argv = ["figures", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(out)]
+    assert cli.main([*argv, "--which", "location", "--cell", "0.5", "0.5", "0.1"]) == 0
+    assert "sampled" not in (out / "location_length.svg").read_text()
+
+
+@pytest.mark.parametrize("key, value", [("box", [1.0, 0.1, 1.0]), ("direction_model", "ball-rejection")])
+def test_figures_refuses_mismatched_runs(workdir, tmp_path, key, value):
+    sample = tmp_path / "sample"
+    shutil.copytree(workdir / "sample", sample)
+    manifest = json.loads((sample / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (sample / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "figs"
+    argv = ["figures", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
 
 
 def test_compare_command(workdir, tmp_path):

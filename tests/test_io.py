@@ -6,7 +6,7 @@ import pytest
 from boxpath import GridDensity, GridDensity1D, IncompatibleGridError, sample_rays
 from boxpath import io as bio
 from boxpath.geometry import BoxDims
-from boxpath.montecarlo import canonical_histograms
+from boxpath.montecarlo import TrajectoryBatch, canonical_histograms
 
 
 @pytest.fixture
@@ -75,6 +75,32 @@ def test_trajectory_round_trip(tmp_path, cube):
     assert np.array_equal(back.entry_code, batch.entry_code)
     assert np.array_equal(back.exit_ab, batch.exit_ab)
     assert back.box.as_array().tolist() == [1.0, 1.0, 1.0]
+
+
+def test_trajectory_positional_writes(tmp_path, cube):
+    """Records written at their offsets, in any order, give the whole-batch spill."""
+    batch = sample_rays(cube, 1_000, 34, "cube-components", 1)
+    whole, parts = tmp_path / "whole.bin", tmp_path / "parts.bin"
+    bio.write_trajectories(whole, batch)
+    bio.start_trajectories(parts, batch.box, len(batch))
+    for lo, hi in ((600, 1_000), (0, 250), (250, 600)):
+        rows = slice(lo, hi)
+        part = TrajectoryBatch(batch.box, batch.entry_code[rows], batch.entry_ab[rows], batch.exit_code[rows], batch.exit_ab[rows], batch.length[rows])
+        bio.write_trajectories(parts, part, at=lo)
+    assert parts.read_bytes() == whole.read_bytes()
+    with pytest.raises(ValueError, match="past the end"):
+        bio.write_trajectories(parts, part, at=900)
+
+
+def test_trajectory_unfilled_spill_rejected(tmp_path, cube):
+    """A begun spill whose records were never written holds face codes 0 and 0."""
+    path = tmp_path / "t.bin"
+    bio.start_trajectories(path, cube, 10)
+    with pytest.raises(IncompatibleGridError, match="face codes"):
+        bio.read_trajectories(path)
+    path.write_bytes(path.read_bytes()[:30])
+    with pytest.raises(IncompatibleGridError, match="truncated"):
+        bio.read_trajectories(path)
 
 
 def test_trajectory_bad_magic(tmp_path):

@@ -1,6 +1,7 @@
 """Samplers: determinism, distributional invariants, and throughput."""
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from boxpath import (
     sample_rays,
 )
 from boxpath.geometry import canonical_classes, classify_pair, entry_probability
-from boxpath.montecarlo import _draw_directions, _stream_rng, class_bin_edges
+from boxpath.montecarlo import (
+    DIRECTION_MODELS,
+    _draw_directions,
+    _stream_rng,
+    class_bin_edges,
+    for_each_stream,
+    merge_meta,
+)
 
 
 def rebuild_points(box: BoxDims, codes: np.ndarray, ab: np.ndarray) -> np.ndarray:
@@ -73,6 +81,40 @@ def test_count_not_multiple_of_streams(cube):
     assert len(batch) == n
 
 
+@pytest.mark.parametrize("sampler", ["rays", "chords"])
+def test_stream_batches_are_the_runs_rows(cube, sampler):
+    """Each stream's batch is its slice of the run, and its counters sum to the run's."""
+    n = STREAM_COUNT * 15 + 40
+    if sampler == "rays":
+        draw = partial(sample_rays, cube, n, 3, "ball-rejection")
+    else:
+        draw = partial(sample_chords, cube, n, 3)
+    whole = draw(workers=2)
+    parts = {}
+    for_each_stream(n, 2, lambda s, rows: parts.update({s: (rows, draw(stream=s))}))
+    assert sorted(parts) == list(range(STREAM_COUNT))
+    for rows, part in parts.values():
+        for name in ("entry_code", "entry_ab", "exit_code", "exit_ab", "length"):
+            assert np.array_equal(getattr(part, name), getattr(whole, name)[rows])
+    assert merge_meta([parts[s][1].meta for s in range(STREAM_COUNT)]) == whole.meta
+    with pytest.raises(ValueError):
+        draw(stream=STREAM_COUNT)
+
+
+@pytest.mark.parametrize("model", DIRECTION_MODELS)
+def test_ray_sampler_counters(cube, model):
+    """Redraws and direction proposals are integer sums over streams."""
+    a = sample_rays(cube, 50_001, 7, model, 1)
+    b = sample_rays(cube, 50_001, 7, model, 3)
+    assert a.meta == b.meta
+    assert a.meta["zero_component_redraws"] >= 0
+    if model == "ball-rejection":
+        accepted = len(a) + a.meta["zero_component_redraws"]
+        assert accepted / a.meta["direction_draws"] == pytest.approx(np.pi / 6.0, abs=6e-3)
+    else:
+        assert "direction_draws" not in a.meta
+
+
 # ---------------------------------------------------------------------------
 # direction models
 
@@ -87,7 +129,7 @@ def test_ball_rejection_acceptance_rate():
 
 def test_ball_rejection_directions_isotropic():
     rng = _stream_rng(9, 1)
-    d = _draw_directions(rng, 200_000, "ball-rejection")
+    d, _ = _draw_directions(rng, 200_000, "ball-rejection")
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     # longitude uniform on [-pi, pi], cos(latitude) uniform on [-1, 1]
     lon = np.arctan2(d[:, 1], d[:, 0])
@@ -98,7 +140,7 @@ def test_ball_rejection_directions_isotropic():
 
 def test_cube_components_directions_not_isotropic():
     rng = _stream_rng(9, 2)
-    d = _draw_directions(rng, 200_000, "cube-components")
+    d, _ = _draw_directions(rng, 200_000, "cube-components")
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     p = stats.chisquare(np.histogram(d[:, 2], bins=24, range=(-1, 1))[0]).pvalue
     assert p < 1e-10
@@ -167,17 +209,11 @@ def test_canonical_histograms_partition_samples(rays_batch_cube):
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("sampler", ["rays", "chords"])
-def test_canonical_histograms_match_per_pair_reference(skew_box, sampler):
-    """Every ordered pair binned on its own, through classify_pair."""
-    if sampler == "rays":
-        batch = sample_rays(skew_box, 200_000, 41, "cube-components", 1)
-    else:
-        batch = sample_chords(skew_box, 200_000, 42, 1)
-    bins = (6, 5, 4)
+def per_pair_reference(box, batch, bins):
+    """Every ordered pair binned on its own by histogramdd, through classify_pair."""
     ref = {}
     for cls in canonical_classes():
-        edges = class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, *bins)
+        edges = class_bin_edges(box, cls.kind, cls.indices.as_tuple, *bins)
         ref[cls.label] = [edges, np.zeros(bins), 0]
     for entry in ALL_FACES:
         for exit in ALL_FACES:
@@ -187,15 +223,42 @@ def test_canonical_histograms_match_per_pair_reference(skew_box, sampler):
                 continue
             cls = classify_pair(entry, exit)
             edges, counts, total = ref[cls.label]
-            uv = cls.exit_local_to_canonical(skew_box, batch.exit_ab[rows])
+            uv = cls.exit_local_to_canonical(box, batch.exit_ab[rows])
             h, _ = np.histogramdd(np.column_stack([batch.length[rows], uv]), bins=edges)
             ref[cls.label] = [edges, counts + h, total + int(rows.sum())]
+    return ref
+
+
+@pytest.mark.parametrize("sampler", ["rays", "chords"])
+def test_canonical_histograms_match_per_pair_reference(skew_box, sampler):
+    if sampler == "rays":
+        batch = sample_rays(skew_box, 200_000, 41, "cube-components", 1)
+    else:
+        batch = sample_chords(skew_box, 200_000, 42, 1)
+    bins = (6, 5, 4)
+    ref = per_pair_reference(skew_box, batch, bins)
     hists = canonical_histograms(batch, *bins)
     assert list(hists) == [cls.label for cls in canonical_classes()]
     for label, (_, counts, total) in ref.items():
         assert np.array_equal(hists[label].counts, counts)
         assert hists[label].total == total
     assert sum(h.total for h in hists.values()) == len(batch)
+
+
+def test_canonical_histograms_bin_edges_like_histogramdd(skew_box):
+    """Values on the edges, past the last edge, NaN and infinite: as histogramdd bins them."""
+    batch = sample_rays(skew_box, 20_000, 44, "cube-components", 1)
+    bins = (6, 5, 4)
+    edges = [class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, *bins) for cls in canonical_classes()]
+    odd = [np.nan, np.inf, -np.inf, -1e300, 1e300, -1e-300, 0.0, 5.0]
+    rng = np.random.default_rng(3)
+    batch.length[:5_000] = rng.choice(np.concatenate([e[0] for e in edges] + [odd]), 5_000)
+    uv = np.concatenate([e[1] for e in edges] + [e[2] for e in edges] + [odd])
+    batch.exit_ab[5_000:10_000] = rng.choice(uv, (5_000, 2))
+    hists = canonical_histograms(batch, *bins)
+    for label, (_, counts, total) in per_pair_reference(skew_box, batch, bins).items():
+        assert np.array_equal(hists[label].counts, counts)
+        assert hists[label].total == total
 
 
 def test_canonical_histograms_skip_bad_face_codes(cube):
