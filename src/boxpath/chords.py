@@ -13,6 +13,17 @@ square transform (with its inverse-square-root edge handled at the node
 level), the sum is a discrete convolution at a shared grid spacing, and
 the length follows by the square-root transform.  All quantities below
 are exact up to grid resolution; no sampling is involved.
+
+The conditional law at an exit point and the (length, exit location)
+joints share one batched kernel, `_length_values`: it builds the squared
+offsets of every exit node as zero-padded closed-form rows, convolves
+each u row against all second-offset rows with one real FFT, applies
+the trapezoid end-correction at each pair's true row lengths, and reads
+the square root off all rows by uniform-grid interpolation.  Opposing
+exits are separable, S = (u - x_i)^2 + (v - x_k)^2; on adjacent exits
+the depth convolution serves every elevation and only the shift e^2
+changes.  The location-integrated pair laws convolve triangular and
+uniform squared offsets through the general toolkit.
 """
 
 from __future__ import annotations
@@ -54,7 +65,11 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
 
 
 def _squared_offset_density(width: float, target: float, h: float, x_nodes: int = 513) -> GridDensity1D:
-    """Density of (target - U(0, width))^2 on a grid with spacing h."""
+    """Density of (target - U(0, width))^2 on a grid with spacing h.
+
+    The pair laws build it through `square_density`; `_offset_rows` is the
+    batched closed form, which rounds the first-cell mass differently.
+    """
     s_hi = max(target * target, (target - width) ** 2)
     m = max(2, int(np.ceil(s_hi / h)) + 1)
     return square_density(uniform_density(target - width, target, x_nodes), s_hi=(m - 1) * h, s_nodes=m)
@@ -74,6 +89,80 @@ def _length_from_sum(f_s: GridDensity1D, shift_sq: float, n_grid: np.ndarray) ->
     return vals * 2.0 * n_grid
 
 
+def _offset_rows(width: float, targets: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Densities of (t - U(0, width))^2 at spacing h, one zero-padded row per target t.
+
+    Row t has m = ceil(max(t^2, (t - width)^2) / h) + 1 nodes s = k h.  For
+    k >= 1 the value is the closed form c / (2 width sqrt s), c counting the
+    sides -sqrt s, sqrt s that lie in [t - width, t].  The s = 0 node is set
+    so the first cell holds the exact mass of [-sqrt h, sqrt h] under the
+    trapezoid rule, as `density.square_density` does.  Returns the rows and
+    each row's true length m.
+    """
+    t = np.asarray(targets, dtype=float)[:, None]
+    lo = t - width
+    sizes = np.maximum(2, np.ceil(np.maximum(t * t, lo * lo)[:, 0] / h).astype(int) + 1)
+    r = np.sqrt(np.arange(1, sizes.max()) * h)
+    sides = ((lo <= r) & (r <= t)).astype(float) + ((lo <= -r) & (-r <= t))
+    rows = np.zeros((t.size, sizes.max()))
+    rows[:, 1:] = sides / width / (2.0 * r)
+    rows[np.arange(sizes.max()) >= sizes[:, None]] = 0.0
+    first_cell_mass = np.maximum(0.0, np.minimum(r[0], t) - np.maximum(-r[0], lo))[:, 0] / width
+    rows[:, 0] = np.maximum(0.0, 2.0 * (first_cell_mass - rows[:, 1] * h / 2.0) / h)
+    return rows, sizes
+
+
+def _length_values(
+    box: BoxDims, kind: PairKind, indices: IndexTriple, u: np.ndarray, v: np.ndarray, h: float, n_grid: np.ndarray
+) -> np.ndarray:
+    """Length density 2n f_S(n^2 - shift) at every exit node (u, v); shape (n, u, v).
+
+    S is the sum of the squared offsets that vary with the entry point, at
+    grid spacing h.  Opposing exits: S = (u - x_i)^2 + (v - x_k)^2 and the
+    shift is X_j^2.  Adjacent exits: S = (u - x_i)^2 + x_k^2 with the entry
+    depth x_k, and the shift is the squared elevation v^2.  Each u row is
+    convolved with every second-offset row by one batched real FFT; the
+    trapezoid end-correction then uses each pair's true row lengths, and
+    the square root is read off every row by uniform-grid interpolation.
+    """
+    xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
+    f, f_sizes = _offset_rows(xi, u, h)
+    if kind is PairKind.OPPOSING:
+        g, g_sizes = _offset_rows(xk, v, h)
+        g_of = np.arange(v.size)
+        shift_sq = np.full(v.size, xj * xj)
+    else:
+        g, g_sizes = _offset_rows(xk, np.zeros(1), h)
+        g_of = np.zeros(v.size, dtype=int)
+        shift_sq = v * v
+    width = f.shape[1] + g.shape[1] - 1
+    nfft = 1 << (width - 1).bit_length()
+    f_hat = np.fft.rfft(f, nfft)
+    g_hat = np.fft.rfft(g, nfft)
+    # Trapezoid windows: output node m sums f[t] g[m - t] for t in [t_lo, t_hi].
+    m = np.arange(width)
+    t_lo = np.maximum(0, m - (g_sizes[:, None] - 1))
+    g_lo = np.take_along_axis(g, np.minimum(m - t_lo, g.shape[1] - 1), axis=1)
+    g_row = np.arange(g.shape[0])[:, None]
+    # Read sqrt off the rows: S = n^2 - shift on the uniform grid s = k h.
+    arg = n_grid[:, None] ** 2 - shift_sq[None, :]
+    pos = np.maximum(arg, 0.0) / h
+    k = np.minimum(pos.astype(int), width - 2)
+    frac = pos - k
+    keep = (arg >= 0.0) & (pos <= width - 1)
+    scale = np.where(keep, 2.0 * n_grid[:, None], 0.0)
+    out = np.empty((n_grid.size, u.size, v.size))
+    for a in range(u.size):
+        c = np.fft.irfft(f_hat[a] * g_hat, nfft)[:, :width]
+        t_hi = np.minimum(f_sizes[a] - 1, m)
+        g_hi = g[g_row, np.clip(m - t_hi, 0, g.shape[1] - 1)]
+        c -= 0.5 * (f[a, np.minimum(t_lo, f.shape[1] - 1)] * g_lo + f[a, t_hi] * g_hi)
+        c[t_hi < t_lo] = 0.0
+        c = np.maximum(c, 0.0) * h
+        out[:, a, :] = (c[g_of, k] * (1.0 - frac) + c[g_of, k + 1] * frac) * scale
+    return out
+
+
 def conditional_length_pdf(
     box: BoxDims,
     kind: PairKind,
@@ -88,6 +177,7 @@ def conditional_length_pdf(
     and the fixed gap contributes X_j^2; for an adjacent exit the location
     is (x_i, elevation) on x_k = 0 and the squared elevation is the fixed
     part, with the entry-depth offset x_k entering as a squared uniform.
+    The grid spacing is the conditional support's span over `s_nodes`.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
@@ -95,20 +185,16 @@ def conditional_length_pdf(
     if kind is PairKind.OPPOSING:
         span = max(u * u, (u - xi) ** 2) + max(v * v, (v - xk) ** 2)
         shift_sq = xj * xj
-        h = span / s_nodes
-        f_s = convolve_sum(_squared_offset_density(xi, u, h), _squared_offset_density(xk, v, h))
     else:
         span = max(u * u, (u - xi) ** 2) + xk * xk
         shift_sq = v * v
-        h = span / s_nodes
-        f_s = convolve_sum(_squared_offset_density(xi, u, h), _squared_offset_density(xk, 0.0, h))
     n_lo = float(np.sqrt(shift_sq))
     n_hi = float(np.sqrt(shift_sq + span))
     if n_hi <= n_lo:
         raise NumericalError("degenerate conditional support")
     n_grid = np.linspace(n_lo, n_hi, n_nodes)
-    dens = GridDensity1D(n_lo, n_hi, _length_from_sum(f_s, shift_sq, n_grid))
-    return dens.normalized(force=True)
+    vals = _length_values(box, kind, indices, np.array([u]), np.array([v]), span / s_nodes, n_grid)
+    return GridDensity1D(n_lo, n_hi, vals[:, 0, 0]).normalized(force=True)
 
 
 def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int, s_nodes: int) -> FacePdf:
@@ -120,26 +206,9 @@ def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_n
     u = np.linspace(0.0, xi, u_nodes)
     v = np.linspace(0.0, other, v_nodes)
     area = xi * other
-    vals = np.empty((n_nodes, u_nodes, v_nodes))
-    span_i = xi * xi
     span_2 = other * other if kind is PairKind.OPPOSING else xk * xk
-    h = (span_i + span_2) / s_nodes
-    if kind is PairKind.OPPOSING:
-        f_second = [_squared_offset_density(xk, vv, h) for vv in v]
-    else:
-        f_second = [_squared_offset_density(xk, 0.0, h)] * v_nodes
-    for iu, uu in enumerate(u):
-        f_si = _squared_offset_density(xi, uu, h)
-        for iv, vv in enumerate(v):
-            if kind is PairKind.OPPOSING:
-                f_s = convolve_sum(f_si, f_second[iv])
-                shift_sq = xj * xj
-            else:
-                # The depth convolution does not depend on the elevation.
-                if iv == 0:
-                    f_s = convolve_sum(f_si, f_second[0])
-                shift_sq = vv * vv
-            vals[:, iu, iv] = _length_from_sum(f_s, shift_sq, n_grid) / area
+    h = (xi * xi + span_2) / s_nodes
+    vals = _length_values(box, kind, indices, u, v, h, n_grid) / area
     names = ("n", f"x{indices.i}", f"x{indices.k}" if kind is PairKind.OPPOSING else f"x{indices.j}")
     dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, names)
     entry = FaceId(indices.j, 0)

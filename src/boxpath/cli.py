@@ -150,20 +150,6 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 # analytic
 
 
-def _jacobian_agreement(box: BoxDims) -> float:
-    """Max relative gap between the two adjacent-face Jacobian forms."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
-    worst = 0.0
-    indices = IndexTriple(1, 2, 3)
-    for _ in range(32):
-        entry = rng.uniform(0.05, 0.95, 2) * [box.dim(1), box.dim(3)]
-        direction = rng.uniform(0.05, 1.0, 3) * [1.0, 1.0, -1.0]
-        a = rays.jacobian_adjacent(box, indices, entry, direction, form="quartic")
-        b = rays.jacobian_adjacent(box, indices, entry, direction, form="cubic")
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
-
-
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.direction_model != rays.DIRECTION_MODEL:
@@ -233,7 +219,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         "config_hash": bio.config_hash(cfg.to_dict()),
         "version": __version__,
         "direction_model": cfg.direction_model,
-        "adjacent_jacobian_forms_max_gap": _jacobian_agreement(box),
         "outputs": sorted(outputs),
     }
     _write_json(out / "manifest.json", manifest)
@@ -297,7 +282,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "chords": functools.partial(montecarlo.sample_chords, box, cfg.samples, cfg.seed + 1),
     }
     for name, sampler in samplers.items():
-        spill = out / f"{name}.bin" if args.spill else None
+        spill = out / f"{name}.bin"
+        if not args.spill:
+            # An older run's spill would no longer match this run's histograms.
+            spill.unlink(missing_ok=True)
+            spill = None
         hists, lengths, faces, meta = _sample_streams(sampler, box, cfg, workers, spill)
         bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **meta})
         outputs.append(f"sample_{name}_hists.npz")
@@ -416,11 +405,12 @@ def _figure_elevation(analytic_dir: Path, out: Path, files: list[str]) -> None:
 
 def _cell_lengths(spill: Path, face_code: int, cell: tuple[float, float, float]) -> np.ndarray:
     """Lengths of a spill's paths that exit face `face_code` inside the cell."""
-    batch = bio.read_trajectories(spill)
-    rows = batch.exit_code == face_code
-    ab = batch.exit_ab[rows]
-    inside = (np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])
-    return batch.length[rows][inside]
+
+    def in_cell(batch) -> np.ndarray:
+        ab = batch.exit_ab
+        return (batch.exit_code == face_code) & (np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])
+
+    return bio.read_trajectories(spill, where=in_cell).length
 
 
 def _figure_location(

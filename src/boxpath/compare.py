@@ -24,8 +24,6 @@ __all__ = [
     "KsResult",
     "compare_joint",
     "compare_length",
-    "histogram_l1",
-    "location_counts",
 ]
 
 
@@ -145,34 +143,3 @@ def compare_length(
         n_bins=int(q.size),
         in_range_fraction=1.0,
     )
-
-
-def histogram_l1(a: JointHistogram, b: JointHistogram) -> float:
-    """L1 distance between the bin-probability vectors of two histograms."""
-    if a.counts.shape != b.counts.shape:
-        raise IncompatibleGridError("histograms have different bin shapes")
-    return float(np.abs(a.probabilities() - b.probabilities()).sum())
-
-
-def location_counts(
-    hist: JointHistogram, cell: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Length histogram of samples whose exit falls in a location cell.
-
-    `cell` is (u, v, half_width) in canonical exit coordinates.  Bins are
-    weighted by their overlap area with the cell; raises EmptyCellError
-    when the weighted count vanishes.
-    """
-    u, v, half = cell
-    uw = _overlap_fractions(hist.u_edges, u - half, u + half)
-    vw = _overlap_fractions(hist.v_edges, v - half, v + half)
-    weighted = np.einsum("nuv,u,v->n", hist.counts.astype(float), uw, vw)
-    if weighted.sum() <= 0:
-        raise EmptyCellError(f"no samples exit within the cell around ({u}, {v})", 0)
-    return hist.n_edges, weighted
-
-
-def _overlap_fractions(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    left = np.maximum(edges[:-1], lo)
-    right = np.minimum(edges[1:], hi)
-    return np.clip(right - left, 0.0, None) / np.diff(edges)

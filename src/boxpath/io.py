@@ -50,6 +50,7 @@ _TRAJ_DTYPE = np.dtype(
     ]
 )
 _TRAJ_HEADER = 40  # magic, three box dims, record count
+_READ_BLOCK = 1 << 16  # records per block of a filtered read
 
 
 def write_npz(path, arrays: Mapping[str, np.ndarray]) -> None:
@@ -212,9 +213,27 @@ def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> N
         rec.tofile(fh)
 
 
-def read_trajectories(path) -> TrajectoryBatch:
+def _records_batch(box: BoxDims, rec: np.ndarray, meta: dict) -> TrajectoryBatch:
+    return TrajectoryBatch(
+        box,
+        rec["entry_face"].copy(),
+        np.column_stack([rec["entry_a"], rec["entry_b"]]),
+        rec["exit_face"].copy(),
+        np.column_stack([rec["exit_a"], rec["exit_b"]]),
+        rec["length"].copy(),
+        meta,
+    )
+
+
+def read_trajectories(path, where=None) -> TrajectoryBatch:
     """Read a spill; IncompatibleGridError for a bad magic, a truncated file,
-    or a record whose face codes are not a traversal pair."""
+    or a record whose face codes are not a traversal pair.
+
+    With `where`, a function from a TrajectoryBatch to a row mask, the
+    records are read in blocks of `_READ_BLOCK` and only the rows it keeps
+    are returned, so memory holds one block plus the kept rows.  Every
+    record is still checked.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_TRAJ_HEADER)
@@ -224,20 +243,21 @@ def read_trajectories(path) -> TrajectoryBatch:
         if len(header) < _TRAJ_HEADER or size != _TRAJ_HEADER + count * _TRAJ_DTYPE.itemsize:
             found = max(0, size - _TRAJ_HEADER) // _TRAJ_DTYPE.itemsize
             raise IncompatibleGridError(f"{path}: truncated spill ({found} of {count} records)")
-        rec = np.fromfile(fh, dtype=_TRAJ_DTYPE, count=count)
-    box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
-    bad = (rec["entry_face"] > 5) | (rec["exit_face"] > 5) | (rec["entry_face"] == rec["exit_face"])
-    if bad.any():
-        raise IncompatibleGridError(f"{path}: record {int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit")
-    return TrajectoryBatch(
-        box,
-        rec["entry_face"].copy(),
-        np.column_stack([rec["entry_a"], rec["entry_b"]]),
-        rec["exit_face"].copy(),
-        np.column_stack([rec["exit_a"], rec["exit_b"]]),
-        rec["length"].copy(),
-        {"source": "spill"},
-    )
+        box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
+        block = count if where is None else _READ_BLOCK
+        kept = []
+        for start in range(0, count, max(1, block)):
+            rec = np.fromfile(fh, dtype=_TRAJ_DTYPE, count=min(block, count - start))
+            bad = (rec["entry_face"] > 5) | (rec["exit_face"] > 5) | (rec["entry_face"] == rec["exit_face"])
+            if bad.any():
+                raise IncompatibleGridError(
+                    f"{path}: record {start + int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit"
+                )
+            if where is not None:
+                rec = rec[where(_records_batch(box, rec, {}))]
+            kept.append(rec)
+    rec = kept[0] if len(kept) == 1 else np.concatenate([np.empty(0, dtype=_TRAJ_DTYPE), *kept])
+    return _records_batch(box, rec, {"source": "spill"})
 
 
 def config_hash(config: Mapping) -> str:

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridDensity, GridDensity1D, convolve_sum, ratio_density, uniform_density
+from .density import GridDensity, GridDensity1D
 from .geometry import BoxDims, IndexTriple, PairKind
 from .pool import run_each
 
 __all__ = [
     "FacePdf",
-    "exit_coordinate_marginal_opposing",
     "exit_pdf_adjacent",
     "exit_pdf_opposing",
     "forward_adjacent",
@@ -151,44 +150,6 @@ def exit_pdf_adjacent(
     dens = GridDensity(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
     mass = dens.integral()
     return FacePdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
-
-
-def exit_coordinate_marginal_opposing(
-    box: BoxDims,
-    indices: IndexTriple,
-    nodes: int = 513,
-    method: str = "chain",
-    slope_nodes: int = 2048,
-) -> GridDensity1D:
-    """Marginal plane-hit density of the opposing-face coordinate x_i.
-
-    `method="chain"` composes toolkit transforms: the slope ratio t_i/t_j
-    of two direction components, scaled by X_j, summed with the uniform
-    entry coordinate.  `method="direct"` integrates the overlap kernel
-    over the slope.  Both are exact up to quadrature and agree; the chain
-    form exercises the ratio/convolution toolkit on the production path.
-    """
-    box = BoxDims.from_any(box)
-    xi, xj, _ = _dims(box, indices)
-    if method == "direct":
-        s = _midpoints(slope_nodes)
-        a = np.linspace(0.0, xi, nodes)
-        vals = _overlap(a[:, None], (xj / s)[None, :], xi).mean(axis=1)
-        return GridDensity1D(0.0, xi, vals)
-    if method != "chain":
-        raise ValueError(f"unknown method {method!r}; use 'chain' or 'direct'")
-    t_max = xi / xj
-    f_t = ratio_density(
-        uniform_density(-1.0, 1.0),
-        uniform_density(0.0, 1.0),
-        -t_max,
-        t_max,
-        s_nodes=4097,
-        w_nodes=slope_nodes,
-    )
-    f_delta = f_t.scaled(xj)
-    f_hit = convolve_sum(uniform_density(0.0, xi, n=f_delta.size // 2 + 1), f_delta)
-    return f_hit.resampled(0.0, xi, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from boxpath import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, chords, combined
+from boxpath import FACE_PAIRS, BoxDims, FaceId, GridDensity, IndexTriple, PairKind, Side, chords, combined
+from boxpath.density import GridDensity1D, convolve_sum, square_density, uniform_density
 
 IDX = IndexTriple(1, 2, 3)
 
@@ -25,6 +26,81 @@ def quadrature_oracle(box, kind, idx, exit_uv, edges):
         n = np.sqrt((exit_uv[0] - a[:, None]) ** 2 + exit_uv[1] ** 2 + d[None, :] ** 2)
     counts, _ = np.histogram(n.ravel(), bins=edges)
     return counts / n.size
+
+
+def per_node_length_values(box, kind, idx, u, v, h, n_grid):
+    """Length density 2n f_S(n^2 - shift) at each exit node, one node at a time.
+
+    Each squared offset goes through the square transform of a sampled
+    uniform and each exit node gets its own convolution: the loop that the
+    batched kernel replaces.
+    """
+    xi, xj, xk = box.dim(idx.i), box.dim(idx.j), box.dim(idx.k)
+
+    def squared_offset(width, target):
+        s_hi = max(target * target, (target - width) ** 2)
+        m = max(2, int(np.ceil(s_hi / h)) + 1)
+        return square_density(uniform_density(target - width, target, 513), s_hi=(m - 1) * h, s_nodes=m)
+
+    out = np.empty((n_grid.size, u.size, v.size))
+    for a, uu in enumerate(u):
+        for b, vv in enumerate(v):
+            if kind is PairKind.OPPOSING:
+                f_s, shift_sq = convolve_sum(squared_offset(xi, uu), squared_offset(xk, vv)), xj * xj
+            else:
+                f_s, shift_sq = convolve_sum(squared_offset(xi, uu), squared_offset(xk, 0.0)), vv * vv
+            arg = n_grid * n_grid - shift_sq
+            out[:, a, b] = np.where(arg >= 0.0, f_s.interp(np.maximum(arg, 0.0)), 0.0) * 2.0 * n_grid
+    return out
+
+
+KERNEL_BOXES = [(1.0, 1.0, 1.0), (1.0, 0.1, 1.0), (1.3, 0.8, 1.1)]
+
+
+@pytest.mark.parametrize("dims", KERNEL_BOXES, ids=["cube", "slab", "skew"])
+@pytest.mark.parametrize("kind", [PairKind.OPPOSING, PairKind.ADJACENT], ids=["opposing", "adjacent"])
+def test_batched_joint_matches_per_node_loop(dims, kind):
+    """Every exit node, the edges u, v = 0 and the far edge included."""
+    box = BoxDims(*dims)
+    n_nodes, nodes, s_nodes = 24, 9, 256
+    build = chords.joint_pdf_opposing if kind is PairKind.OPPOSING else chords.joint_pdf_adjacent
+    joint = build(box, IDX, n_nodes, nodes, nodes, s_nodes)
+    xi, xj, xk = box.dim(1), box.dim(2), box.dim(3)
+    other = xk if kind is PairKind.OPPOSING else xj
+    n_lo = xj if kind is PairKind.OPPOSING else 0.0
+    h = (xi * xi + xk * xk) / s_nodes
+    u, v = np.linspace(0.0, xi, nodes), np.linspace(0.0, other, nodes)
+    vals = per_node_length_values(box, kind, IDX, u, v, h, np.linspace(n_lo, box.diagonal, n_nodes)) / (xi * other)
+    ref = GridDensity(joint.density.domain, vals).normalized(force=True).values
+    assert np.max(np.abs(joint.density.values - ref)) <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("dims", KERNEL_BOXES, ids=["cube", "slab", "skew"])
+@pytest.mark.parametrize("kind", [PairKind.OPPOSING, PairKind.ADJACENT], ids=["opposing", "adjacent"])
+def test_conditional_length_matches_per_node_loop(dims, kind):
+    box = BoxDims(*dims)
+    xi, xj, xk = box.dim(1), box.dim(2), box.dim(3)
+    other = xk if kind is PairKind.OPPOSING else xj
+    for uv in ((0.0, 0.0), (0.37 * xi, 0.81 * other), (xi, other)):
+        dens = chords.conditional_length_pdf(box, kind, IDX, uv, 129, 256)
+        span = max(uv[0] ** 2, (uv[0] - xi) ** 2) + (max(uv[1] ** 2, (uv[1] - xk) ** 2) if kind is PairKind.OPPOSING else xk * xk)
+        n_grid = np.linspace(dens.lo, dens.hi, 129)
+        vals = per_node_length_values(box, kind, IDX, np.array([uv[0]]), np.array([uv[1]]), span / 256, n_grid)
+        ref = GridDensity1D(dens.lo, dens.hi, vals[:, 0, 0]).normalized(force=True).values
+        assert np.max(np.abs(dens.values - ref)) <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("dims", KERNEL_BOXES, ids=["cube", "slab", "skew"])
+def test_conditional_length_is_a_joint_row(dims):
+    """At an exit corner the conditional support and spacing are the joint's."""
+    box = BoxDims(*dims)
+    joint = chords.joint_pdf_opposing(box, IDX, 33, 5, 5, 256)
+    for a, b in ((0, 0), (-1, -1), (0, -1)):
+        uv = (joint.density.nodes(1)[a], joint.density.nodes(2)[b])
+        dens = chords.conditional_length_pdf(box, PairKind.OPPOSING, IDX, uv, 33, 256)
+        assert (dens.lo, dens.hi) == pytest.approx(joint.density.domain[0], rel=1e-14)
+        row = GridDensity1D(dens.lo, dens.hi, joint.density.values[:, a, b]).normalized(force=True).values
+        assert np.max(np.abs(dens.values - row)) <= 1e-12 * row.max()
 
 
 def binned_l1_against_oracle(dens, oracle_masses, edges) -> float:

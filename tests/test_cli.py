@@ -70,7 +70,6 @@ def test_analytic_outputs(workdir):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "analytic"
     assert len(manifest["config_hash"]) == 64
-    assert manifest["adjacent_jacobian_forms_max_gap"] <= 1e-12
     listed = set(manifest["outputs"])
     present = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert listed == present
@@ -224,16 +223,50 @@ def test_sample_memory_is_bounded_by_streams(tmp_path):
     assert peak < 2 * 42 * n / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_sample_without_spill_removes_older_spills(workdir, tmp_path):
+    """A rerun without --spill deletes the spills an older run left in --out."""
+    sample = tmp_path / "sample"
+    argv = ["sample", "--config", str(workdir / "tiny.json"), "--samples", "5000", "--out", str(sample)]
+    assert cli.main([*argv, "--spill"]) == 0
+    assert (sample / "rays.bin").exists() and (sample / "chords.bin").exists()
+    assert cli.main(argv) == 0
+    assert not (sample / "rays.bin").exists()
+    assert not (sample / "chords.bin").exists()
+
+
 def test_figures_reads_only_the_spills_the_sample_run_lists(workdir, tmp_path):
-    """A rerun without --spill leaves the older run's spills behind."""
+    """A spill that the sample run does not list is not read, whatever its name."""
     sample = tmp_path / "sample"
     shutil.copytree(workdir / "sample", sample)
     assert cli.main(["sample", "--config", str(workdir / "tiny.json"), "--seed", "7", "--out", str(sample)]) == 0
-    assert (sample / "rays.bin").exists()
+    shutil.copyfile(workdir / "sample" / "rays.bin", sample / "rays.bin")
     out = tmp_path / "figs"
     argv = ["figures", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(out)]
     assert cli.main([*argv, "--which", "location", "--cell", "0.5", "0.5", "0.1"]) == 0
     assert "sampled" not in (out / "location_length.svg").read_text()
+
+
+def test_cell_lengths_memory_is_bounded_by_blocks(tmp_path):
+    """The location overlay keeps the rows in its cell, not the whole spill
+    (42 bytes per path on disk, about as much again as columns)."""
+    n = 500_000
+    spill = tmp_path / "chords.bin"
+    bio.write_trajectories(spill, sample_chords(BoxDims(1.0, 1.0, 1.0), n, 5))
+    cell = (0.5, 0.25, 0.1)
+    whole = bio.read_trajectories(spill)
+    rows = whole.exit_code == 3
+    ab = whole.exit_ab[rows]
+    expected = whole.length[rows][(np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])]
+    del whole, rows, ab
+    tracemalloc.start()
+    try:
+        lengths = cli._cell_lengths(spill, 3, cell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expected.size > 1000
+    assert np.array_equal(lengths, expected)
+    assert peak < 2 * 42 * n / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("key, value", [("box", [1.0, 0.1, 1.0]), ("direction_model", "ball-rejection")])

@@ -69,42 +69,15 @@ def test_length_comparison():
     assert rep.chi2_pvalue > 1e-4
 
 
-def test_histogram_l1_extremes():
-    d = make_density()
-    a = hist_from_density(d, 100_000, 5)
-    b = hist_from_density(d, 100_000, 6)
-    assert compare.histogram_l1(a, a) == 0.0
-    assert compare.histogram_l1(a, b) <= 0.1
-    disjoint_counts = np.zeros_like(a.counts)
-    disjoint_counts[0, 0, 0] = 1
-    other = JointHistogram(a.kind, a.indices, a.n_edges, a.u_edges, a.v_edges, disjoint_counts, 1)
-    moved = a.counts.copy()
-    moved[0, 0, 0] = 0
-    base = JointHistogram(a.kind, a.indices, a.n_edges, a.u_edges, a.v_edges, moved, int(moved.sum()))
-    assert compare.histogram_l1(base, other) == pytest.approx(2.0)
-
-
-def test_location_counts_weighting():
-    d = make_density()
-    h = hist_from_density(d, 500_000, 7)
-    # a cell aligned with one bin equals that bin's length column
-    u_edges, v_edges = h.u_edges, h.v_edges
-    cell = ((u_edges[2] + u_edges[3]) / 2, (v_edges[1] + v_edges[2]) / 2, (u_edges[3] - u_edges[2]) / 2)
-    edges, counts = compare.location_counts(h, cell)
-    assert np.allclose(counts, h.counts[:, 2, 1].astype(float))
-    # straddling cells interpolate between neighbours
-    cell2 = (u_edges[3], cell[1], cell[2])
-    _, counts2 = compare.location_counts(h, cell2)
-    expected = 0.5 * h.counts[:, 2, 1] + 0.5 * h.counts[:, 3, 1]
-    assert np.allclose(counts2, expected)
-
-
 def test_empty_cell_raises():
     d = make_density()
     h = hist_from_density(d, 1000, 8)
+    empty = JointHistogram(h.kind, h.indices, h.n_edges, h.u_edges, h.v_edges, np.zeros_like(h.counts), 0)
     with pytest.raises(EmptyCellError) as info:
-        compare.location_counts(h, (-10.0, -10.0, 0.001))
+        compare.compare_joint(empty, d)
     assert info.value.count == 0
+    with pytest.raises(EmptyCellError):
+        compare.compare_length(h.n_edges, np.zeros(h.n_edges.size - 1), d.marginal_1d(0))
 
 
 def test_report_round_trips_json():

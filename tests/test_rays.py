@@ -95,15 +95,6 @@ def test_opposing_support_starts_at_gap(cube, cube_joints):
     assert jo.density.domain[0][1] == pytest.approx(np.sqrt(3.0))
 
 
-def test_chain_and_direct_coordinate_marginals_agree(skew_box):
-    chain = rays.exit_coordinate_marginal_opposing(skew_box, IDX, method="chain")
-    direct = rays.exit_coordinate_marginal_opposing(skew_box, IDX, method="direct")
-    assert chain.integral() == pytest.approx(direct.integral(), abs=1e-4)
-    a = chain.normalized(force=True)
-    b = direct.normalized(force=True)
-    assert line_l1(a, b, 0.0, skew_box.dim(1)) <= 1e-4
-
-
 def test_joints_match_sampling(cube, cube_joints, rays_batch_cube):
     from boxpath import canonical_histograms
 
