@@ -141,16 +141,15 @@ def class_law_table(
     model: str = "rays",
     n_nodes: int = 1025,
     angle_nodes: int = 2048,
-    elevation_nodes: int = 256,
     s_nodes: int = 2048,
     classes: list[FacePairClass] | None = None,
 ) -> ClassLawTable:
     """Compute the length law of each class in `classes` (default: all nine).
 
     "rays" laws are `rays.length_marginal_*` sub-densities at
-    `angle_nodes` (halved for adjacent classes) and `elevation_nodes`;
-    "chords" laws are `chords.pair_length_pdf` unit densities at
-    `s_nodes`.  A law is computed once per distinct (kind, X_i, X_j, X_k),
+    `angle_nodes` (halved for adjacent classes, whose elevation integral
+    is closed); "chords" laws are `chords.pair_length_pdf` unit densities
+    at `s_nodes`.  A law is computed once per distinct (kind, X_i, X_j, X_k),
     so on the cube one law serves every class of a kind.
     """
     if model not in ("rays", "chords"):
@@ -166,7 +165,7 @@ def class_law_table(
         elif cls.kind is PairKind.OPPOSING:
             laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes, angle_nodes)
         else:
-            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes, angle_nodes // 2, elevation_nodes)
+            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes, angle_nodes // 2)
     return ClassLawTable(box, model, n_nodes, laws)
 
 
@@ -174,14 +173,13 @@ def combined_length_pdf_rays(
     box: BoxDims,
     n_nodes: int = 1025,
     angle_nodes: int = 2048,
-    elevation_nodes: int = 256,
 ) -> CombinedLengthPdf:
     """Length density over all entries for the face-interior model.
 
     f(n) = sum over entry faces of P_entry times the per-entry length law,
     expanded into 2 opposing + 4 adjacent weighted class marginals.
     """
-    return class_law_table(box, "rays", n_nodes, angle_nodes, elevation_nodes).combined()
+    return class_law_table(box, "rays", n_nodes, angle_nodes).combined()
 
 
 def combined_length_pdf_chords(
@@ -204,7 +202,6 @@ def single_face_length_pdf(
     model: str = "rays",
     n_nodes: int = 1025,
     angle_nodes: int = 2048,
-    elevation_nodes: int = 256,
     s_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density conditional on one entry face.
@@ -214,7 +211,7 @@ def single_face_length_pdf(
     remaining surface).  The five exit faces contribute one opposing and
     four adjacent terms; the table holds only the laws those need.
     """
-    table = class_law_table(box, model, n_nodes, angle_nodes, elevation_nodes, s_nodes, _exit_classes(entry_face))
+    table = class_law_table(box, model, n_nodes, angle_nodes, s_nodes, _exit_classes(entry_face))
     return table.single_face(entry_face)
 
 

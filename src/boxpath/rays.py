@@ -17,7 +17,9 @@ the opposing plane inside the face rectangle is exactly the exit event,
 so face-restricted plane-hit densities are exit densities.  Joint
 (length, location) densities follow from a 5-variable change of variables
 onto (n, exit coordinates, auxiliaries) with the radial integral closed;
-the remaining angular integrals below are bounded and regular.
+the remaining angular integrals below are bounded and regular.  In the
+adjacent length marginal the exit-elevation integral is closed as well
+(see `length_marginal_adjacent`), so one angle rule is left.
 """
 
 from __future__ import annotations
@@ -297,6 +299,32 @@ def length_marginal_opposing(
     return GridDensity1D(xj, box.diagonal, vals)
 
 
+_BLOCK = 64  # length nodes per vectorised block of the adjacent length marginal
+
+
+def _below_antiderivative(e, n, c, m, ratio):
+    """Antiderivative in e of c * root * (1 - ratio * root) / reach^3 with reach = m * root."""
+    return c / m**3 * (np.arctanh(e / n) / n - ratio * np.arcsin(e / n))
+
+
+def _above_antiderivative(e, n, c, ratio):
+    """Antiderivative in e of c * root * (1 - ratio * root) / reach^3 with reach = e."""
+    root = np.sqrt(np.maximum(n * n - e * e, 0.0))
+    far = -root / (2.0 * e * e) + np.log((n + root) / e) / (2.0 * n)
+    return c * (far + ratio * (n * n / (2.0 * e * e) + np.log(e)))
+
+
+def _elevation_integral(n, lo, hi, c, m, ratio):
+    """Integral over e in [lo, hi] (lo <= hi) of c * root * (1 - ratio * root) / reach^3.
+
+    root = sqrt(n^2 - e^2) and reach = max(e, m * root), which is m * root
+    below e* = n m / sqrt(1 + m^2) and e above it.
+    """
+    split = np.clip(n * m / np.sqrt(1.0 + m * m), lo, hi)
+    below = _below_antiderivative(split, n, c, m, ratio) - _below_antiderivative(lo, n, c, m, ratio)
+    return below + _above_antiderivative(hi, n, c, ratio) - _above_antiderivative(split, n, c, ratio)
+
+
 def length_marginal_adjacent(
     box: BoxDims,
     indices: IndexTriple,
@@ -307,31 +335,48 @@ def length_marginal_adjacent(
     """Sub-density of the path length for exits through the adjacent face
     x_k = 0 (mass = face-exit probability given entry).
 
-    The elevation quadrature window [0, min(X_j, n)] shrinks with n, so
-    short-path slices stay resolved.
+    f(n) = n / (12 X_k) int dphi int de ki depth / reach^3 [depth <= X_k]
+    over the in-plane angle phi and the exit elevation e, with
+    root = sqrt(n^2 - e^2), depth = root cos(phi), ki = 1 - root |sin(phi)| / X_i
+    and reach = max(e, m root), m = max(|sin(phi)|, cos(phi)).  The
+    elevation integral is closed: the integrand is nonzero on [lo, hi] with
+    hi = min(X_j, n) and lo where ki and the depth bound switch on, and it
+    has two pieces split at e* = n m / sqrt(1 + m^2), where reach turns from
+    m root to e.  With s = |sin(phi)|, c = cos(phi) their antiderivatives are
+
+        below e*:  (c / m^3) [atanh(e/n) / n - (s/X_i) arcsin(e/n)]
+        above e*:  c [-root / (2 e^2) + ln((n + root) / e) / (2 n)
+                      + (s/X_i) (n^2 / (2 e^2) + ln e)].
+
+    Only the angle phi keeps a midpoint rule (`angle_nodes`), vectorised
+    over blocks of length nodes.  The n = 0 node is the exact n -> 0+
+    limit at the same angle nodes: X_i, X_j and X_k are then infinite on
+    the scale of n, so n times the elevation integral is the n = 1 integral
+    over e in [0, 1] with ki = 1, which integrates over phi to about
+    3.0936 / (12 X_k).  `elevation_nodes` is unused; it is kept so that
+    existing calls and argument readers keep working.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
     n_grid = np.linspace(0.0, box.diagonal, n_nodes)
     phi = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
     dphi = np.pi / angle_nodes
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
-    vals = np.zeros(n_nodes)
-    for idx, n in enumerate(n_grid):
-        if n <= 0.0:
-            continue
-        e_hi = min(xj, n)
-        ev = e_hi * _midpoints(elevation_nodes)
-        de = e_hi / elevation_nodes
-        root = np.sqrt(np.maximum(n * n - ev * ev, 0.0))
-        delta = root[:, None] * sin_p[None, :]
-        depth = root[:, None] * cos_p[None, :]
-        ki = np.clip(xi - np.abs(delta), 0.0, None) / xi
-        reach = np.maximum(ev[:, None], np.maximum(np.abs(delta), depth))
-        integ = np.where(depth <= xk, ki * depth / reach**3, 0.0).sum() * de * dphi
+    s, c = np.abs(np.sin(phi)), np.cos(phi)
+    m = np.maximum(s, c)
+    ratio = s / xi
+    with np.errstate(divide="ignore"):
+        # ki > 0 and depth <= X_k hold where root^2 <= cap
+        cap = np.minimum((xi / s) ** 2, (xk / c) ** 2)
+    vals = np.empty(n_nodes)
+    vals[0] = _elevation_integral(1.0, 0.0, 1.0, c, m, 0.0).sum() * dphi / (12.0 * xk)
+    for start in range(1, n_nodes, _BLOCK):
+        n = n_grid[start : start + _BLOCK, None]
+        hi = np.minimum(xj, n)
+        lo = np.minimum(np.sqrt(np.maximum(n * n - cap, 0.0)), hi)
+        integ = _elevation_integral(n, lo, hi, c, m, ratio).sum(axis=1) * dphi
         # the a-marginal of the location indicator contributes X_i * ki,
         # cancelling the 1/X_i of the entry-area density
-        vals[idx] = n / (12.0 * xk) * integ
+        vals[start : start + _BLOCK] = n[:, 0] / (12.0 * xk) * integ
     return GridDensity1D(0.0, box.diagonal, vals)
 
 

@@ -1,16 +1,25 @@
-"""The benchmark's tracer wraps boxpath functions by name; each must exist."""
+"""The benchmark's tracer wraps boxpath functions by name; each must exist
+and take the arguments the tracer reads."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from boxpath import BoxDims, IndexTriple, rays
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_span_targets_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_span_targets_resolve():
+    spans = _load_spans()
     missing = [
         f"{mod}.{name}"
         for mod, names in spans.TARGETS.items()
@@ -18,3 +27,12 @@ def test_span_targets_resolve():
         if not callable(getattr(importlib.import_module(f"boxpath.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def test_adjacent_marginal_span_attrs():
+    """The tracer reads the adjacent marginal's bound arguments, defaults included."""
+    spans = _load_spans()
+    bound = inspect.signature(rays.length_marginal_adjacent).bind(BoxDims(1.0, 0.1, 1.0), IndexTriple(1, 2, 3))
+    bound.apply_defaults()
+    attrs = spans._attrs("rays.length_marginal_adjacent", bound.arguments, None)
+    assert set(attrs) == {"key", "evals"}

@@ -34,7 +34,7 @@ from conftest import binned_l1
 
 @pytest.fixture(scope="module")
 def cube_combined_rays(cube):
-    return combined_length_pdf_rays(cube, 513, 1024, 128)
+    return combined_length_pdf_rays(cube, 513, 1024)
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,9 @@ def test_scaling_law():
     """Scaling the box by c scales every chord length by c."""
     small = BoxDims(0.5, 0.4, 0.55)
     big = BoxDims(1.0, 0.8, 1.1)
-    for builder, extra in ((combined_length_pdf_rays, (257, 512, 96)), (combined_length_pdf_chords, (257, 512))):
-        e_small = expected_length(builder(small, *extra).density)
-        e_big = expected_length(builder(big, *extra).density)
+    for builder in (combined_length_pdf_rays, combined_length_pdf_chords):
+        e_small = expected_length(builder(small, 257, 512).density)
+        e_big = expected_length(builder(big, 257, 512).density)
         assert e_big == pytest.approx(2.0 * e_small, rel=1e-3)
 
 
@@ -108,7 +108,7 @@ def test_single_face_matches_pinned_sampling(cube):
 def test_combined_is_entry_weighted_sum_of_single_faces(skew_box):
     """f(n) = sum over entry faces f of P_f times the single-face law of f."""
     for model, combined, nodes in (
-        ("rays", combined_length_pdf_rays(skew_box, 129, 256, 64), {"angle_nodes": 256, "elevation_nodes": 64}),
+        ("rays", combined_length_pdf_rays(skew_box, 129, 256), {"angle_nodes": 256}),
         ("chords", combined_length_pdf_chords(skew_box, 129, 256), {"s_nodes": 256}),
     ):
         total = np.zeros(129)
