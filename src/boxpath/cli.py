@@ -250,7 +250,7 @@ def _sample_streams(sampler, box: BoxDims, cfg: RunConfig, workers: int, spill: 
     def task(stream: int, rows: slice) -> None:
         batch = sampler(stream=stream)
         part = montecarlo.canonical_histograms(batch, binning=binning)
-        part_lengths = [montecarlo.length_histogram(batch, cfg.bins_length, entry_axis=a)[1] for a in (None, 1, 2, 3)]
+        part_lengths = montecarlo.length_counts(batch, cfg.bins_length)[1]
         part_faces = montecarlo.face_counts(batch)
         if spill is not None:
             bio.write_trajectories(spill, batch, at=rows.start)

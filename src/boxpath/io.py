@@ -49,6 +49,16 @@ _TRAJ_DTYPE = np.dtype(
         ("length", "<f8"),
     ]
 )
+# The same records read as a batch's five columns, each coordinate pair one
+# (2,) field, so that a record block yields the columns as strided views.
+_TRAJ_COLUMNS = np.dtype(
+    {
+        "names": ["entry_code", "entry_ab", "exit_code", "exit_ab", "length"],
+        "formats": ["u1", ("<f8", (2,)), "u1", ("<f8", (2,)), "<f8"],
+        "offsets": [0, 2, 1, 18, 34],
+        "itemsize": _TRAJ_DTYPE.itemsize,
+    }
+)
 _TRAJ_HEADER = 40  # magic, three box dims, record count
 _READ_BLOCK = 1 << 16  # records per block of a filtered read
 
@@ -213,16 +223,10 @@ def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> N
         rec.tofile(fh)
 
 
-def _records_batch(box: BoxDims, rec: np.ndarray, meta: dict) -> TrajectoryBatch:
-    return TrajectoryBatch(
-        box,
-        rec["entry_face"].copy(),
-        np.column_stack([rec["entry_a"], rec["entry_b"]]),
-        rec["exit_face"].copy(),
-        np.column_stack([rec["exit_a"], rec["exit_b"]]),
-        rec["length"].copy(),
-        meta,
-    )
+def _record_columns(rec: np.ndarray) -> list[np.ndarray]:
+    """A batch's five columns, in `TrajectoryBatch` order, as strided views into the records `rec`."""
+    view = rec.view(_TRAJ_COLUMNS)
+    return [view[name] for name in _TRAJ_COLUMNS.names]
 
 
 def read_trajectories(path, where=None) -> TrajectoryBatch:
@@ -254,10 +258,10 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
                     f"{path}: record {start + int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit"
                 )
             if where is not None:
-                rec = rec[where(_records_batch(box, rec, {}))]
+                rec = rec[where(TrajectoryBatch(box, *_record_columns(rec)))]
             kept.append(rec)
     rec = kept[0] if len(kept) == 1 else np.concatenate([np.empty(0, dtype=_TRAJ_DTYPE), *kept])
-    return _records_batch(box, rec, {"source": "spill"})
+    return TrajectoryBatch(box, *(np.ascontiguousarray(c) for c in _record_columns(rec)), {"source": "spill"})
 
 
 def config_hash(config: Mapping) -> str:

@@ -42,6 +42,7 @@ __all__ = [
     "canonical_histograms",
     "face_counts",
     "for_each_stream",
+    "length_counts",
     "length_histogram",
     "merge_meta",
     "sample_chords",
@@ -80,23 +81,31 @@ def _face_probabilities(box: BoxDims) -> np.ndarray:
 
 
 def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(count), side="right").astype(np.uint8)
+    """Face codes drawn by area: how many cumulative probabilities lie at or below a uniform draw.
+
+    This is `np.searchsorted(cum, u, side="right")`, counted in a few passes.
+    """
+    u = rng.random(count)
+    codes = np.zeros(count, dtype=np.uint8)
+    for c in cum:
+        codes += c <= u
+    return codes
 
 
 def _surface_points(rng: np.random.Generator, box: BoxDims, codes: np.ndarray) -> np.ndarray:
+    """Uniform points on the faces `codes`, one row per axis: shape (3, count)."""
     x = box.as_array()
-    pts = rng.random((codes.size, 3)) * x[None, :]
+    pts = rng.random((codes.size, 3)).T.copy()
+    pts *= x[:, None]
     ax = codes >> 1
-    pts[np.arange(codes.size), ax] = (codes & 1) * x[ax]
+    pts[ax, np.arange(codes.size)] = (codes & 1) * x[ax]
     return pts
 
 
-# The two in-plane axes (0-based, ascending) of the faces normal to each axis.
-_PLANE_AXES = np.array([[1, 2], [0, 2], [0, 1]])
-
-
 def _local_coords(codes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(pts, _PLANE_AXES[codes >> 1], axis=1)
+    """The two in-plane coordinates, ascending by axis, of points (3, count) on faces `codes`."""
+    ax = codes >> 1
+    return np.stack([np.where(ax == 0, pts[1], pts[0]), np.where(ax == 2, pts[1], pts[2])], axis=1)
 
 
 def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[np.ndarray, int]:
@@ -135,27 +144,32 @@ def _ray_rows(
     p0 = _surface_points(rng, box, codes)
     d, draws = _draw_directions(rng, count, model)
     ax = codes >> 1
-    rows = np.arange(count)
-    inward = 1.0 - 2.0 * (codes & 1)
+    zero = np.flatnonzero(d[np.arange(count), ax] == 0.0)
     redraws = 0
-    while True:
-        zero = d[rows, ax] == 0.0
-        if not zero.any():
-            break
-        k = int(zero.sum())
-        d[zero], more = _draw_directions(rng, k, model)
-        redraws += k
+    while zero.size:
+        d[zero], more = _draw_directions(rng, zero.size, model)
+        redraws += zero.size
         draws += more
-    d[rows, ax] = inward * np.abs(d[rows, ax])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hi = np.where(d > 0.0, (x[None, :] - p0) / d, np.inf)
-        t_lo = np.where(d < 0.0, -p0 / d, np.inf)
-    t_face = np.minimum(t_hi, t_lo)
-    t = t_face.min(axis=1)
-    exit_ax = t_face.argmin(axis=1)
-    exit_side = (d[rows, exit_ax] > 0.0).astype(np.uint8)
-    exit_code = (exit_ax.astype(np.uint8) << 1) | exit_side
-    p1 = np.clip(p0 + t[:, None] * d, 0.0, x[None, :])
+        zero = zero[d[zero, ax[zero]] == 0.0]
+    # Column by column: point the entry-axis component inward (+ from the
+    # low face, - from the high one), then the distance to each axis's exit
+    # plane, (X - p0) / d ahead, -p0 / d behind, inf when parallel.
+    inward = 1.0 - 2.0 * (codes & 1)
+    dt = np.stack([np.where(ax == a, np.copysign(d[:, a], inward), d[:, a]) for a in range(3)])
+    t_face = np.full((3, count), np.inf)
+    for a in range(3):
+        np.divide(np.where(dt[a] > 0.0, x[a] - p0[a], -p0[a]), dt[a], out=t_face[a], where=dt[a] != 0.0)
+    # the nearest plane, ties to the lower axis as argmin breaks them
+    t0, t1, t2 = t_face
+    exit_ax = (t1 < t0).astype(np.uint8)
+    t = np.minimum(t0, t1)
+    exit_ax[t2 < t] = 2
+    np.minimum(t, t2, out=t)
+    exit_code = (exit_ax << 1) | (np.choose(exit_ax, dt) > 0.0)
+    p1 = t * dt
+    p1 += p0
+    np.clip(p1, 0.0, x[:, None], out=p1)
+    # the signs flipped above do not change the squared norm
     length = t * np.sqrt(np.einsum("ij,ij->i", d, d))
     counters = {"zero_component_redraws": redraws}
     if model == "ball-rejection":
@@ -179,15 +193,17 @@ def _chord_rows(
     x_code = _draw_face_codes(rng, count, cum)
     p1 = _surface_points(rng, box, x_code)
     attempts, collisions = count, 0
-    bad = e_code == x_code
-    while bad.any():
-        nbad = int(bad.sum())
-        attempts += nbad
-        collisions += nbad
-        x_code[bad] = _draw_face_codes(rng, nbad, cum)
-        p1[bad] = _surface_points(rng, box, x_code[bad])
-        bad[bad] = e_code[bad] == x_code[bad]
-    length = np.sqrt(np.einsum("ij,ij->i", p1 - p0, p1 - p0))
+    bad = np.flatnonzero(e_code == x_code)
+    while bad.size:
+        attempts += bad.size
+        collisions += bad.size
+        codes = _draw_face_codes(rng, bad.size, cum)
+        x_code[bad] = codes
+        p1[:, bad] = _surface_points(rng, box, codes)
+        bad = bad[e_code[bad] == codes]
+    # rows of (dx, dy, dz), laid out as the norm's summation expects
+    step = np.ascontiguousarray((p1 - p0).T)
+    length = np.sqrt(np.einsum("ij,ij->i", step, step))
     rows = (e_code, _local_coords(e_code, p0), x_code, _local_coords(x_code, p1), length)
     return rows, {"pair_attempts": attempts, "pair_collisions": collisions}
 
@@ -402,11 +418,13 @@ class JointBinning:
             for c, (axis, col, mirror) in enumerate(pair.exit_frame):
                 self._col[c, code], self._mirror[c, code], self._dim[c, code] = col, mirror, self.box.dim(axis)
         # Per axis, one row of edges per class plus a placeholder row for
-        # rows of no class, and the floor's scale b / (hi - lo).
-        self._edge_rows = [
-            np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)
-        ]
-        self._scale = [b / (rows[:, -1] - rows[:, 0]) for b, rows in zip(self.shape, self._edge_rows)]
+        # rows of no class, flattened, and each row's first and last edge
+        # and the floor's scale b / (hi - lo).
+        rows = [np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)]
+        self._edges = [r.ravel() for r in rows]
+        self._lo = [r[:, 0].copy() for r in rows]
+        self._hi = [r[:, -1].copy() for r in rows]
+        self._scale = [b / (r[:, -1] - r[:, 0]) for b, r in zip(self.shape, rows)]
 
     def histograms(self, batch: TrajectoryBatch | None = None) -> dict[str, JointHistogram]:
         """The class histograms of `batch`, or empty ones to add counts into."""
@@ -429,12 +447,13 @@ class JointBinning:
         none = len(self.classes)
         valid = (entry_code < 6) & (exit_code < 6)
         code = np.where(valid, entry_code.astype(np.intp) * 6 + exit_code, 36)
-        cls = self._cls[code]
+        cls = self._cls.take(code)
         flat = cls.copy()
         inside = cls < none
         for axis, b in enumerate(self.shape):
             x = length if axis == 0 else self._canonical(axis - 1, code, exit_ab)
-            idx, ok = self._bin(axis, cls, x)
+            lo, hi, scale = self._lo[axis].take(cls), self._hi[axis].take(cls), self._scale[axis].take(cls)
+            idx, ok = _bins(x, lo, hi, scale, self._edges[axis], cls * (b + 1), b)
             flat *= b
             flat += idx
             inside &= ok
@@ -445,23 +464,27 @@ class JointBinning:
 
     def _canonical(self, c: int, code: np.ndarray, exit_ab: np.ndarray) -> np.ndarray:
         """Canonical exit coordinate c (0: u, 1: v), as `exit_local_to_canonical` gives it."""
-        a = np.where(self._col[c][code] == 0, exit_ab[:, 0], exit_ab[:, 1])
-        return np.where(self._mirror[c][code], self._dim[c][code] - a, a)
+        a = np.where(self._col[c].take(code) == 0, exit_ab[:, 0], exit_ab[:, 1])
+        return np.where(self._mirror[c].take(code), self._dim[c].take(code) - a, a)
 
-    def _bin(self, axis: int, cls: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each value's bin along `axis` of its class, and whether it lies in one."""
-        rows = self._edge_rows[axis]
-        b = self.shape[axis]
-        lo, hi = rows[cls, 0], rows[cls, b]
-        inside = (x >= lo) & (x <= hi)
-        guess = (x - lo) * self._scale[axis][cls]
-        np.copyto(guess, 0.0, where=~inside)  # NaN or far-out values would not cast
-        idx = np.minimum(guess.astype(np.intp), b - 1)
-        at = cls * (b + 1) + idx
-        flat = rows.ravel()
-        idx -= x < flat[at]
-        idx += (x >= flat[at + 1]) & (idx != b - 1)
-        return idx, inside
+
+def _bins(x, lo, hi, scale, edges: np.ndarray, start, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's bin among b equal bins, and whether it lies in one.
+
+    The bins' edges are edges[start : start + b + 1], running from lo to hi
+    (scalars, or one per value, as `start` is), and scale is b / (hi - lo).
+    A bin is [e_i, e_i+1), the last one closed, as `np.histogram` has
+    them: the floor of the scaled offset is corrected by one against the
+    edges.
+    """
+    inside = (x >= lo) & (x <= hi)
+    guess = (x - lo) * scale
+    np.copyto(guess, 0.0, where=~inside)  # NaN or far-out values would not cast
+    idx = np.minimum(guess.astype(np.intp), b - 1)
+    at = idx + start
+    idx -= x < edges.take(at)
+    idx += (x >= edges.take(at + 1)) & (idx != b - 1)
+    return idx, inside
 
 
 def canonical_histograms(
@@ -481,6 +504,28 @@ def canonical_histograms(
     return (binning or JointBinning(batch.box, n_bins, u_bins, v_bins)).histograms(batch)
 
 
+def length_counts(
+    batch: TrajectoryBatch, bins: int = 128, lo: float = 0.0, hi: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path-length counts over all entry faces, then per entry axis 1..3.
+
+    Returns (edges, counts) with counts of shape (4, bins): row 0 is
+    `np.histogram(batch.length, bins, range=(lo, hi))`, row a that of the
+    rows entering through a face normal to axis a.  One `np.bincount` over
+    (entry axis, bin) makes all four rows.
+    """
+    if hi is None:
+        hi = batch.box.diagonal
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
+    lo, hi = edges[0], edges[-1]
+    idx, inside = _bins(batch.length, lo, hi, bins / (hi - lo), edges, 0, bins)
+    # entry axis 0..2, and 3 for face codes outside 0..5
+    idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * bins
+    idx[~inside] = 4 * bins
+    by_axis = np.bincount(idx, minlength=4 * bins + 1)[: 4 * bins].reshape(4, bins)
+    return edges, np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
+
+
 def length_histogram(
     batch: TrajectoryBatch,
     bins: int = 128,
@@ -488,17 +533,13 @@ def length_histogram(
     hi: float | None = None,
     entry_axis: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram path lengths, optionally only for one entry axis.
+    """Histogram path lengths, optionally only for one entry axis (1..3).
 
-    Returns (edges, counts).
+    Returns (edges, counts), as `np.histogram` bins them; a row of
+    `length_counts`.
     """
-    if hi is None:
-        hi = batch.box.diagonal
-    values = batch.length
-    if entry_axis is not None:
-        values = values[(batch.entry_code >> 1) == entry_axis - 1]
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    return edges, counts.astype(np.uint64)
+    edges, counts = length_counts(batch, bins, lo, hi)
+    return edges, counts[entry_axis or 0]
 
 
 def face_counts(batch: TrajectoryBatch) -> tuple[np.ndarray, np.ndarray]:

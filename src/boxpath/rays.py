@@ -275,6 +275,9 @@ def joint_pdf_adjacent(
 # Length marginals (location integrated over the exit face).
 
 
+_BLOCK = 64  # length nodes per vectorised block of the ray length marginals
+
+
 def length_marginal_opposing(
     box: BoxDims,
     indices: IndexTriple,
@@ -282,24 +285,29 @@ def length_marginal_opposing(
     angle_nodes: int = 4096,
 ) -> GridDensity1D:
     """Sub-density of the path length for opposing exits (mass = face-exit
-    probability given entry, not renormalized)."""
+    probability given entry, not renormalized).
+
+    The angle sum runs over blocks of `_BLOCK` length nodes, so the
+    temporaries scale with a block, not with `n_nodes x angle_nodes`.
+    """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
     n_grid = np.linspace(xj, box.diagonal, n_nodes)
     theta = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
     dtheta = np.pi / angle_nodes
-    root = np.sqrt(np.maximum(n_grid[:, None] ** 2 - xj * xj, 0.0))
-    delta = root * np.sin(theta)[None, :]
-    dplane = root * np.cos(theta)[None, :]
-    ki = np.clip(xi - np.abs(delta), 0.0, None) / xi
-    kk = 2.0 * np.clip(xk - dplane, 0.0, None) / xk
-    reach = n_grid[:, None] / np.maximum(xj, np.maximum(np.abs(delta), dplane))
-    w = xj / (12.0 * n_grid**2)
-    vals = w * (ki * kk * reach**3).sum(axis=1) * dtheta
+    sin, cos = np.sin(theta), np.cos(theta)
+    vals = np.empty(n_nodes)
+    for start in range(0, n_nodes, _BLOCK):
+        n = n_grid[start : start + _BLOCK]
+        root = np.sqrt(np.maximum(n[:, None] ** 2 - xj * xj, 0.0))
+        delta = root * sin
+        dplane = root * cos
+        ki = np.clip(xi - np.abs(delta), 0.0, None) / xi
+        kk = 2.0 * np.clip(xk - dplane, 0.0, None) / xk
+        reach = n[:, None] / np.maximum(xj, np.maximum(np.abs(delta), dplane))
+        w = xj / (12.0 * n**2)
+        vals[start : start + _BLOCK] = w * (ki * kk * reach**3).sum(axis=1) * dtheta
     return GridDensity1D(xj, box.diagonal, vals)
-
-
-_BLOCK = 64  # length nodes per vectorised block of the adjacent length marginal
 
 
 def _below_antiderivative(e, n, c, m, ratio):

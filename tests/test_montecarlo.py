@@ -1,5 +1,6 @@
 """Samplers: determinism, distributional invariants, and throughput."""
 
+import hashlib
 import time
 from functools import partial
 
@@ -113,6 +114,114 @@ def test_ray_sampler_counters(cube, model):
         assert accepted / a.meta["direction_draws"] == pytest.approx(np.pi / 6.0, abs=6e-3)
     else:
         assert "direction_draws" not in a.meta
+
+
+def test_zero_component_redraws(cube, monkeypatch):
+    """A direction whose entry-axis component is 0 is redrawn until it is not.
+
+    The first draw zeroes every third row and the second draw its first row,
+    so one stream redraws ceil(n / 3) + 1 times; rows never zeroed keep the
+    unpatched run's values.
+    """
+    n = STREAM_COUNT * 300
+    plain = sample_rays(cube, n, 17, "cube-components", stream=0)
+    draw = montecarlo._draw_directions
+    calls = []
+
+    def zeroing(rng, count, model):
+        d, draws = draw(rng, count, model)
+        if not calls:
+            d[::3] = 0.0
+        elif len(calls) == 1:
+            d[0] = 0.0
+        calls.append(count)
+        return d, draws
+
+    monkeypatch.setattr(montecarlo, "_draw_directions", zeroing)
+    batch = sample_rays(cube, n, 17, "cube-components", stream=0)
+    rows = len(batch)
+    assert calls == [rows, -(-rows // 3), 1]
+    assert batch.meta["zero_component_redraws"] == -(-rows // 3) + 1
+    kept = np.arange(rows) % 3 != 0
+    for name in ("entry_code", "entry_ab", "exit_code", "exit_ab", "length"):
+        assert np.array_equal(getattr(batch, name)[kept], getattr(plain, name)[kept])
+    assert np.all(batch.entry_code != batch.exit_code) and np.all(batch.length > 0.0)
+    p0 = rebuild_points(cube, batch.entry_code, batch.entry_ab)
+    p1 = rebuild_points(cube, batch.exit_code, batch.exit_ab)
+    assert np.max(np.abs(np.linalg.norm(p1 - p0, axis=1) - batch.length)) <= 1e-9
+
+
+# Digests of every batch array, and the sampler counters, of runs that cover
+# both direction models, the chord sampler, a pinned entry face, a count
+# that is no multiple of STREAM_COUNT, and the cube, the slab (37.8 % of
+# chord pair attempts collide) and a skew box.  A faster sampler must keep
+# every draw, so these values never change with its implementation.
+GOLDEN_RUNS = {
+    "rays-cube-components-cube": (
+        lambda: sample_rays(BoxDims(1.0, 1.0, 1.0), 20_001, 5, "cube-components", 2),
+        ("62e8101248dfe5a55eae93df", "c83a2c969c9d5bfca18c888d", "ba38ff91c662bb2a3187151c",
+         "6998363cf615a7ee92f6afa8", "79ecff367a48ce24ad70439b"),
+        {"zero_component_redraws": 0},
+    ),
+    "rays-cube-components-slab": (
+        lambda: sample_rays(BoxDims(1.0, 0.1, 1.0), 20_001, 6, "cube-components", 2),
+        ("1ef22ee4fa29687050481a01", "579c0a9a6ac7d58088d3cb76", "2ecefcf4fbfc42d59ef6b344",
+         "a36dffd048c260d922f777ed", "2e3170811279f464d9a2ef7a"),
+        {"zero_component_redraws": 0},
+    ),
+    "rays-ball-rejection-skew": (
+        lambda: sample_rays(BoxDims(1.3, 0.8, 1.1), 20_001, 7, "ball-rejection", 2),
+        ("21319cfc3f809e2ad80f5b26", "f82e869bf7faa61043547c44", "179dc90c42dda43e4ee3a7f6",
+         "fcf10239b395eaf6d234e723", "ab3f7ffe5e3d8aa452836cc7"),
+        {"zero_component_redraws": 0, "direction_draws": 38120},
+    ),
+    "rays-pinned-slab": (
+        lambda: sample_rays(BoxDims(1.0, 0.1, 1.0), 20_001, 8, "ball-rejection", 2, FaceId(2, Side.HIGH)),
+        ("16578f0af0677eb6a0603cdb", "770f8bddb6f3667200f2e735", "8076f569a5edc8bae8935b2c",
+         "c583e9573b30975dfd7ae233", "e442d12a6b377d8755671785"),
+        {"zero_component_redraws": 0, "direction_draws": 37732},
+    ),
+    "chords-cube": (
+        lambda: sample_chords(BoxDims(1.0, 1.0, 1.0), 20_001, 9, 2),
+        ("0e094d4619e930c394642c68", "751fcf83c238b543ed26ed0e", "4ccba6b7e754e635811c9889",
+         "48782694297459362671f623", "14278a8139fa7e144ed65164"),
+        {"pair_attempts": 23960, "pair_collisions": 3959},
+    ),
+    "chords-slab": (
+        lambda: sample_chords(BoxDims(1.0, 0.1, 1.0), 20_001, 10, 2),
+        ("1db9221f4952f67c86301dca", "82e97ff73f33ca43d057cfdb", "1095f79370e16738895d2a0d",
+         "d05eaaf2438f9bc13793179a", "e51cf53ba74a3f127f88b7d6"),
+        {"pair_attempts": 32154, "pair_collisions": 12153},
+    ),
+    "chords-skew": (
+        lambda: sample_chords(BoxDims(1.3, 0.8, 1.1), 20_001, 11, 2),
+        ("1b99ed7f5b5c0528fd86a6af", "be2f4eb1d8f0b4c8d01a66ec", "75627c2bd3f7e824724dbebd",
+         "3276e26e189d3c0388570ccc", "fcf90d3892153b3184d3303b"),
+        {"pair_attempts": 24301, "pair_collisions": 4300},
+    ),
+    "chords-pinned-slab": (
+        lambda: sample_chords(BoxDims(1.0, 0.1, 1.0), 20_001, 12, 2, FaceId(1, Side.LOW)),
+        ("6e430df5caffbd8901d2f4be", "27ad327dcb1d4e9a3795d0ce", "e620fc2c4de1894982aa808b",
+         "a07fce4d6f17925a00a5951d", "7a78ba313a379dde5bb78d93"),
+        {"pair_attempts": 20902, "pair_collisions": 901},
+    ),
+}
+
+
+def array_digest(a: np.ndarray) -> str:
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:24]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_sampler_golden_digests(name):
+    run, digests, counters = GOLDEN_RUNS[name]
+    batch = run()
+    arrays = ("entry_code", "entry_ab", "exit_code", "exit_ab", "length")
+    assert tuple(array_digest(getattr(batch, a)) for a in arrays) == digests
+    assert {k: batch.meta[k] for k in counters} == counters
+    assert set(batch.meta) & set(montecarlo._COUNTERS) == set(counters)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +396,33 @@ def test_length_histogram_axis_filter(rays_batch_cube):
         _, c = length_histogram(rays_batch_cube, 32, entry_axis=axis)
         by_axis += c.sum()
     assert by_axis == total
+
+
+@pytest.mark.parametrize("lo", [0.0, 0.25])
+def test_length_counts_bin_like_histogram(skew_box, lo):
+    """Each row of a stream's length counts is np.histogram of its entry axis's lengths.
+
+    Values on the edges, exactly at the diagonal, past it, NaN and infinite
+    bin as np.histogram bins them; a row with an entry code outside 0..5
+    counts only in the all-faces row.
+    """
+    batch = sample_rays(skew_box, 20_000, 45, "cube-components", 1)
+    bins = 37
+    edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, skew_box.diagonal))
+    odd = [np.nan, np.inf, -np.inf, -1e300, 1e300, -1e-300, 0.0, skew_box.diagonal, np.nextafter(skew_box.diagonal, 9.0)]
+    rng = np.random.default_rng(4)
+    batch.length[:10_000] = rng.choice(np.concatenate([edges, np.nextafter(edges, -9.0), odd]), 10_000)
+    batch.entry_code[:50] = 7
+    got_edges, counts = montecarlo.length_counts(batch, bins, lo)
+    assert np.array_equal(got_edges, edges)
+    assert counts.shape == (4, bins) and counts.dtype == np.uint64
+    assert np.array_equal(counts[0], np.histogram(batch.length, bins, range=(lo, skew_box.diagonal))[0])
+    for axis in (1, 2, 3):
+        rows = (batch.entry_code >> 1) == axis - 1
+        ref = np.histogram(batch.length[rows], bins, range=(lo, skew_box.diagonal))[0]
+        assert np.array_equal(counts[axis], ref)
+        assert np.array_equal(length_histogram(batch, bins, lo, entry_axis=axis)[1], ref)
+    assert np.array_equal(length_histogram(batch, bins, lo)[1], counts[0])
 
 
 # ---------------------------------------------------------------------------

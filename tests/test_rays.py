@@ -172,6 +172,18 @@ def test_adjacent_marginal_memory_is_blocked(slab):
     assert peak <= 16 * 2**20
 
 
+def test_opposing_marginal_memory_is_blocked(slab):
+    """As for the adjacent marginal: at 1025 x 2048 nodes the blocked kernel
+    peaked at about 7 MB under tracemalloc, an unblocked one at 112 MB."""
+    tracemalloc.start()
+    try:
+        rays.length_marginal_opposing(slab, IDX, 1025, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_opposing_support_starts_at_gap(cube, cube_joints):
     jo, _ = cube_joints
     assert jo.density.domain[0][0] == pytest.approx(1.0)
