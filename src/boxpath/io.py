@@ -55,7 +55,7 @@ _TRAJ_COLUMNS = np.dtype(
     {
         "names": ["entry_code", "entry_ab", "exit_code", "exit_ab", "length"],
         "formats": ["u1", ("<f8", (2,)), "u1", ("<f8", (2,)), "<f8"],
-        "offsets": [0, 2, 1, 18, 34],
+        "offsets": [_TRAJ_DTYPE.fields[f][1] for f in ("entry_face", "entry_a", "exit_face", "exit_a", "length")],
         "itemsize": _TRAJ_DTYPE.itemsize,
     }
 )

@@ -84,10 +84,12 @@ def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> n
     """Face codes drawn by area: how many cumulative probabilities lie at or below a uniform draw.
 
     This is `np.searchsorted(cum, u, side="right")`, counted in a few passes.
+    The last face takes every draw past `cum[-2]`, so a total that rounds
+    below 1 can never yield code 6.
     """
     u = rng.random(count)
     codes = np.zeros(count, dtype=np.uint8)
-    for c in cum:
+    for c in cum[:-1]:
         codes += c <= u
     return codes
 
@@ -538,6 +540,8 @@ def length_histogram(
     Returns (edges, counts), as `np.histogram` bins them; a row of
     `length_counts`.
     """
+    if entry_axis not in (None, 1, 2, 3):
+        raise ValueError(f"entry_axis must be None or 1..3, got {entry_axis!r}")
     edges, counts = length_counts(batch, bins, lo, hi)
     return edges, counts[entry_axis or 0]
 

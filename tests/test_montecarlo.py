@@ -264,6 +264,26 @@ def test_unknown_direction_model_rejected(cube):
 # distributional invariants
 
 
+@pytest.mark.parametrize("box_name", ["cube", "slab"])
+def test_face_codes_end_at_the_last_face(box_name, request):
+    """A draw at or past the last cumulative probability is face 5, never code 6.
+
+    On the cube and the slab the cumulative face probabilities end just below 1.
+    """
+    box = request.getfixturevalue(box_name)
+    cum = np.cumsum(montecarlo._face_probabilities(box))
+    u = np.concatenate([cum, np.nextafter(cum, -1.0), [0.0, np.nextafter(1.0, 0.0)]])
+
+    class FixedDraws:
+        def random(self, count):
+            assert count == u.size
+            return u
+
+    codes = montecarlo._draw_face_codes(FixedDraws(), u.size, cum)
+    assert np.array_equal(codes, np.minimum(np.searchsorted(cum, u, side="right"), 5))
+    assert codes[cum.size - 1] == 5 and codes[-1] == 5
+
+
 def test_entry_faces_follow_area_law(slab):
     batch = sample_rays(slab, 500_000, 11, "cube-components", 1)
     counts, _ = face_counts(batch)
@@ -396,6 +416,12 @@ def test_length_histogram_axis_filter(rays_batch_cube):
         _, c = length_histogram(rays_batch_cube, 32, entry_axis=axis)
         by_axis += c.sum()
     assert by_axis == total
+
+
+@pytest.mark.parametrize("axis", [0, -1, 4, 1.5])
+def test_length_histogram_rejects_other_axes(rays_batch_cube, axis):
+    with pytest.raises(ValueError, match="entry_axis"):
+        length_histogram(rays_batch_cube, 32, entry_axis=axis)
 
 
 @pytest.mark.parametrize("lo", [0.0, 0.25])

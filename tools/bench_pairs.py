@@ -1,14 +1,14 @@
 """Run the benchmark on two commits in alternating pairs and write a BENCH file.
 
 usage: python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_<n>.json
-           [--pairs 10] [--run WORKLOAD:SEED ...] [--seconds 30] [--setup TEXT]
+           [--run WORKLOAD:SEED ...]
 
 Each commit is exported with `git archive` into its own fresh directory, so
 both sides run the committed files of `bench/` and `src/` and nothing of the
-working tree.  For every `--run` (default `all:1`), `--pairs` pairs of
-`bench/run.py --workload WORKLOAD --seed SEED --seconds S` follow each other:
-odd pairs run the parent first, even pairs the change first.  The last line
-each run prints is its result.
+working tree.  For every `--run` (default `all:1`), ten pairs of
+`bench/run.py --workload WORKLOAD --seed SEED`, at the run length that
+`bench/run.py` sets, follow each other: odd pairs run the parent first, even
+pairs the change first.  The last line each run prints is its result.
 
 The file written has BENCH_8.json's layout: `parent` and `change` are pair
 1 of the first run; `pairs` holds, for the first run, every pair's
@@ -16,7 +16,8 @@ The file written has BENCH_8.json's layout: `parent` and `change` are pair
 median and quartiles (numpy's linear percentiles) over the pairs, with the
 number of pairs the change wins and ties, by the metric's direction in
 BENCHMARK.json.  Further runs go, in the same form, to `more_pairs`.
-Metric names are always `WORKLOAD/METRIC`.
+Metric names are always `WORKLOAD/METRIC`.  `setup` records the Python and
+numpy versions and the CPU count of the machine that ran them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import subprocess
 import sys
 import tarfile
@@ -33,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -45,9 +49,9 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(checkout: Path, workload: str, seed: int) -> dict:
     """One `bench/run.py` run in `checkout`; its result, with `WORKLOAD/` metric names."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -95,13 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--change", required=True, help="the changed commit")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--run", action="append", metavar="WORKLOAD:SEED", help="default all:1; repeatable")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--setup", default="", help="the machine and software, recorded in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     specs = []
     for item in args.run or ["all:1"]:
         workload, _, seed = item.partition(":")
@@ -118,17 +117,18 @@ def main(argv=None) -> int:
         blocks, first = [], None
         for workload, seed in specs:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    runs[side].append(bench(checkouts[side], workload, seed, args.seconds))
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: {side} done", flush=True)
+                    runs[side].append(bench(checkouts[side], workload, seed))
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: {side} done", flush=True)
             first = first or runs
             blocks.append({"workload": workload, "seed": seed, **summarize(runs, better)})
 
     workload, seed = specs[0]
     record = {
-        "command": f"python3 bench/run.py --workload {workload} --seed {seed} --seconds {args.seconds:g}",
-        "setup": f"{args.setup + '; ' if args.setup else ''}parent {shas['parent'][:7]} and change {shas['change'][:7]}, "
+        "command": f"python3 bench/run.py --workload {workload} --seed {seed}",
+        "setup": f"Python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} CPUs; "
+        f"parent {shas['parent'][:7]} and change {shas['change'][:7]}, "
         "each exported by git archive into its own directory; `parent` and `change` below are the results of pair 1",
         "parent": first["parent"][0],
         "change": first["change"][0],
