@@ -21,7 +21,6 @@ from .combined import (
     ComponentTerm,
     combined_length_pdf_chords,
     combined_length_pdf_rays,
-    expected_length,
     single_face_length_pdf,
 )
 from .density import GridDensity, GridDensity1D
@@ -77,7 +76,6 @@ __all__ = [
     "combined_length_pdf_chords",
     "combined_length_pdf_rays",
     "entry_probability",
-    "expected_length",
     "face_counts",
     "length_histogram",
     "sample_chords",

@@ -8,11 +8,12 @@ sums of squared uniform offsets:
 
     n^2 = sum_c (p1_c - p0_c)^2,
 
-one term per axis.  Each squared offset has a density obtained from the
-square transform (with its inverse-square-root edge handled at the node
-level), the sum is a discrete convolution at a shared grid spacing, and
-the length follows by the square-root transform.  All quantities below
-are exact up to grid resolution; no sampling is involved.
+one term per axis.  Each squared offset is a closed-form row on a
+uniform grid in s = n^2, its inverse-square-root edge handled by setting
+the s = 0 node from the exact first-cell mass; the sum is a discrete
+convolution at a shared grid spacing, and the length follows from
+f_N(n) = 2n f_S(n^2 - shift).  All quantities below are exact up to grid
+resolution; no sampling is involved.
 
 The conditional law at an exit point and the (length, exit location)
 joints share one batched kernel, `_length_values`: it builds the squared
@@ -22,8 +23,9 @@ the trapezoid end-correction at each pair's true row lengths, and reads
 the square root off all rows by uniform-grid interpolation.  Opposing
 exits are separable, S = (u - x_i)^2 + (v - x_k)^2; on adjacent exits
 the depth convolution serves every elevation and only the shift e^2
-changes.  The location-integrated pair laws convolve triangular and
-uniform squared offsets through the general toolkit.
+changes.  The location-integrated pair laws convolve the closed-form
+rows of (U - U')^2 (two uniform coordinates on parallel faces) and of
+(0 - U)^2 (a coordinate against a face plane) with `convolve_sum`.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rays import FacePdf
-from .density import (
-    GridDensity,
-    GridDensity1D,
-    convolve_diff,
-    convolve_sum,
-    square_density,
-    uniform_density,
-)
+from .density import GridDensity, GridDensity1D, convolve_sum
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
 
@@ -64,24 +59,6 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
     return entry_probability(box, exit) / (1.0 - entry_probability(box, entry))
 
 
-def _squared_offset_density(width: float, target: float, h: float, x_nodes: int = 513) -> GridDensity1D:
-    """Density of (target - U(0, width))^2 on a grid with spacing h.
-
-    The pair laws build it through `square_density`; `_offset_rows` is the
-    batched closed form, which rounds the first-cell mass differently.
-    """
-    s_hi = max(target * target, (target - width) ** 2)
-    m = max(2, int(np.ceil(s_hi / h)) + 1)
-    return square_density(uniform_density(target - width, target, x_nodes), s_hi=(m - 1) * h, s_nodes=m)
-
-
-def _squared_triangular_density(width: float, h: float, x_nodes: int = 513) -> GridDensity1D:
-    """Density of (U - U')^2 for two independent U(0, width) variables."""
-    tri = convolve_diff(uniform_density(0.0, width, x_nodes), uniform_density(0.0, width, x_nodes))
-    m = max(2, int(np.ceil(width * width / h)) + 1)
-    return square_density(tri, s_hi=(m - 1) * h, s_nodes=m)
-
-
 def _length_from_sum(f_s: GridDensity1D, shift_sq: float, n_grid: np.ndarray) -> np.ndarray:
     """Length density values f_S(n^2 - shift_sq) * 2n on the given n nodes."""
     arg = n_grid * n_grid - shift_sq
@@ -96,8 +73,7 @@ def _offset_rows(width: float, targets: np.ndarray, h: float) -> tuple[np.ndarra
     k >= 1 the value is the closed form c / (2 width sqrt s), c counting the
     sides -sqrt s, sqrt s that lie in [t - width, t].  The s = 0 node is set
     so the first cell holds the exact mass of [-sqrt h, sqrt h] under the
-    trapezoid rule, as `density.square_density` does.  Returns the rows and
-    each row's true length m.
+    trapezoid rule.  Returns the rows and each row's true length m.
     """
     t = np.asarray(targets, dtype=float)[:, None]
     lo = t - width
@@ -110,6 +86,31 @@ def _offset_rows(width: float, targets: np.ndarray, h: float) -> tuple[np.ndarra
     first_cell_mass = np.maximum(0.0, np.minimum(r[0], t) - np.maximum(-r[0], lo))[:, 0] / width
     rows[:, 0] = np.maximum(0.0, 2.0 * (first_cell_mass - rows[:, 1] * h / 2.0) / h)
     return rows, sizes
+
+
+def _plane_offset_density(width: float, h: float) -> GridDensity1D:
+    """Density of (0 - U(0, width))^2 at spacing h: the `_offset_rows` row of target 0."""
+    rows, sizes = _offset_rows(width, np.zeros(1), h)
+    return GridDensity1D(0.0, (sizes[0] - 1) * h, rows[0])
+
+
+def _difference_density(width: float, h: float) -> GridDensity1D:
+    """Density of (U - U')^2 for two independent U(0, width), at spacing h.
+
+    For s = k h, k >= 1, the value is the closed form
+    (width - sqrt s) / (width^2 sqrt s), zero past width^2.  As in
+    `_offset_rows`, the s = 0 node is set so the first cell holds the
+    exact mass of |U - U'| <= sqrt h, 2 r / width - r^2 / width^2 with
+    r = min(sqrt h, width), under the trapezoid rule.
+    """
+    m = max(2, int(np.ceil(width * width / h)) + 1)
+    r = np.sqrt(np.arange(1, m) * h)
+    vals = np.empty(m)
+    vals[1:] = np.maximum(0.0, width - r) / (width * width * r)
+    r0 = min(r[0], width)
+    first_cell_mass = 2.0 * r0 / width - r0 * r0 / (width * width)
+    vals[0] = max(0.0, 2.0 * (first_cell_mass - vals[1] * h / 2.0) / h)
+    return GridDensity1D(0.0, (m - 1) * h, vals)
 
 
 def _length_values(
@@ -254,25 +255,26 @@ def pair_length_pdf(
 ) -> GridDensity1D:
     """Unit-mass length density for a face pair, location integrated out.
 
-    Transverse offsets between two uniform coordinates square a triangular
-    density; offsets against a face plane square a uniform one.  The sum
-    convolves them at one shared spacing, then the square-root transform
-    yields the chord-length law.
+    A transverse offset between two uniform coordinates gives a squared
+    difference row (`_difference_density`); an offset against a face
+    plane gives a squared uniform row (`_plane_offset_density`).  The sum
+    convolves the rows at one shared spacing, and the length law is read
+    off it as 2n f_S(n^2 - shift).
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
     if kind is PairKind.OPPOSING:
         span = xi * xi + xk * xk
         h = span / s_nodes
-        f_s = convolve_sum(_squared_triangular_density(xi, h), _squared_triangular_density(xk, h))
+        f_s = convolve_sum(_difference_density(xi, h), _difference_density(xk, h))
         shift_sq = xj * xj
         n_lo = xj
     else:
         span = xi * xi + xj * xj + xk * xk
         h = span / s_nodes
         f_s = convolve_sum(
-            convolve_sum(_squared_triangular_density(xi, h), _squared_offset_density(xj, 0.0, h)),
-            _squared_offset_density(xk, 0.0, h),
+            convolve_sum(_difference_density(xi, h), _plane_offset_density(xj, h)),
+            _plane_offset_density(xk, h),
         )
         shift_sq = 0.0
         n_lo = 0.0

@@ -38,7 +38,6 @@ __all__ = [
     "class_law_table",
     "combined_length_pdf_rays",
     "combined_length_pdf_chords",
-    "expected_length",
     "location_length_pdf",
     "single_face_length_pdf",
 ]
@@ -249,8 +248,3 @@ def location_length_pdf(
     if acc.sum() <= 0:
         raise NumericalError("location cell has no analytic mass; widen the cell")
     return GridDensity1D(0.0, box.diagonal, acc).normalized(force=True)
-
-
-def expected_length(density: GridDensity1D) -> float:
-    """Mean of a length density (first moment over mass)."""
-    return density.mean()

@@ -10,7 +10,6 @@ Kolmogorov-Smirnov statistics on the marginal CDFs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,9 +51,6 @@ class ComparisonReport:
         d["ks"] = list(d["ks"])  # JSON-shaped: lists, not tuples
         return d
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 def _chi2_pooled(counts: np.ndarray, probs: np.ndarray, min_expected: float = 5.0) -> tuple[float, int, float]:
     """Chi-square with bins of expected count < min_expected pooled together."""
@@ -86,25 +82,25 @@ def _ks_binned(counts_1d: np.ndarray, probs_1d: np.ndarray, n: int) -> tuple[flo
     return d, float(kolmogorov(np.sqrt(n) * d))
 
 
-def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonReport:
-    """Compare a pooled class histogram with an analytic joint density."""
-    q = bin_masses_3d(density, hist.n_edges, hist.u_edges, hist.v_edges)
+def _compare(
+    q: np.ndarray, counts: np.ndarray, n_in: int, n_samples: int, axes: tuple[str, ...], empty: str
+) -> ComparisonReport:
+    """Distances between in-range `counts` and the model bin masses `q`, one KS test per named axis."""
     q = np.clip(q, 0.0, None)
     if q.sum() <= 0:
         raise IncompatibleGridError("analytic density has no mass over the histogram bins")
-    if q.shape != hist.counts.shape:
-        raise IncompatibleGridError(f"bin shapes differ: {q.shape} vs {hist.counts.shape}")
+    if q.shape != counts.shape:
+        raise IncompatibleGridError(f"bin shapes differ: {q.shape} vs {counts.shape}")
     q = q / q.sum()
-    n_in = hist.in_range
     if n_in == 0:
-        raise EmptyCellError("histogram holds no in-range samples", 0)
-    p = hist.counts.astype(float) / n_in
+        raise EmptyCellError(empty, 0)
+    p = counts.astype(float) / n_in
     l1 = float(np.abs(p - q).sum())
-    chi2, dof, pval = _chi2_pooled(hist.counts, q)
+    chi2, dof, pval = _chi2_pooled(counts, q)
     ks = []
-    for axis, name in ((0, "n"), (1, "u"), (2, "v")):
-        others = tuple(a for a in range(3) if a != axis)
-        d, kp = _ks_binned(hist.counts.sum(axis=others), q.sum(axis=others), n_in)
+    for axis, name in enumerate(axes):
+        others = tuple(a for a in range(q.ndim) if a != axis)
+        d, kp = _ks_binned(counts.sum(axis=others), q.sum(axis=others), n_in)
         ks.append(KsResult(name, d, kp))
     return ComparisonReport(
         l1=l1,
@@ -112,34 +108,22 @@ def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonRepor
         dof=dof,
         chi2_pvalue=pval,
         ks=tuple(ks),
-        n_samples=hist.total,
+        n_samples=n_samples,
         n_bins=int(q.size),
-        in_range_fraction=n_in / max(1, hist.total),
+        in_range_fraction=n_in / max(1, n_samples),
     )
+
+
+def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonReport:
+    """Compare a pooled class histogram with an analytic joint density."""
+    q = bin_masses_3d(density, hist.n_edges, hist.u_edges, hist.v_edges)
+    empty = "histogram holds no in-range samples"
+    return _compare(q, hist.counts, hist.in_range, hist.total, ("n", "u", "v"), empty)
 
 
 def compare_length(
     edges: np.ndarray, counts: np.ndarray, density: GridDensity1D
 ) -> ComparisonReport:
     """Compare a 1-d length histogram with an analytic length density."""
-    q = np.clip(bin_masses_1d(density, edges), 0.0, None)
-    if q.sum() <= 0:
-        raise IncompatibleGridError("analytic density has no mass over the histogram bins")
-    q = q / q.sum()
     n_in = int(counts.sum())
-    if n_in == 0:
-        raise EmptyCellError("length histogram is empty", 0)
-    p = counts.astype(float) / n_in
-    l1 = float(np.abs(p - q).sum())
-    chi2, dof, pval = _chi2_pooled(counts, q)
-    d, kp = _ks_binned(counts, q, n_in)
-    return ComparisonReport(
-        l1=l1,
-        chi2=chi2,
-        dof=dof,
-        chi2_pvalue=pval,
-        ks=(KsResult("n", d, kp),),
-        n_samples=n_in,
-        n_bins=int(q.size),
-        in_range_fraction=1.0,
-    )
+    return _compare(bin_masses_1d(density, edges), counts, n_in, n_in, ("n",), "length histogram is empty")

@@ -1,11 +1,12 @@
-"""Gridded probability densities and distribution transforms.
+"""Gridded probability densities, sums, squares and exact bin masses.
 
 Densities are stored as values on uniformly spaced nodes and interpreted
 as piecewise-linear (PL) between nodes, zero outside the sampled window.
-The module provides the transform toolkit used throughout the package:
-sums and differences via discrete convolution, ratios and products via
-one-dimensional quadrature, squares and square roots via change of
-variables, plus exact PL integration against arbitrary bin edges.
+The module provides the grid types, the density of a sum by discrete
+convolution (`convolve_sum`, which the chord pair laws use), the density
+of a square by change of variables (`square_density`, a reference for
+the closed-form squared-offset rows in `chords`), and exact PL
+integration against arbitrary bin edges.
 
 Two numerical points deserve attention:
 
@@ -25,19 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import IncompatibleGridError, NumericalError
 
 __all__ = [
     "GridDensity",
     "GridDensity1D",
     "bin_masses_1d",
     "bin_masses_3d",
-    "convolve_diff",
     "convolve_sum",
-    "product_density",
-    "ratio_density",
-    "reciprocal_density",
-    "sqrt_density",
     "square_density",
     "uniform_density",
 ]
@@ -107,27 +103,6 @@ class GridDensity1D:
         if not force and abs(m - 1.0) > tol:
             raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
         return GridDensity1D(self.lo, self.hi, self.values / m)
-
-    def scaled(self, c: float) -> "GridDensity1D":
-        """Density of c*X for nonzero c."""
-        if c == 0 or not np.isfinite(c):
-            raise ValueError("scale factor must be nonzero and finite")
-        vals = self.values / abs(c)
-        if c > 0:
-            return GridDensity1D(c * self.lo, c * self.hi, vals)
-        return GridDensity1D(c * self.hi, c * self.lo, vals[::-1])
-
-    def reflected(self) -> "GridDensity1D":
-        """Density of -X."""
-        return self.scaled(-1.0)
-
-    def shifted(self, d: float) -> "GridDensity1D":
-        """Density of X + d."""
-        return GridDensity1D(self.lo + d, self.hi + d, self.values)
-
-    def resampled(self, lo: float, hi: float, n: int) -> "GridDensity1D":
-        """PL interpolation onto a new uniform grid (zero outside the old support)."""
-        return GridDensity1D(lo, hi, self.interp(np.linspace(lo, hi, n)))
 
 
 @dataclass(frozen=True)
@@ -232,140 +207,20 @@ def _conv_trap(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(c, 0.0) * h
 
 
-def _common_spacing(fx: GridDensity1D, fy: GridDensity1D) -> tuple[GridDensity1D, GridDensity1D]:
-    hx, hy = fx.spacing, fy.spacing
-    if abs(hx - hy) <= _REL_TOL * max(hx, hy):
-        return fx, fy
-    # Resample the coarser input; callers with singular-edge grids should
-    # construct both inputs at a shared spacing to avoid this path.
-    h = min(hx, hy)
-    if hx > hy:
-        n = max(2, int(round((fx.hi - fx.lo) / h)) + 1)
-        fx = fx.resampled(fx.lo, fx.lo + (n - 1) * h, n)
-    else:
-        n = max(2, int(round((fy.hi - fy.lo) / h)) + 1)
-        fy = fy.resampled(fy.lo, fy.lo + (n - 1) * h, n)
-    return fx, fy
-
-
 def convolve_sum(fx: GridDensity1D, fy: GridDensity1D) -> GridDensity1D:
-    """Density of X + Y for independent X, Y.
+    """Density of X + Y for independent X, Y, both gridded at one spacing.
 
     Output node values are pointwise-correct wherever the inputs cover the
     integrand's support, even if the inputs are truncated elsewhere.
+    Raises IncompatibleGridError when the spacings differ: resampling a
+    density with an inverse-square-root edge would lose its first-cell mass.
     """
-    fx, fy = _common_spacing(fx, fy)
-    h = fx.spacing
+    h, hy = fx.spacing, fy.spacing
+    if abs(h - hy) > _REL_TOL * max(h, hy):
+        raise IncompatibleGridError(f"spacings differ: {h:.6g} vs {hy:.6g}; build both inputs at one spacing")
     vals = _conv_trap(fx.values, fy.values, h)
     lo = fx.lo + fy.lo
     return GridDensity1D(lo, lo + (vals.size - 1) * h, vals)
-
-
-def convolve_diff(fx: GridDensity1D, fy: GridDensity1D) -> GridDensity1D:
-    """Density of X - Y for independent X, Y."""
-    return convolve_sum(fx, fy.reflected())
-
-
-# ---------------------------------------------------------------------------
-# Quadrature transforms.
-
-
-def _midpoint_segments(lo: float, hi: float, exclude: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes/weights on [lo, hi] minus (-exclude, exclude)."""
-    segs = []
-    if lo < -exclude:
-        segs.append((lo, min(hi, -exclude)))
-    if hi > exclude:
-        segs.append((max(lo, exclude), hi))
-    if not segs:
-        raise NumericalError("integration domain vanished under the w_min cutoff")
-    total = sum(b - a for a, b in segs)
-    nodes, weights = [], []
-    for a, b in segs:
-        m = max(1, int(round(n * (b - a) / total)))
-        w = (b - a) / m
-        nodes.append(a + (np.arange(m) + 0.5) * w)
-        weights.append(np.full(m, w))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _coverage_check(nodes: np.ndarray, vals: np.ndarray, min_coverage: float | None, what: str) -> None:
-    if min_coverage is None:
-        return
-    mass = float(np.trapezoid(vals, nodes))
-    if mass < min_coverage:
-        raise NumericalError(
-            f"{what} grid captures mass {mass:.4f} < required coverage {min_coverage}; widen the output window"
-        )
-
-
-def _quadrature_transform(
-    fx: GridDensity1D,
-    fy: GridDensity1D,
-    s_lo: float,
-    s_hi: float,
-    s_nodes: int,
-    w_nodes: int,
-    w_min: float,
-    arg: str,
-) -> np.ndarray:
-    w, dw = _midpoint_segments(fy.lo, fy.hi, w_min, w_nodes)
-    fy_w = fy.interp(w)
-    weight = fy_w * np.abs(w) * dw if arg == "ratio" else fy_w / np.abs(w) * dw
-    s = np.linspace(s_lo, s_hi, s_nodes)
-    out = np.empty(s_nodes)
-    block = max(1, 2**22 // max(1, w.size))
-    for start in range(0, s_nodes, block):
-        sb = s[start : start + block, None]
-        a = sb * w[None, :] if arg == "ratio" else sb / w[None, :]
-        out[start : start + block] = fx.interp(a) @ weight
-    return out
-
-
-def ratio_density(
-    fx: GridDensity1D,
-    fy: GridDensity1D,
-    s_lo: float,
-    s_hi: float,
-    s_nodes: int = 1025,
-    w_nodes: int = 2048,
-    w_min: float = 0.0,
-    min_coverage: float | None = None,
-) -> GridDensity1D:
-    """Density of X / Y on [s_lo, s_hi]: f(s) = int f_x(s w) f_y(w) |w| dw.
-
-    The |w| factor regularizes w = 0, so no cutoff is needed by default.
-    With `min_coverage` set, raises NumericalError when the requested
-    window captures less than that fraction of unit mass (heavy ratio
-    tails are easy to truncate accidentally).
-    """
-    vals = _quadrature_transform(fx, fy, s_lo, s_hi, s_nodes, w_nodes, w_min, "ratio")
-    out = GridDensity1D(s_lo, s_hi, np.maximum(vals, 0.0))
-    _coverage_check(out.nodes, out.values, min_coverage, "ratio")
-    return out
-
-
-def product_density(
-    fx: GridDensity1D,
-    fy: GridDensity1D,
-    s_lo: float,
-    s_hi: float,
-    s_nodes: int = 1025,
-    w_nodes: int = 2048,
-    w_min: float | None = None,
-    min_coverage: float | None = None,
-) -> GridDensity1D:
-    """Density of X * Y: f(s) = int f_x(s / w) f_y(w) / |w| dw.
-
-    The 1/|w| factor forces a cutoff around w = 0; the default excludes
-    |w| below 1e-6 of the largest |w| in f_y's support.
-    """
-    if w_min is None:
-        w_min = 1e-6 * max(abs(fy.lo), abs(fy.hi))
-    vals = _quadrature_transform(fx, fy, s_lo, s_hi, s_nodes, w_nodes, w_min, "product")
-    out = GridDensity1D(s_lo, s_hi, np.maximum(vals, 0.0))
-    _coverage_check(out.nodes, out.values, min_coverage, "product")
-    return out
 
 
 def _pl_integral(f: GridDensity1D, a: float, b: float) -> float:
@@ -394,25 +249,6 @@ def square_density(fx: GridDensity1D, s_hi: float | None = None, s_nodes: int = 
     first_cell_mass = _pl_integral(fx, -np.sqrt(h), np.sqrt(h))
     vals[0] = max(0.0, 2.0 * (first_cell_mass - vals[1] * h / 2.0) / h)
     return GridDensity1D(0.0, s_hi, vals)
-
-
-def sqrt_density(fx: GridDensity1D, t_nodes: int = 1025, t_hi: float | None = None) -> GridDensity1D:
-    """Density of sqrt(X) for X supported on [0, inf): f(t) = f_x(t^2) * 2 t."""
-    if fx.hi <= 0:
-        raise ValueError("input support must reach into s > 0")
-    t_lo = float(np.sqrt(max(fx.lo, 0.0)))
-    if t_hi is None:
-        t_hi = float(np.sqrt(fx.hi))
-    t = np.linspace(t_lo, t_hi, t_nodes)
-    return GridDensity1D(t_lo, t_hi, fx.interp(t * t) * 2.0 * t)
-
-
-def reciprocal_density(fy: GridDensity1D, u_lo: float, u_hi: float, u_nodes: int = 1025) -> GridDensity1D:
-    """Density of 1 / Y on [u_lo, u_hi], which must not straddle zero."""
-    if u_lo <= 0.0 <= u_hi:
-        raise ValueError("reciprocal output window must not straddle zero")
-    u = np.linspace(u_lo, u_hi, u_nodes)
-    return GridDensity1D(u_lo, u_hi, fy.interp(1.0 / u) / (u * u))
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,6 @@ class FacePairClass:
     reflected_axes: frozenset[int]
 
     @property
-    def canonical_key(self) -> tuple[PairKind, tuple[int, int, int]]:
-        """Hashable class identity shared by all pairs pooled together."""
-        return (self.kind, self.indices.as_tuple)
-
-    @property
     def label(self) -> str:
         if self.kind is PairKind.OPPOSING:
             return f"opposing-entry{self.indices.j}"

@@ -38,26 +38,17 @@ __all__ = [
 ]
 
 _TRAJ_MAGIC = b"BOXPATH\x01"
+# One packed little-endian record per path, its fields named as the batch's:
+# entry_code at byte 0, exit_code at 1, entry_ab at 2, exit_ab at 18, length
+# at 34; 42 bytes in all.
 _TRAJ_DTYPE = np.dtype(
     [
-        ("entry_face", "u1"),
-        ("exit_face", "u1"),
-        ("entry_a", "<f8"),
-        ("entry_b", "<f8"),
-        ("exit_a", "<f8"),
-        ("exit_b", "<f8"),
+        ("entry_code", "u1"),
+        ("exit_code", "u1"),
+        ("entry_ab", "<f8", (2,)),
+        ("exit_ab", "<f8", (2,)),
         ("length", "<f8"),
     ]
-)
-# The same records read as a batch's five columns, each coordinate pair one
-# (2,) field, so that a record block yields the columns as strided views.
-_TRAJ_COLUMNS = np.dtype(
-    {
-        "names": ["entry_code", "entry_ab", "exit_code", "exit_ab", "length"],
-        "formats": ["u1", ("<f8", (2,)), "u1", ("<f8", (2,)), "<f8"],
-        "offsets": [_TRAJ_DTYPE.fields[f][1] for f in ("entry_face", "entry_a", "exit_face", "exit_a", "length")],
-        "itemsize": _TRAJ_DTYPE.itemsize,
-    }
 )
 _TRAJ_HEADER = 40  # magic, three box dims, record count
 _READ_BLOCK = 1 << 16  # records per block of a filtered read
@@ -208,25 +199,14 @@ def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> N
         start_trajectories(path, batch.box, len(batch))
         at = 0
     rec = np.empty(len(batch), dtype=_TRAJ_DTYPE)
-    rec["entry_face"] = batch.entry_code
-    rec["exit_face"] = batch.exit_code
-    rec["entry_a"] = batch.entry_ab[:, 0]
-    rec["entry_b"] = batch.entry_ab[:, 1]
-    rec["exit_a"] = batch.exit_ab[:, 0]
-    rec["exit_b"] = batch.exit_ab[:, 1]
-    rec["length"] = batch.length
+    for name in _TRAJ_DTYPE.names:
+        rec[name] = getattr(batch, name)
     offset = _TRAJ_HEADER + at * _TRAJ_DTYPE.itemsize
     with open(path, "r+b") as fh:
         if os.fstat(fh.fileno()).st_size < offset + rec.nbytes:
             raise ValueError(f"{path}: records {at}..{at + len(batch)} lie past the end of the spill")
         fh.seek(offset)
         rec.tofile(fh)
-
-
-def _record_columns(rec: np.ndarray) -> list[np.ndarray]:
-    """A batch's five columns, in `TrajectoryBatch` order, as strided views into the records `rec`."""
-    view = rec.view(_TRAJ_COLUMNS)
-    return [view[name] for name in _TRAJ_COLUMNS.names]
 
 
 def read_trajectories(path, where=None) -> TrajectoryBatch:
@@ -252,16 +232,17 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
         kept = []
         for start in range(0, count, max(1, block)):
             rec = np.fromfile(fh, dtype=_TRAJ_DTYPE, count=min(block, count - start))
-            bad = (rec["entry_face"] > 5) | (rec["exit_face"] > 5) | (rec["entry_face"] == rec["exit_face"])
+            bad = (rec["entry_code"] > 5) | (rec["exit_code"] > 5) | (rec["entry_code"] == rec["exit_code"])
             if bad.any():
                 raise IncompatibleGridError(
                     f"{path}: record {start + int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit"
                 )
             if where is not None:
-                rec = rec[where(TrajectoryBatch(box, *_record_columns(rec)))]
+                rec = rec[where(TrajectoryBatch(box, **{name: rec[name] for name in _TRAJ_DTYPE.names}))]
             kept.append(rec)
     rec = kept[0] if len(kept) == 1 else np.concatenate([np.empty(0, dtype=_TRAJ_DTYPE), *kept])
-    return TrajectoryBatch(box, *(np.ascontiguousarray(c) for c in _record_columns(rec)), {"source": "spill"})
+    columns = {name: np.ascontiguousarray(rec[name]) for name in _TRAJ_DTYPE.names}
+    return TrajectoryBatch(box, **columns, meta={"source": "spill"})
 
 
 def config_hash(config: Mapping) -> str:

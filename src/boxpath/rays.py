@@ -180,42 +180,6 @@ def _opposing_slice(
     return np.einsum("at,bt,t->ab", fa, fb, w, optimize=True)
 
 
-def joint_pdf_opposing(
-    box: BoxDims,
-    indices: IndexTriple,
-    n_nodes: int = 64,
-    a_nodes: int = 64,
-    b_nodes: int = 64,
-    angle_nodes: int = 2048,
-    workers: int = 1,
-) -> FacePdf:
-    """Joint density of (path length n, exit location) on the opposing face.
-
-    Support starts at n = X_j (the straight crossing).  The radial part of
-    the direction integral is closed analytically; the angular integral
-    runs over the polar angle of the transverse displacement, with both
-    signs of the third component folded in.
-    """
-    box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
-    n_grid = np.linspace(xj, box.diagonal, n_nodes)
-    a = np.linspace(0.0, xi, a_nodes)
-    b = np.linspace(0.0, xk, b_nodes)
-    vals = np.empty((n_nodes, a_nodes, b_nodes))
-
-    def fill(idx: int) -> None:
-        vals[idx] = _opposing_slice(n_grid[idx], a, b, xi, xj, xk, angle_nodes)
-
-    run_each(fill, range(n_nodes), workers)
-    dens = GridDensity(
-        ((xj, box.diagonal), (0.0, xi), (0.0, xk)),
-        vals,
-        ("n", f"x{indices.i}", f"x{indices.k}"),
-    )
-    mass = dens.integral()
-    return FacePdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
-
-
 def _adjacent_slice(
     n: float, a: np.ndarray, e: np.ndarray, xi: float, xj: float, xk: float, angle_nodes: int
 ) -> np.ndarray:
@@ -236,6 +200,56 @@ def _adjacent_slice(
     return out
 
 
+def _joint(
+    box: BoxDims,
+    kind: PairKind,
+    indices: IndexTriple,
+    n_nodes: int,
+    a_nodes: int,
+    b_nodes: int,
+    angle_nodes: int,
+    workers: int,
+) -> FacePdf:
+    """One class joint, filled one length slice per pool task."""
+    box = BoxDims.from_any(box)
+    xi, xj, xk = _dims(box, indices)
+    if kind is PairKind.OPPOSING:
+        n_lo, other, b_axis, slice_at = xj, xk, indices.k, _opposing_slice
+    else:
+        n_lo, other, b_axis, slice_at = 0.0, xj, indices.j, _adjacent_slice
+    n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
+    a = np.linspace(0.0, xi, a_nodes)
+    b = np.linspace(0.0, other, b_nodes)
+    vals = np.empty((n_nodes, a_nodes, b_nodes))
+
+    def fill(idx: int) -> None:
+        vals[idx] = slice_at(n_grid[idx], a, b, xi, xj, xk, angle_nodes)
+
+    run_each(fill, range(n_nodes), workers)
+    dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, ("n", f"x{indices.i}", f"x{b_axis}"))
+    mass = dens.integral()
+    return FacePdf(kind, indices, dens.normalized(force=True), mass)
+
+
+def joint_pdf_opposing(
+    box: BoxDims,
+    indices: IndexTriple,
+    n_nodes: int = 64,
+    a_nodes: int = 64,
+    b_nodes: int = 64,
+    angle_nodes: int = 2048,
+    workers: int = 1,
+) -> FacePdf:
+    """Joint density of (path length n, exit location) on the opposing face.
+
+    Support starts at n = X_j (the straight crossing).  The radial part of
+    the direction integral is closed analytically; the angular integral
+    runs over the polar angle of the transverse displacement, with both
+    signs of the third component folded in.
+    """
+    return _joint(box, PairKind.OPPOSING, indices, n_nodes, a_nodes, b_nodes, angle_nodes, workers)
+
+
 def joint_pdf_adjacent(
     box: BoxDims,
     indices: IndexTriple,
@@ -251,24 +265,7 @@ def joint_pdf_adjacent(
     coordinate); the in-plane displacement integral is parametrized by its
     polar angle, which regularizes the square-root edge of the integrand.
     """
-    box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
-    n_grid = np.linspace(0.0, box.diagonal, n_nodes)
-    a = np.linspace(0.0, xi, a_nodes)
-    e = np.linspace(0.0, xj, e_nodes)
-    vals = np.empty((n_nodes, a_nodes, e_nodes))
-
-    def fill(idx: int) -> None:
-        vals[idx] = _adjacent_slice(n_grid[idx], a, e, xi, xj, xk, angle_nodes)
-
-    run_each(fill, range(n_nodes), workers)
-    dens = GridDensity(
-        ((0.0, box.diagonal), (0.0, xi), (0.0, xj)),
-        vals,
-        ("n", f"x{indices.i}", f"x{indices.j}"),
-    )
-    mass = dens.integral()
-    return FacePdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
+    return _joint(box, PairKind.ADJACENT, indices, n_nodes, a_nodes, e_nodes, angle_nodes, workers)
 
 
 # ---------------------------------------------------------------------------

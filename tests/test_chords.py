@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from boxpath import FACE_PAIRS, BoxDims, FaceId, GridDensity, IndexTriple, PairKind, Side, chords, combined
+from boxpath import (
+    FACE_PAIRS,
+    BoxDims,
+    FaceId,
+    GridDensity,
+    IndexTriple,
+    PairKind,
+    Side,
+    canonical_classes,
+    chords,
+    combined,
+)
 from boxpath.density import GridDensity1D, convolve_sum, square_density, uniform_density
 
 IDX = IndexTriple(1, 2, 3)
@@ -28,6 +39,20 @@ def quadrature_oracle(box, kind, idx, exit_uv, edges):
     return counts / n.size
 
 
+def squared_offset(width, target, h):
+    """Density of (target - U(0, width))^2 at spacing h, by the square transform of a sampled uniform."""
+    s_hi = max(target * target, (target - width) ** 2)
+    m = max(2, int(np.ceil(s_hi / h)) + 1)
+    return square_density(uniform_density(target - width, target, 513), s_hi=(m - 1) * h, s_nodes=m)
+
+
+def squared_difference(width, h):
+    """Density of (U - U')^2 for two U(0, width) at spacing h, by the square transform of their sampled difference."""
+    tri = convolve_sum(uniform_density(0.0, width, 513), uniform_density(-width, 0.0, 513))
+    m = max(2, int(np.ceil(width * width / h)) + 1)
+    return square_density(tri, s_hi=(m - 1) * h, s_nodes=m)
+
+
 def per_node_length_values(box, kind, idx, u, v, h, n_grid):
     """Length density 2n f_S(n^2 - shift) at each exit node, one node at a time.
 
@@ -36,19 +61,13 @@ def per_node_length_values(box, kind, idx, u, v, h, n_grid):
     batched kernel replaces.
     """
     xi, xj, xk = box.dim(idx.i), box.dim(idx.j), box.dim(idx.k)
-
-    def squared_offset(width, target):
-        s_hi = max(target * target, (target - width) ** 2)
-        m = max(2, int(np.ceil(s_hi / h)) + 1)
-        return square_density(uniform_density(target - width, target, 513), s_hi=(m - 1) * h, s_nodes=m)
-
     out = np.empty((n_grid.size, u.size, v.size))
     for a, uu in enumerate(u):
         for b, vv in enumerate(v):
             if kind is PairKind.OPPOSING:
-                f_s, shift_sq = convolve_sum(squared_offset(xi, uu), squared_offset(xk, vv)), xj * xj
+                f_s, shift_sq = convolve_sum(squared_offset(xi, uu, h), squared_offset(xk, vv, h)), xj * xj
             else:
-                f_s, shift_sq = convolve_sum(squared_offset(xi, uu), squared_offset(xk, 0.0)), vv * vv
+                f_s, shift_sq = convolve_sum(squared_offset(xi, uu, h), squared_offset(xk, 0.0, h)), vv * vv
             arg = n_grid * n_grid - shift_sq
             out[:, a, b] = np.where(arg >= 0.0, f_s.interp(np.maximum(arg, 0.0)), 0.0) * 2.0 * n_grid
     return out
@@ -101,6 +120,44 @@ def test_conditional_length_is_a_joint_row(dims):
         assert (dens.lo, dens.hi) == pytest.approx(joint.density.domain[0], rel=1e-14)
         row = GridDensity1D(dens.lo, dens.hi, joint.density.values[:, a, b]).normalized(force=True).values
         assert np.max(np.abs(dens.values - row)) <= 1e-12 * row.max()
+
+
+@pytest.mark.parametrize("width", [1.0, 0.1, 1.3], ids=["w1", "w0.1", "w1.3"])
+@pytest.mark.parametrize("h", [2.0 / 2048, 1.0 / 300], ids=["fine", "coarse"])
+def test_difference_row_matches_square_transform(width, h):
+    """The closed-form (U - U')^2 row, its first-cell node included."""
+    row = chords._difference_density(width, h)
+    ref = squared_difference(width, h)
+    assert (row.lo, row.hi, row.size) == (ref.lo, ref.hi, ref.size)
+    assert np.max(np.abs(row.values - ref.values)) <= 1e-12 * ref.values.max()
+
+
+def toolkit_pair_length_values(box, kind, idx, n_nodes, s_nodes):
+    """`pair_length_pdf` with every squared offset built by the square transform."""
+    xi, xj, xk = box.dim(idx.i), box.dim(idx.j), box.dim(idx.k)
+    if kind is PairKind.OPPOSING:
+        h = (xi * xi + xk * xk) / s_nodes
+        f_s, shift_sq, n_lo = convolve_sum(squared_difference(xi, h), squared_difference(xk, h)), xj * xj, xj
+    else:
+        h = (xi * xi + xj * xj + xk * xk) / s_nodes
+        f_s = convolve_sum(squared_difference(xi, h), squared_offset(xj, 0.0, h))
+        f_s = convolve_sum(f_s, squared_offset(xk, 0.0, h))
+        shift_sq, n_lo = 0.0, 0.0
+    n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
+    arg = n_grid * n_grid - shift_sq
+    vals = np.where(arg >= 0.0, f_s.interp(np.maximum(arg, 0.0)), 0.0) * 2.0 * n_grid
+    return GridDensity1D(n_lo, box.diagonal, vals).normalized(force=True).values
+
+
+@pytest.mark.parametrize("dims", KERNEL_BOXES + [(0.2, 1.0, 0.2)], ids=["cube", "slab", "skew", "rod"])
+@pytest.mark.parametrize("kind", [PairKind.OPPOSING, PairKind.ADJACENT], ids=["opposing", "adjacent"])
+def test_pair_length_matches_square_transform_route(dims, kind):
+    box = BoxDims(*dims)
+    for cls in canonical_classes():
+        if cls.kind is kind:
+            dens = chords.pair_length_pdf(box, kind, cls.indices)
+            ref = toolkit_pair_length_values(box, kind, cls.indices, 1025, 2048)
+            assert np.max(np.abs(dens.values - ref)) <= 1e-15 * ref.max()
 
 
 def binned_l1_against_oracle(dens, oracle_masses, edges) -> float:

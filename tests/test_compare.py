@@ -84,7 +84,7 @@ def test_report_round_trips_json():
     d = make_density()
     h = hist_from_density(d, 50_000, 9)
     rep = compare.compare_joint(h, d)
-    blob = rep.to_json()
+    blob = json.dumps(rep.to_dict())
     back = json.loads(blob)
     assert back == rep.to_dict()
     assert {"l1", "chi2", "chi2_pvalue", "dof", "ks", "n_samples"} <= set(back)

@@ -43,7 +43,7 @@ def test_entry_probabilities_sum_to_one(dims):
 
 
 def test_thirty_ordered_pairs_pool_into_nine_classes():
-    keys = {pair.canonical_key for pair in FACE_PAIRS}
+    keys = {(pair.kind, pair.indices.as_tuple) for pair in FACE_PAIRS}
     assert sum(1 for kind, _ in keys if kind is PairKind.OPPOSING) == 3
     assert len(keys) == 9
     assert {pair.label for pair in FACE_PAIRS} == {c.label for c in canonical_classes()}

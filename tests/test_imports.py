@@ -1,6 +1,8 @@
-"""Every name a module imports at module level is used in that module."""
+"""Every name a module imports at module level is used in that module,
+and every name a module lists in `__all__` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,9 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["boxpath"] + [f"boxpath.{p.stem}" for p in MODULES])
+def test_module_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -1,5 +1,7 @@
 """Serialization: byte-determinism and exact round-trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ def test_trajectory_bad_face_codes_rejected(tmp_path, cube, exit_byte):
     path.write_bytes(bytes(blob))
     with pytest.raises(IncompatibleGridError, match="face codes"):
         bio.read_trajectories(path)
+
+
+def test_trajectory_record_layout(tmp_path):
+    """A spill is its header, then one packed little-endian <BB5d record per path."""
+    box = BoxDims(1.3, 0.8, 1.1)
+    entry_ab = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    exit_ab = np.array([[0.7, 0.8], [0.9, 1.0], [0.25, 0.75]])
+    length = np.array([1.5, 0.125, 2.0625])
+    batch = TrajectoryBatch(box, np.array([0, 2, 5], np.uint8), entry_ab, np.array([1, 4, 3], np.uint8), exit_ab, length)
+    path = tmp_path / "t.bin"
+    bio.write_trajectories(path, batch)
+    header = b"BOXPATH\x01" + struct.pack("<3dQ", 1.3, 0.8, 1.1, 3)
+    records = [
+        struct.pack("<BB5d", e, x, *a, *b, n)
+        for e, x, a, b, n in zip((0, 2, 5), (1, 4, 3), entry_ab.tolist(), exit_ab.tolist(), length.tolist())
+    ]
+    assert path.read_bytes() == header + b"".join(records)
+    back = bio.read_trajectories(path)
+    assert np.array_equal(back.entry_ab, entry_ab) and np.array_equal(back.exit_code, batch.exit_code)
 
 
 def test_csv_floats_round_trip_exactly(tmp_path, densities):
