@@ -53,8 +53,6 @@ class RunConfig:
     bins_length: int = 128
     angle_nodes: int = 2048
     slope_nodes: int = 2048
-    s_nodes_joint: int = 512
-    s_nodes_conditional: int = 2048
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -80,7 +78,7 @@ class RunConfig:
             raise ValueError("samples must be positive")
         if self.direction_model not in montecarlo.DIRECTION_MODELS:
             raise ValueError(f"direction_model must be one of {montecarlo.DIRECTION_MODELS}")
-        for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "angle_nodes", "slope_nodes", "s_nodes_joint", "s_nodes_conditional", "bins_length"):
+        for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "angle_nodes", "slope_nodes", "bins_length"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} is too small")
         if len(self.bins_joint) != 3 or any(b < 2 for b in self.bins_joint):
@@ -167,11 +165,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         if cls.kind is PairKind.OPPOSING:
             joint = rays.joint_pdf_opposing(box, cls.indices, n3, n3, n3, cfg.angle_nodes, workers)
             exit_pdf = rays.exit_pdf_opposing(box, cls.indices, cfg.grid_nodes_2d, cfg.grid_nodes_2d, cfg.slope_nodes)
-            cjoint = chords.joint_pdf_opposing(box, cls.indices, n3, n3, n3, cfg.s_nodes_joint)
+            cjoint = chords.joint_pdf_opposing(box, cls.indices, n3, n3, n3)
         else:
             joint = rays.joint_pdf_adjacent(box, cls.indices, n3, n3, n3, cfg.angle_nodes // 2, workers)
             exit_pdf = rays.exit_pdf_adjacent(box, cls.indices, cfg.grid_nodes_2d, cfg.grid_nodes_2d, cfg.slope_nodes)
-            cjoint = chords.joint_pdf_adjacent(box, cls.indices, n3, n3, n3, cfg.s_nodes_joint)
+            cjoint = chords.joint_pdf_adjacent(box, cls.indices, n3, n3, n3)
         for stem, pdf in (
             (f"rays_joint_{cls.label}", joint),
             (f"chords_joint_{cls.label}", cjoint),
@@ -188,9 +186,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             outputs.append(f"rays_exit_{cls.label}.csv")
 
     for model in ("rays", "chords"):
-        table = combined.class_law_table(
-            box, model, cfg.grid_nodes_1d, cfg.angle_nodes, s_nodes=cfg.s_nodes_conditional
-        )
+        table = combined.class_law_table(box, model, cfg.grid_nodes_1d, cfg.angle_nodes)
         comb = table.combined()
         meta = {
             "integral": comb.integral,

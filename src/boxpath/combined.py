@@ -115,7 +115,8 @@ class ClassLawTable:
         """Sum `multiplicity * p_entry * P(pair | entry) * law` over (class, multiplicity, p_entry).
 
         For rays P(pair | entry) is carried by the sub-density law itself;
-        for chords it is P_exit / (1 - P_entry).
+        for chords it is P_exit / (1 - P_entry).  Each law is projected onto
+        the mixture grid, which keeps its mass across a jump between nodes.
         """
         box = self.box
         grid = np.linspace(0.0, box.diagonal, self.n_nodes)
@@ -126,7 +127,7 @@ class ClassLawTable:
             if self.model == "chords":
                 weight = weight * entry_probability(box, cls.exit_face) / (1.0 - entry_probability(box, cls.entry_face))
             law = self.laws[_law_key(box, cls)]
-            values += weight * law.interp(grid)
+            values += weight * law.project(grid)
             terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, law.integral()))
         density = GridDensity1D(0.0, box.diagonal, values)
         integral = density.integral()
@@ -140,15 +141,14 @@ def class_law_table(
     model: str = "rays",
     n_nodes: int = 1025,
     angle_nodes: int = 2048,
-    s_nodes: int = 2048,
     classes: list[FacePairClass] | None = None,
 ) -> ClassLawTable:
     """Compute the length law of each class in `classes` (default: all nine).
 
     "rays" laws are `rays.length_marginal_*` sub-densities at
     `angle_nodes` (halved for adjacent classes, whose elevation integral
-    is closed); "chords" laws are `chords.pair_length_pdf` unit densities
-    at `s_nodes`.  A law is computed once per distinct (kind, X_i, X_j, X_k),
+    is closed); "chords" laws are `chords.pair_length_pdf` unit densities.
+    A law is computed once per distinct (kind, X_i, X_j, X_k),
     so on the cube one law serves every class of a kind.
     """
     if model not in ("rays", "chords"):
@@ -160,7 +160,7 @@ def class_law_table(
         if key in laws:
             continue
         if model == "chords":
-            laws[key] = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes, s_nodes)
+            laws[key] = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes)
         elif cls.kind is PairKind.OPPOSING:
             laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes, angle_nodes)
         else:
@@ -184,7 +184,6 @@ def combined_length_pdf_rays(
 def combined_length_pdf_chords(
     box: BoxDims,
     n_nodes: int = 1025,
-    s_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density over all surface-chord pairs (same-face pairs excluded).
 
@@ -192,7 +191,7 @@ def combined_length_pdf_chords(
     ordered pairs pooled into each canonical class; the class laws are
     unit densities, so the weights themselves sum to one.
     """
-    return class_law_table(box, "chords", n_nodes, s_nodes=s_nodes).combined()
+    return class_law_table(box, "chords", n_nodes).combined()
 
 
 def single_face_length_pdf(
@@ -201,7 +200,6 @@ def single_face_length_pdf(
     model: str = "rays",
     n_nodes: int = 1025,
     angle_nodes: int = 2048,
-    s_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density conditional on one entry face.
 
@@ -210,7 +208,7 @@ def single_face_length_pdf(
     remaining surface).  The five exit faces contribute one opposing and
     four adjacent terms; the table holds only the laws those need.
     """
-    table = class_law_table(box, model, n_nodes, angle_nodes, s_nodes, _exit_classes(entry_face))
+    table = class_law_table(box, model, n_nodes, angle_nodes, _exit_classes(entry_face))
     return table.single_face(entry_face)
 
 
@@ -244,7 +242,7 @@ def location_length_pdf(
         if not (a1 > a0 and b1 > b0):
             continue
         part = joint.density.band_integral(1, a0, a1).band_integral(1, b0, b1)
-        acc += entry_probability(box, pair.entry_face) * joint.mass * part.interp(grid)
+        acc += entry_probability(box, pair.entry_face) * joint.mass * part.project(grid)
     if acc.sum() <= 0:
         raise NumericalError("location cell has no analytic mass; widen the cell")
     return GridDensity1D(0.0, box.diagonal, acc).normalized(force=True)

@@ -2,11 +2,11 @@
 
 Densities are stored as values on uniformly spaced nodes and interpreted
 as piecewise-linear (PL) between nodes, zero outside the sampled window.
-The module provides the grid types, the density of a sum by discrete
-convolution (`convolve_sum`, which the chord pair laws use), the density
-of a square by change of variables (`square_density`, a reference for
-the closed-form squared-offset rows in `chords`), and exact PL
-integration against arbitrary bin edges.
+The module provides the grid types (with a mass-lumped projection of a
+1-d law onto another grid), the density of a sum by discrete
+convolution (`convolve_sum`), the density of a square by change of
+variables (`square_density`), and exact PL integration against
+arbitrary bin edges.
 
 Two numerical points deserve attention:
 
@@ -83,6 +83,34 @@ class GridDensity1D:
     def interp(self, x: np.ndarray) -> np.ndarray:
         """PL interpolation, zero outside [lo, hi]."""
         return np.interp(np.asarray(x, dtype=float), self.nodes, self.values, left=0.0, right=0.0)
+
+    def project(self, grid: np.ndarray) -> np.ndarray:
+        """Mass-lumped projection onto the hats phi_i of `grid`: v_i = int f phi_i / int phi_i.
+
+        Where `grid` covers [lo, hi] the trapezoid mass and first moment of
+        v on `grid` equal the exact ones of this PL density, which `interp`
+        does not keep when a jump at lo or hi falls between grid nodes.
+        """
+        grid = np.asarray(grid, dtype=float)
+        lo, hi = max(self.lo, grid[0]), min(self.hi, grid[-1])
+        out = np.zeros(grid.size)
+        if hi <= lo:
+            return out
+        # Between merged nodes both f and every target hat are linear.
+        pts = np.unique(np.clip(np.concatenate([self.nodes, grid]), lo, hi))
+        p, q = pts[:-1], pts[1:]
+        fp, fq = self.interp(p), self.interp(q)
+        cell = np.clip(np.searchsorted(grid, 0.5 * (p + q)) - 1, 0, grid.size - 2)
+        width = grid[cell + 1] - grid[cell]
+        for node, bp, bq in (
+            (cell, (grid[cell + 1] - p) / width, (grid[cell + 1] - q) / width),
+            (cell + 1, (p - grid[cell]) / width, (q - grid[cell]) / width),
+        ):
+            np.add.at(out, node, (q - p) / 6.0 * (2.0 * fp * bp + fp * bq + fq * bp + 2.0 * fq * bq))
+        hat_mass = np.zeros(grid.size)
+        hat_mass[:-1] += 0.5 * np.diff(grid)
+        hat_mass[1:] += 0.5 * np.diff(grid)
+        return out / hat_mass
 
     def integral(self) -> float:
         return float(np.trapezoid(self.values, dx=self.spacing))

@@ -251,12 +251,12 @@ def test_gate_6_end_to_end():
     del batch
     for cls in canonical_classes():
         if cls.kind is PairKind.OPPOSING:
-            joint = chords.joint_pdf_opposing(cube, cls.indices, 64, 64, 64, 512)
+            joint = chords.joint_pdf_opposing(cube, cls.indices, 64, 64, 64)
         else:
-            joint = chords.joint_pdf_adjacent(cube, cls.indices, 64, 64, 64, 512)
+            joint = chords.joint_pdf_adjacent(cube, cls.indices, 64, 64, 64)
         rep = compare.compare_joint(hists[cls.label], joint.density)
         worst_joint = max(worst_joint, rep.l1)
-    comb = combined_length_pdf_chords(cube, 1025, 2048)
+    comb = combined_length_pdf_chords(cube, 1025)
     worst_len = max(worst_len, binned_l1(comb.normalized(), edges, counts))
 
     ok = worst_joint <= 0.05 and worst_len <= 0.03
@@ -270,7 +270,7 @@ def test_gate_6_end_to_end():
 def test_gate_7a_band_map_annulus():
     """The banded exit density forms a ring around the face centre."""
     cube = BOXES["cube"]
-    joint = chords.joint_pdf_opposing(cube, IDX, 64, 64, 64, 512)
+    joint = chords.joint_pdf_opposing(cube, IDX, 64, 64, 64)
     sheet = joint.density.band_integral(0, 1.17, 1.22)
     vals = sheet.values
     half = vals.max() / 2.0
@@ -297,7 +297,7 @@ def test_gate_7b_mode_elevation_contrast():
     """Ray exits hug the shared edge; chord exits peak much higher."""
     cube = BOXES["cube"]
     e_rays = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 1024).density.marginal_1d(2)
-    e_chords = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 512).density.marginal_1d(2)
+    e_chords = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.marginal_1d(2)
     mode_rays = float(e_rays.nodes[np.argmax(e_rays.values)])
     mode_chords = float(e_chords.nodes[np.argmax(e_chords.values)])
     ok = mode_rays < mode_chords
@@ -320,7 +320,7 @@ def test_gate_7c_mean_length_decreasing_in_elevation():
     the quintile.
     """
     cube = BOXES["cube"]
-    joint = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 512)
+    joint = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64)
     means = []
     for q in range(5):
         band = joint.density.band_integral(2, 0.2 * q, 0.2 * (q + 1)).integrate_out(1)

@@ -39,8 +39,6 @@ TINY = {
     "grid_nodes_1d": 129,
     "angle_nodes": 128,
     "slope_nodes": 256,
-    "s_nodes_joint": 96,
-    "s_nodes_conditional": 256,
     "bins_joint": [6, 6, 6],
     "bins_length": 48,
 }

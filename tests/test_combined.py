@@ -38,7 +38,7 @@ def cube_combined_rays(cube):
 
 @pytest.fixture(scope="module")
 def cube_combined_chords(cube):
-    return combined_length_pdf_chords(cube, 513, 1024)
+    return combined_length_pdf_chords(cube, 513)
 
 
 def test_combined_integrates_to_one(cube_combined_rays, cube_combined_chords):
@@ -72,13 +72,24 @@ def test_expected_length_matches_sampling(cube_combined_rays, cube_combined_chor
     )
 
 
+def test_slab_mixtures_keep_their_mass(slab):
+    """The class laws' jumps at n = X_j fall between mixture nodes; the mixtures keep their mass anyway.
+
+    Each chord class law has unit mass, so the chord mixture's is 1 to
+    rounding; the ray class laws carry their face-exit masses, which sum
+    to 1 up to the angle rule.
+    """
+    assert combined_length_pdf_rays(slab, 257, 512).integral == pytest.approx(1.0, abs=2e-4)
+    assert combined_length_pdf_chords(slab, 257).integral == pytest.approx(1.0, abs=1e-12)
+
+
 def test_scaling_law():
     """Scaling the box by c scales every chord length by c."""
     small = BoxDims(0.5, 0.4, 0.55)
     big = BoxDims(1.0, 0.8, 1.1)
-    for builder in (combined_length_pdf_rays, combined_length_pdf_chords):
-        e_small = builder(small, 257, 512).density.mean()
-        e_big = builder(big, 257, 512).density.mean()
+    for builder in (lambda box: combined_length_pdf_rays(box, 257, 512), lambda box: combined_length_pdf_chords(box, 257)):
+        e_small = builder(small).density.mean()
+        e_big = builder(big).density.mean()
         assert e_big == pytest.approx(2.0 * e_small, rel=1e-3)
 
 
@@ -108,7 +119,7 @@ def test_combined_is_entry_weighted_sum_of_single_faces(skew_box):
     """f(n) = sum over entry faces f of P_f times the single-face law of f."""
     for model, combined, nodes in (
         ("rays", combined_length_pdf_rays(skew_box, 129, 256), {"angle_nodes": 256}),
-        ("chords", combined_length_pdf_chords(skew_box, 129, 256), {"s_nodes": 256}),
+        ("chords", combined_length_pdf_chords(skew_box, 129), {}),
     ):
         total = np.zeros(129)
         for face in ALL_FACES:
@@ -127,13 +138,13 @@ def test_sampled_chord_class_shares_match_weights(slab):
     """
     n = 400_000
     totals = {label: h.total for label, h in canonical_histograms(sample_chords(slab, n, 31, 1), 2, 2, 2).items()}
-    for term in combined_length_pdf_chords(slab, 65, 256).terms:
+    for term in combined_length_pdf_chords(slab, 65).terms:
         sigma = np.sqrt(term.weight * (1.0 - term.weight) / n)
         assert abs(totals[term.label] / n - term.weight) <= 5.0 * sigma, term.label
 
 
 def test_mixture_off_unit_mass_raises(cube):
-    table = class_law_table(cube, "chords", 65, s_nodes=256)
+    table = class_law_table(cube, "chords", 65)
     doubled = {key: GridDensity1D(law.lo, law.hi, 2.0 * law.values) for key, law in table.laws.items()}
     with pytest.raises(NumericalError):
         dataclasses.replace(table, laws=doubled).combined()
@@ -158,7 +169,7 @@ def test_location_length_pdf_consistent(skew_box):
     mix = sum(
         entry_probability(skew_box, pair.entry_face)
         * joints[pair.label].mass
-        * joints[pair.label].density.marginal_1d(0).interp(law.nodes)
+        * joints[pair.label].density.marginal_1d(0).project(law.nodes)
         for pair in FACE_PAIRS
         if pair.exit_face == face
     )

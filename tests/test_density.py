@@ -44,6 +44,24 @@ def test_normalized_guards_against_mass_drift():
     assert d.normalized(tol=1.5).integral() == pytest.approx(1.0, abs=1e-12)
 
 
+def pl_first_moment(d: GridDensity1D) -> float:
+    """Exact first moment of a PL density: the integral of x f(x) cell by cell."""
+    x, f = d.nodes, d.values
+    return float(np.sum(d.spacing / 6.0 * (2 * x[:-1] * f[:-1] + x[:-1] * f[1:] + x[1:] * f[:-1] + 2 * x[1:] * f[1:])))
+
+
+@pytest.mark.parametrize("lo, hi, size", [(0.3, 1.2, 37), (0.1, 1.7, 1025), (0.0, 1.5, 101)])
+def test_project_keeps_mass_and_first_moment(lo, hi, size):
+    """A jump at either end of the support, between target nodes or on one."""
+    rng = np.random.default_rng(size)
+    law = GridDensity1D(lo, hi, rng.random(size) + 0.2)
+    grid = np.linspace(0.0, 2.0, 257)
+    v = law.project(grid)
+    assert np.trapezoid(v, grid) == pytest.approx(law.integral(), rel=1e-12)
+    assert np.trapezoid(grid * v, grid) == pytest.approx(pl_first_moment(law), rel=1e-12)
+    assert np.all(v[grid < lo - (grid[1] - grid[0])] == 0.0)
+
+
 def test_2d_marginals_and_band():
     u = np.linspace(0.0, 2.0, 41)
     v = np.linspace(0.0, 1.0, 21)

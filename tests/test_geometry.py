@@ -58,7 +58,7 @@ def test_face_pairs_table(cube):
         assert pair == classify_pair(pair.entry_face, pair.exit_face)
     # each class pools as many ordered pairs as the combined length laws
     # weight it by: 2 opposing, 4 adjacent
-    terms = combined_length_pdf_chords(cube, 65, 64).terms
+    terms = combined_length_pdf_chords(cube, 65).terms
     assert len(terms) == 9
     for term in terms:
         count = sum(1 for pair in FACE_PAIRS if pair.label == term.label)
