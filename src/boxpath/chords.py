@@ -30,7 +30,7 @@ import functools
 
 import numpy as np
 
-from .rays import FacePdf
+from .rays import FacePdf, _acos_ratio
 from .density import GridDensity, GridDensity1D
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
@@ -64,12 +64,6 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
         raise ValueError("entry and exit faces coincide")
     box = BoxDims.from_any(box)
     return entry_probability(box, exit) / (1.0 - entry_probability(box, entry))
-
-
-def _acos_ratio(d, r):
-    """arccos(min(1, d / r)) for d, r >= 0, with its r -> 0 limit: 0 off the line, pi/2 on it."""
-    near = d < r
-    return np.arccos(np.where(near, d / np.where(near, r, 1.0), d > 0))
 
 
 def _inside_angle(r, left, right, bottom, top):

@@ -51,8 +51,8 @@ class RunConfig:
     grid_nodes_1d: int = 1025
     bins_joint: tuple[int, int, int] = (8, 8, 8)
     bins_length: int = 128
-    angle_nodes: int = 2048
-    slope_nodes: int = 2048
+    angle_nodes: int = 2048  # angle rule of the ray length marginals
+    slope_nodes: int = 2048  # unused: the exit maps are closed in the slope; kept so older configs load
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -148,6 +148,13 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 # analytic
 
 
+def _for_class(pdf: rays.FacePdf, indices: IndexTriple) -> rays.FacePdf:
+    """`pdf` computed for another class with the same canonical dims, relabelled to `indices`."""
+    rename = {f"x{old}": f"x{new}" for old, new in zip(pdf.indices.as_tuple, indices.as_tuple)}
+    names = tuple(rename.get(name, name) for name in pdf.density.axis_names)
+    return dataclasses.replace(pdf, indices=indices, density=dataclasses.replace(pdf.density, axis_names=names))
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.direction_model != rays.DIRECTION_MODEL:
@@ -157,19 +164,26 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = cfg.box_dims
-    workers = cfg.resolved_workers()
-    n3 = cfg.grid_nodes_3d
+    n2, n3 = cfg.grid_nodes_2d, cfg.grid_nodes_3d
     outputs: list[str] = []
 
+    # The kernels see a class only through its canonical dims, so each
+    # distinct (kind, X_i, X_j, X_k) is computed once and relabelled per class.
+    laws: dict[tuple, tuple[rays.FacePdf, ...]] = {}
     for cls in canonical_classes():
-        if cls.kind is PairKind.OPPOSING:
-            joint = rays.joint_pdf_opposing(box, cls.indices, n3, n3, n3, cfg.angle_nodes, workers)
-            exit_pdf = rays.exit_pdf_opposing(box, cls.indices, cfg.grid_nodes_2d, cfg.grid_nodes_2d, cfg.slope_nodes)
-            cjoint = chords.joint_pdf_opposing(box, cls.indices, n3, n3, n3)
-        else:
-            joint = rays.joint_pdf_adjacent(box, cls.indices, n3, n3, n3, cfg.angle_nodes // 2, workers)
-            exit_pdf = rays.exit_pdf_adjacent(box, cls.indices, cfg.grid_nodes_2d, cfg.grid_nodes_2d, cfg.slope_nodes)
-            cjoint = chords.joint_pdf_adjacent(box, cls.indices, n3, n3, n3)
+        key = combined._law_key(box, cls)
+        if key not in laws:
+            ray_joint, chord_joint, ray_exit = (
+                (rays.joint_pdf_opposing, chords.joint_pdf_opposing, rays.exit_pdf_opposing)
+                if cls.kind is PairKind.OPPOSING
+                else (rays.joint_pdf_adjacent, chords.joint_pdf_adjacent, rays.exit_pdf_adjacent)
+            )
+            laws[key] = (
+                ray_joint(box, cls.indices, n3, n3, n3),
+                chord_joint(box, cls.indices, n3, n3, n3),
+                ray_exit(box, cls.indices, n2, n2),
+            )
+        joint, cjoint, exit_pdf = (_for_class(pdf, cls.indices) for pdf in laws[key])
         for stem, pdf in (
             (f"rays_joint_{cls.label}", joint),
             (f"chords_joint_{cls.label}", cjoint),

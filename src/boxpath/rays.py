@@ -12,14 +12,20 @@ edge).
 Derivation sketch.  With inward slope s = direction_j in (0, 1], the
 plane-hit coordinate along a transverse axis c is x_c + (X_j / s) * t_c
 with x_c uniform on (0, X_c) and t_c uniform on (-1, 1), whose density is
-the uniform-uniform overlap kernel `_overlap`.  By box convexity, hitting
-the opposing plane inside the face rectangle is exactly the exit event,
-so face-restricted plane-hit densities are exit densities.  Joint
-(length, location) densities follow from a 5-variable change of variables
-onto (n, exit coordinates, auxiliaries) with the radial integral closed;
-the remaining angular integrals below are bounded and regular.  In the
-adjacent length marginal the exit-elevation integral is closed as well
-(see `length_marginal_adjacent`), so one angle rule is left.
+the uniform-uniform overlap kernel k.  By box convexity, hitting the
+opposing plane inside the face rectangle is exactly the exit event, so
+face-restricted plane-hit densities are exit densities.  k is a sum of
+two ramps min(1, u s / X_j), so the exit maps integrate polynomials or
+c / s over s piece by piece and are closed (`exit_pdf_opposing`,
+`exit_pdf_adjacent`).  Joint (length, location) densities follow from a
+5-variable change of variables onto (n, exit coordinates, auxiliaries)
+with the radial integral closed: a slice at length n integrates the
+direction weight over the arcs of a circle that lie inside the entry
+face, the arcs of `chords._inside_angle` (Santalo, Integral Geometry and
+Geometric Probability, 1976), and on each piece of an arc that weight has
+an elementary antiderivative.  The length marginals keep one angle rule;
+in the adjacent one the exit-elevation integral is closed (see
+`length_marginal_adjacent`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import numpy as np
 
 from .density import GridDensity, GridDensity1D
 from .geometry import BoxDims, IndexTriple, PairKind
-from .pool import run_each
 
 __all__ = [
     "FacePdf",
@@ -48,6 +53,8 @@ __all__ = [
 
 # The sampler direction model (`montecarlo.DIRECTION_MODELS`) these laws describe.
 DIRECTION_MODEL = "cube-components"
+
+_BLOCK = 64  # length nodes per vectorised block of the ray joints and length marginals
 
 
 @dataclass(frozen=True)
@@ -70,19 +77,32 @@ def _dims(box: BoxDims, indices: IndexTriple) -> tuple[float, float, float]:
     return box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
 
 
-def _overlap(u: np.ndarray, alpha: np.ndarray, width: float) -> np.ndarray:
-    """Density of x + alpha*t at u, for x ~ U(0, width), t ~ U(-1, 1)."""
-    hi = np.minimum(1.0, u / alpha)
-    lo = np.maximum(-1.0, (u - width) / alpha)
-    return 0.5 * np.clip(hi - lo, 0.0, None) / width
-
-
-def _midpoints(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
+def _acos_ratio(d, r):
+    """arccos(min(1, d / r)) for d, r >= 0, with its r -> 0 limit: 0 off the line, pi/2 on it."""
+    near = d < r
+    return np.arccos(np.where(near, d / np.where(near, r, 1.0), d > 0))
 
 
 # ---------------------------------------------------------------------------
 # Exit-location densities (length integrated out).
+
+
+_EDGE_SUBNODES = 33  # midpoint sub-nodes of the first elevation cell of an adjacent exit map
+
+
+def _ramp_product(p, q):
+    """G(p, q) = int_0^1 min(1, p s) min(1, q s) ds for p, q >= 0."""
+    lo = 1.0 / np.maximum(1.0, np.maximum(p, q))
+    hi = 1.0 / np.maximum(1.0, np.minimum(p, q))
+    return p * q * lo**3 / 3.0 + np.minimum(p, q) * (hi * hi - lo * lo) / 2.0 + 1.0 - hi
+
+
+def _ramp_over_slope(p, c):
+    """H(p, c) = int_0^1 min(1, c s)^2 / s * min(1, p s) ds for p >= 0, c > 0."""
+    u, v = 1.0 / np.maximum(1.0, c), 1.0 / np.maximum(1.0, p)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    between = np.where(u < v, p * (hi - lo), c * c * (hi * hi - lo * lo) / 2.0)
+    return c * c * p * lo**3 / 3.0 + between - np.log(hi)
 
 
 def exit_pdf_opposing(
@@ -90,23 +110,25 @@ def exit_pdf_opposing(
     indices: IndexTriple,
     a_nodes: int = 129,
     b_nodes: int = 129,
-    slope_nodes: int = 2048,
 ) -> FacePdf:
     """Exit-location density on the opposing face x_j = X_j.
 
-    f(a, b) = int_0^1 ds k_i(a; X_j / s) k_k(b; X_j / s), with k the
-    uniform-uniform overlap kernel; the face-restricted integral is the
-    face-exit probability.
+    f(a, b) = int_0^1 ds k_i(a; X_j / s) k_k(b; X_j / s) over the inward
+    slope s, where k(u; X_j / s) = (min(1, u s / X_j) + min(1, (W - u) s / X_j)) / (2 W)
+    is the density of x + (X_j / s) t at u for x ~ U(0, W), t ~ U(-1, 1).
+    Expanding the product gives four closed ramp integrals:
+
+        f(a, b) = sum_{p in {a, X_i - a}} sum_{q in {b, X_k - b}} G(p / X_j, q / X_j) / (4 X_i X_k),
+        G(p, q) = p q lo^3 / 3 + min(p, q) (hi^2 - lo^2) / 2 + 1 - hi,
+
+    with lo <= hi the kinks min(1, 1/p) and min(1, 1/q).  The
+    face-restricted integral is the face-exit probability.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
-    s = _midpoints(slope_nodes)
-    alpha = xj / s
-    a = np.linspace(0.0, xi, a_nodes)
-    b = np.linspace(0.0, xk, b_nodes)
-    ga = _overlap(a[:, None], alpha[None, :], xi)
-    gb = _overlap(b[:, None], alpha[None, :], xk)
-    vals = np.einsum("as,bs->ab", ga, gb, optimize=True) / slope_nodes
+    a = np.linspace(0.0, xi, a_nodes)[:, None]
+    b = np.linspace(0.0, xk, b_nodes)[None, :]
+    vals = sum(_ramp_product(p / xj, q / xj) for p in (a, xi - a) for q in (b, xk - b)) / (4.0 * xi * xk)
     dens = GridDensity(((0.0, xi), (0.0, xk)), vals, (f"x{indices.i}", f"x{indices.k}"))
     mass = dens.integral()
     return FacePdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
@@ -117,36 +139,38 @@ def exit_pdf_adjacent(
     indices: IndexTriple,
     a_nodes: int = 129,
     e_nodes: int = 129,
-    slope_nodes: int = 2048,
-    edge_subnodes: int = 33,
 ) -> FacePdf:
     """Exit-location density on the adjacent face x_k = 0.
 
     f(a, e) = int_0^1 ds min(1, (X_k s / e)^2) / (4 X_k s) k_i(a; e / s),
-    where e is the elevation above the shared edge.  The density has an
-    integrable logarithmic spike at e = 0; the e = 0 node is set by exact
-    first-cell mass matching so grid integration conserves mass.
+    where e is the elevation above the shared edge and k the overlap
+    kernel of `exit_pdf_opposing`.  It is closed in the slope s:
+
+        f(a, e) = sum_{p in {a, X_i - a}} H(p / e, X_k / e) / (8 X_i X_k),
+        H(p, c) = c^2 p lo^3 / 3 + B - ln hi,
+
+    with lo <= hi the kinks min(1, 1/c) and min(1, 1/p), and
+    B = p (hi - lo) where 1/c < 1/p, else c^2 (hi^2 - lo^2) / 2.  The
+    density has an integrable logarithmic spike at e = 0; the e = 0 node
+    is set by first-cell mass matching (the cell mass from the closed
+    values at `_EDGE_SUBNODES` midpoints), so grid integration conserves
+    mass.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
-    s = _midpoints(slope_nodes)
-    a = np.linspace(0.0, xi, a_nodes)
+    a = np.linspace(0.0, xi, a_nodes)[:, None]
     e = np.linspace(0.0, xj, e_nodes)
 
     def rows(evals: np.ndarray) -> np.ndarray:
-        out = np.empty((a_nodes, evals.size))
-        for col, ev in enumerate(evals):
-            c = np.minimum(1.0, (xk * s / ev) ** 2) / (4.0 * xk * s) / slope_nodes
-            ga = _overlap(a[:, None], (ev / s)[None, :], xi)
-            out[:, col] = ga @ c
-        return out
+        evals = evals[None, :]
+        return sum(_ramp_over_slope(p / evals, xk / evals) for p in (a, xi - a)) / (8.0 * xi * xk)
 
     vals = np.empty((a_nodes, e_nodes))
     vals[:, 1:] = rows(e[1:])
     h = e[1]
     # First-cell mass per a-column from a fine sub-grid, then solve for the
     # e = 0 node value that makes the trapezoid first-cell mass exact.
-    esub = h * _midpoints(edge_subnodes)
+    esub = h * (np.arange(_EDGE_SUBNODES) + 0.5) / _EDGE_SUBNODES
     cell_mass = rows(esub).mean(axis=1) * h
     vals[:, 0] = np.maximum(0.0, 2.0 * (cell_mass - vals[:, 1] * h / 2.0) / h)
     dens = GridDensity(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
@@ -158,46 +182,51 @@ def exit_pdf_adjacent(
 # Joint (length, exit-location) densities.
 
 
-def _opposing_slice(
-    n: float, a: np.ndarray, b: np.ndarray, xi: float, xj: float, xk: float, angle_nodes: int
-) -> np.ndarray:
-    m = n * n - xj * xj
-    if m < 0.0:
-        return np.zeros((a.size, b.size))
-    theta = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
-    dtheta = np.pi / angle_nodes
-    root = np.sqrt(m)
-    delta = root * np.sin(theta)
-    dplane = root * np.cos(theta)
-    # Indicator/width densities of the retained uniforms.
-    fa = ((a[:, None] - delta[None, :] >= 0.0) & (a[:, None] - delta[None, :] <= xi)).astype(float) / xi
-    fb = (
-        ((b[:, None] - dplane[None, :] >= 0.0) & (b[:, None] - dplane[None, :] <= xk)).astype(float)
-        + ((b[:, None] + dplane[None, :] >= 0.0) & (b[:, None] + dplane[None, :] <= xk)).astype(float)
-    ) / xk
-    reach = n / np.maximum(xj, np.maximum(np.abs(delta), dplane))
-    w = (xj / (12.0 * n * n)) * reach**3 * dtheta
-    return np.einsum("at,bt,t->ab", fa, fb, w, optimize=True)
+def _sec3(t):
+    """int_0^t sec^3 = (sec t tan t + ln(sec t + tan t)) / 2."""
+    sec, tan = 1.0 / np.cos(t), np.tan(t)
+    return 0.5 * (sec * tan + np.log(sec + tan))
 
 
-def _adjacent_slice(
-    n: float, a: np.ndarray, e: np.ndarray, xi: float, xj: float, xk: float, angle_nodes: int
-) -> np.ndarray:
-    out = np.zeros((a.size, e.size))
-    if n <= 0.0:
-        return out
-    phi = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
-    dphi = np.pi / angle_nodes
+def _opposing_slices(n, a, b, xi, xj, xk):
+    """Opposing joint values at lengths n over exits (a, b), broadcast; see `joint_pdf_opposing`."""
+    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
+    star = np.minimum(0.25 * np.pi, _acos_ratio(xj, r))
+    r3 = np.where(r > 0.0, r, 1.0) ** 3
+
+    def rising(t):
+        return _sec3(np.minimum(t, star)) / r3 + np.maximum(0.0, t - star) / xj**3
+
+    quarter = 2.0 * rising(0.25 * np.pi)
+
+    def cut(d):
+        t = _acos_ratio(d, r)
+        folded = rising(np.minimum(t, 0.5 * np.pi - t))
+        return np.where(t <= 0.25 * np.pi, folded, quarter - folded)
+
+    inside = sum(np.maximum(0.0, quarter - x - y) for x in (cut(a), cut(xi - a)) for y in (cut(b), cut(xk - b)))
+    return np.where(n >= xj, xj * n * inside, 0.0) / (12.0 * xi * xk)
+
+
+def _adjacent_slices(n, a, e, xi, xj, xk):
+    """Adjacent joint values at lengths n over exits (a, e), broadcast; see `joint_pdf_adjacent`."""
     live = e < n
-    ev = e[live]
-    root = np.sqrt(np.maximum(n * n - ev * ev, 0.0))  # (E,)
-    delta = root[:, None] * np.sin(phi)[None, :]  # (E, T)
-    depth = root[:, None] * np.cos(phi)[None, :]
-    reach = np.maximum(ev[:, None], np.maximum(np.abs(delta), depth))
-    wq = np.where(depth <= xk, depth / reach**3, 0.0) * (n / (12.0 * xi * xk) * dphi)
-    fa = (a[:, None, None] >= delta[None, :, :]) & (a[:, None, None] - delta[None, :, :] <= xi)
-    out[:, live] = np.einsum("aet,et->ae", fa.astype(float), wq, optimize=True)
-    return out
+    rho = np.sqrt(np.where(live, n * n - e * e, 1.0))
+    rho2 = rho * rho
+    arc = _acos_ratio(e, rho)
+    near, far = np.minimum(0.25 * np.pi, arc), np.maximum(0.25 * np.pi, 0.5 * np.pi - arc)
+    mid_scale = rho / np.where(e > 0.0, e, 1.0) ** 3  # the middle piece is empty at e = 0
+
+    def cumulative(t):
+        return (
+            np.tan(np.minimum(t, near)) / rho2
+            + mid_scale * (np.sin(np.clip(t, near, far)) - np.sin(near))
+            + (1.0 / np.sin(far) ** 2 - 1.0 / np.sin(np.maximum(t, far)) ** 2) / (2.0 * rho2)
+        )
+
+    depth_cut = cumulative(_acos_ratio(xk, rho))
+    inside = sum(np.maximum(0.0, cumulative(0.5 * np.pi - _acos_ratio(d, rho)) - depth_cut) for d in (a, xi - a))
+    return np.where(live, n * inside, 0.0) / (12.0 * xi * xk)
 
 
 def _joint(
@@ -207,25 +236,20 @@ def _joint(
     n_nodes: int,
     a_nodes: int,
     b_nodes: int,
-    angle_nodes: int,
-    workers: int,
 ) -> FacePdf:
-    """One class joint, filled one length slice per pool task."""
+    """One class joint, filled in blocks of `_BLOCK` length nodes."""
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
     if kind is PairKind.OPPOSING:
-        n_lo, other, b_axis, slice_at = xj, xk, indices.k, _opposing_slice
+        n_lo, other, b_axis, slices = xj, xk, indices.k, _opposing_slices
     else:
-        n_lo, other, b_axis, slice_at = 0.0, xj, indices.j, _adjacent_slice
+        n_lo, other, b_axis, slices = 0.0, xj, indices.j, _adjacent_slices
     n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
-    a = np.linspace(0.0, xi, a_nodes)
-    b = np.linspace(0.0, other, b_nodes)
+    a = np.linspace(0.0, xi, a_nodes)[None, :, None]
+    b = np.linspace(0.0, other, b_nodes)[None, None, :]
     vals = np.empty((n_nodes, a_nodes, b_nodes))
-
-    def fill(idx: int) -> None:
-        vals[idx] = slice_at(n_grid[idx], a, b, xi, xj, xk, angle_nodes)
-
-    run_each(fill, range(n_nodes), workers)
+    for start in range(0, n_nodes, _BLOCK):
+        vals[start : start + _BLOCK] = slices(n_grid[start : start + _BLOCK, None, None], a, b, xi, xj, xk)
     dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, ("n", f"x{indices.i}", f"x{b_axis}"))
     mass = dens.integral()
     return FacePdf(kind, indices, dens.normalized(force=True), mass)
@@ -237,17 +261,28 @@ def joint_pdf_opposing(
     n_nodes: int = 64,
     a_nodes: int = 64,
     b_nodes: int = 64,
-    angle_nodes: int = 2048,
-    workers: int = 1,
 ) -> FacePdf:
     """Joint density of (path length n, exit location) on the opposing face.
 
-    Support starts at n = X_j (the straight crossing).  The radial part of
-    the direction integral is closed analytically; the angular integral
-    runs over the polar angle of the transverse displacement, with both
-    signs of the third component folded in.
+    Support starts at n = X_j (the straight crossing).  With the radial
+    part of the direction integral closed, a slice at (n, a, b) is
+    X_j n / (12 X_i X_k) times the integral of
+    w = 1 / max(X_j, r |sin|, r |cos|)^3 over the arcs of the circle of
+    radius r = sqrt(n^2 - X_j^2) around (a, b) that lie inside the entry
+    face.  w has period pi/2 and mirrors about pi/4, so on each quadrant
+    between two sides' normals its cumulative weight is C(t) = P0(t) up
+    to pi/4 and Q - P0(pi/2 - t) after, with
+    P0(t) = S3(min(t, t*)) / r^3 + max(0, t - t*) / X_j^3,
+    S3(t) = (sec t tan t + ln(sec t + tan t)) / 2,
+    t* = min(pi/4, arccos(min(1, X_j / r))) and Q = 2 P0(pi/4).  A side at
+    distance d cuts the arc of half-width arccos(min(1, d / r)) around its
+    normal, taking C of it from each neighbouring quadrant, so the
+    inclusion-exclusion of `chords._inside_angle` is the sum over the
+    four corners of max(0, Q - C_x - C_y).  At n = X_j the arcs take
+    their r -> 0 limit: 2 pi inside the face, pi on an edge and pi/2 at a
+    corner.
     """
-    return _joint(box, PairKind.OPPOSING, indices, n_nodes, a_nodes, b_nodes, angle_nodes, workers)
+    return _joint(box, PairKind.OPPOSING, indices, n_nodes, a_nodes, b_nodes)
 
 
 def joint_pdf_adjacent(
@@ -256,23 +291,29 @@ def joint_pdf_adjacent(
     n_nodes: int = 64,
     a_nodes: int = 64,
     e_nodes: int = 64,
-    angle_nodes: int = 1024,
-    workers: int = 1,
 ) -> FacePdf:
     """Joint density of (length, exit location) on the adjacent face x_k = 0.
 
     The entry-depth integral is closed (the exit pins the depth
-    coordinate); the in-plane displacement integral is parametrized by its
-    polar angle, which regularizes the square-root edge of the integrand.
+    coordinate); a slice at (n, a, e) is n / (12 X_i X_k) times the
+    integral of w = rho cos(phi) / max(e, rho |sin phi|, rho cos phi)^3
+    over the arcs of the half circle of radius rho = sqrt(n^2 - e^2)
+    around (a, 0) on the entry face's edge that lie inside the face, phi
+    measured from the depth axis.  w is even; on [0, pi/2] its cumulative
+    weight C(t) is tan(t) / rho^2 up to t1 = min(pi/4, arccos(min(1, e / rho))),
+    then grows by rho sin(t) / e^3 up to t2 = max(pi/4, arcsin(min(1, e / rho))),
+    then by -1 / (2 rho^2 sin^2 t).  On each side of the depth axis the
+    inside arc runs from the depth cut arccos(min(1, X_k / rho)) to
+    arcsin(min(1, d / rho)), d the distance to the side x_i = 0 or X_i,
+    which is the inclusion-exclusion of `chords._inside_angle` summed per
+    half.  The slab e >= n is zero, and so is the n = 0 slab, where
+    f(n, a, 0) grows like 1 / n.
     """
-    return _joint(box, PairKind.ADJACENT, indices, n_nodes, a_nodes, e_nodes, angle_nodes, workers)
+    return _joint(box, PairKind.ADJACENT, indices, n_nodes, a_nodes, e_nodes)
 
 
 # ---------------------------------------------------------------------------
 # Length marginals (location integrated over the exit face).
-
-
-_BLOCK = 64  # length nodes per vectorised block of the ray length marginals
 
 
 def length_marginal_opposing(

@@ -191,10 +191,10 @@ def pair_batch(batch: TrajectoryBatch, entry: FaceId, exit: FaceId) -> Trajector
 
 def test_gate_5_ray_cross_consistency():
     cube = BOXES["cube"]
-    jo = rays.joint_pdf_opposing(cube, IDX, 64, 64, 64, 2048)
-    ja = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 1024)
-    eo = rays.exit_pdf_opposing(cube, IDX, 64, 64, 2048)
-    ea = rays.exit_pdf_adjacent(cube, IDX, 64, 64, 2048)
+    jo = rays.joint_pdf_opposing(cube, IDX, 64, 64, 64)
+    ja = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64)
+    eo = rays.exit_pdf_opposing(cube, IDX, 64, 64)
+    ea = rays.exit_pdf_adjacent(cube, IDX, 64, 64)
     l1_opp = grid_l1_2d(jo.density.integrate_out(0), eo.density)
     l1_adj = grid_l1_2d(ja.density.integrate_out(0), ea.density)
     mass_gap = max(abs(jo.mass / eo.mass - 1.0), abs(ja.mass / ea.mass - 1.0))
@@ -237,9 +237,9 @@ def test_gate_6_end_to_end():
     del batch
     for cls in canonical_classes():
         if cls.kind is PairKind.OPPOSING:
-            joint = rays.joint_pdf_opposing(cube, cls.indices, 64, 64, 64, 2048)
+            joint = rays.joint_pdf_opposing(cube, cls.indices, 64, 64, 64)
         else:
-            joint = rays.joint_pdf_adjacent(cube, cls.indices, 64, 64, 64, 1024)
+            joint = rays.joint_pdf_adjacent(cube, cls.indices, 64, 64, 64)
         rep = compare.compare_joint(hists[cls.label], joint.density)
         worst_joint = max(worst_joint, rep.l1)
     comb = combined_length_pdf_rays(cube, 1025, 2048)
@@ -296,7 +296,7 @@ def test_gate_7a_band_map_annulus():
 def test_gate_7b_mode_elevation_contrast():
     """Ray exits hug the shared edge; chord exits peak much higher."""
     cube = BOXES["cube"]
-    e_rays = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 1024).density.marginal_1d(2)
+    e_rays = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.marginal_1d(2)
     e_chords = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.marginal_1d(2)
     mode_rays = float(e_rays.nodes[np.argmax(e_rays.values)])
     mode_chords = float(e_chords.nodes[np.argmax(e_chords.values)])

@@ -18,6 +18,7 @@ from boxpath import (
     BoxDims,
     FaceId,
     JointHistogram,
+    PairKind,
     Side,
     canonical_classes,
     chords,
@@ -76,23 +77,55 @@ def test_analytic_outputs(workdir):
 
 
 def test_analytic_computes_each_class_law_once(workdir, tmp_path, monkeypatch):
-    """On the cube one law per kind serves all nine classes, for both models."""
+    """On the cube one law per kind serves all nine classes, for both models:
+    every ray and chord kernel runs once per kind."""
     calls = {}
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[f"{module.__name__}.{name}"] = calls.get(f"{module.__name__}.{name}", 0) + 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(rays, "length_marginal_adjacent")
-    counted(rays, "length_marginal_opposing")
+    kernels = [
+        (rays, "length_marginal_adjacent"),
+        (rays, "length_marginal_opposing"),
+        *((rays, f"{law}_pdf_{kind}") for law in ("joint", "exit") for kind in ("opposing", "adjacent")),
+        *((chords, f"joint_pdf_{kind}") for kind in ("opposing", "adjacent")),
+    ]
+    for module, name in kernels:
+        counted(module, name)
     counted(chords, "pair_length_pdf")
     assert cli.main(["analytic", "--config", str(workdir / "tiny.json"), "--out", str(tmp_path)]) == 0
-    assert calls == {"length_marginal_adjacent": 1, "length_marginal_opposing": 1, "pair_length_pdf": 2}
+    assert calls == {**{f"{m.__name__}.{name}": 1 for m, name in kernels}, "boxpath.chords.pair_length_pdf": 2}
+
+
+@pytest.mark.parametrize("kind", list(PairKind))
+@pytest.mark.parametrize("stem", ["rays_joint", "chords_joint", "rays_exit"])
+def test_classes_with_equal_dims_share_values_not_labels(workdir, stem, kind):
+    """On the cube the classes of a kind save one law's values, each under its own indices and axis names."""
+    classes = [cls for cls in canonical_classes() if cls.kind is kind]
+    first, _ = bio.load_density(workdir / "analytic" / f"{stem}_{classes[0].label}.npz")
+    for cls in classes:
+        density, meta = bio.load_density(workdir / "analytic" / f"{stem}_{cls.label}.npz")
+        i, j, k = cls.indices.as_tuple
+        assert np.array_equal(density.values, first.values)
+        assert meta["indices"] == [i, j, k]
+        assert density.axis_names[-2:] == (f"x{i}", f"x{k if kind is PairKind.OPPOSING else j}")
+
+
+def test_slope_nodes_is_accepted_and_unused(workdir, tmp_path):
+    """An older config's `slope_nodes` still loads, and its value changes no artifact byte."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "slope_nodes": 64}))
+    assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    saved = sorted(p.name for p in (workdir / "analytic").glob("*.npz"))
+    assert saved == sorted(p.name for p in (tmp_path / "out").glob("*.npz"))
+    for name in saved:
+        assert (tmp_path / "out" / name).read_bytes() == (workdir / "analytic" / name).read_bytes()
 
 
 def test_single_face_uses_config_nodes(workdir):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from boxpath import BoxDims, IndexTriple, compare, rays
 from boxpath.geometry import FaceId, IndexTriple, Side
@@ -51,7 +52,7 @@ def test_exit_masses_sum_to_one_slab(slab):
 
 
 def test_opposing_exit_pdf_centrally_symmetric(skew_box):
-    pdf = rays.exit_pdf_opposing(skew_box, IDX, 65, 65, 1024)
+    pdf = rays.exit_pdf_opposing(skew_box, IDX, 65, 65)
     vals = pdf.density.values
     assert np.allclose(vals, vals[::-1, ::-1], atol=1e-12)
 
@@ -62,8 +63,8 @@ def test_opposing_exit_pdf_centrally_symmetric(skew_box):
 
 @pytest.fixture(scope="module")
 def cube_joints(cube):
-    jo = rays.joint_pdf_opposing(cube, IDX, 64, 64, 64, 2048)
-    ja = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64, 1024)
+    jo = rays.joint_pdf_opposing(cube, IDX, 64, 64, 64)
+    ja = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64)
     return jo, ja
 
 
@@ -75,10 +76,10 @@ def test_joint_masses_match_exit_masses(cube, cube_joints):
 
 def test_joint_location_marginal_matches_exit_pdf(cube, cube_joints):
     jo, ja = cube_joints
-    eo = rays.exit_pdf_opposing(cube, IDX, 64, 64, 2048)
+    eo = rays.exit_pdf_opposing(cube, IDX, 64, 64)
     sheet = jo.density.integrate_out(0)
     assert grid_l1_2d(sheet, eo.density) <= 0.01
-    ea = rays.exit_pdf_adjacent(cube, IDX, 64, 64, 2048)
+    ea = rays.exit_pdf_adjacent(cube, IDX, 64, 64)
     sheet = ja.density.integrate_out(0)
     assert grid_l1_2d(sheet, ea.density) <= 0.03
 
@@ -200,6 +201,140 @@ def test_joints_match_sampling(cube, cube_joints, rays_batch_cube):
     assert rep.in_range_fraction == pytest.approx(1.0, abs=1e-3)
     rep = compare.compare_joint(hists["adjacent-entry2-exit1"], ja.density)
     assert rep.l1 <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# exactness of the closed kernels against adaptive quadrature
+
+QUAD_BOXES = [(1.0, 1.0, 1.0), (1.0, 0.1, 1.0), (0.2, 1.0, 0.2), (1.3, 0.8, 1.1)]
+QUAD_IDS = ["cube", "slab", "rod", "skew"]
+
+
+def frames(dims):
+    """(X_i, X_j, X_k) for each entry axis j of the box."""
+    return [(dims[(j + 1) % 3], dims[j], dims[(j + 2) % 3]) for j in range(3)]
+
+
+def piecewise_quad(f, points, lo, hi):
+    """int_lo^hi f, by `quad` on each piece between the breakpoints that fall in [lo, hi]."""
+    pts = np.unique(np.clip([lo, hi, *points], lo, hi))
+    return sum(quad(f, p, q, epsabs=0.0, epsrel=1e-13, limit=200)[0] for p, q in zip(pts[:-1], pts[1:]))
+
+
+def opposing_slice_quad(n, a, b, xi, xj, xk):
+    """The weight 1 / max(X_j, r|sin|, r|cos|)^3 over the angle of the whole circle, inside points only."""
+    r = np.sqrt(n * n - xj * xj)
+
+    def f(psi):
+        x, y = a + r * np.cos(psi), b + r * np.sin(psi)
+        return (0.0 <= x <= xi and 0.0 <= y <= xk) / max(xj, r * abs(np.sin(psi)), r * abs(np.cos(psi))) ** 3
+
+    # where the circle crosses a side's line, where r|cos| or r|sin| meets X_j, and the diagonals
+    half = [np.arccos(d / r) for d in (a, xi - a, b, xk - b, xj) if d < r]
+    points = [c + s * h for c in np.arange(5) * 0.5 * np.pi for h in half for s in (-1, 1)]
+    return xj * n * piecewise_quad(f, points + list(np.arange(8) * 0.25 * np.pi), 0.0, 2.0 * np.pi) / (12.0 * xi * xk)
+
+
+def adjacent_slice_quad(n, a, e, xi, xj, xk):
+    """The weight depth / max(e, rho|sin|, depth)^3 over the angle of the half circle, inside points only."""
+    if e >= n:
+        return 0.0
+    rho = np.sqrt(n * n - e * e)
+
+    def f(phi):
+        x, depth = a - rho * np.sin(phi), rho * np.cos(phi)
+        return (0.0 <= x <= xi and depth <= xk) * depth / max(e, rho * abs(np.sin(phi)), depth) ** 3
+
+    points = [s * np.arcsin(d / rho) for d in (a, xi - a, e) if d < rho for s in (-1, 1)]
+    points += [s * np.arccos(d / rho) for d in (xk, e) if d < rho for s in (-1, 1)]
+    return n * piecewise_quad(f, points + [-0.25 * np.pi, 0.0, 0.25 * np.pi], -0.5 * np.pi, 0.5 * np.pi) / (12.0 * xi * xk)
+
+
+def assert_close(closed, ref, rel=1e-10):
+    closed, ref = np.asarray(closed), np.asarray(ref)
+    assert np.all(np.abs(closed - ref) <= rel * np.abs(ref) + 1e-14 * ref.max())
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_opposing_slices_match_quad(dims):
+    """Random, edge and corner exits; at n = X_j the arcs take their r -> 0 limit."""
+    rng = np.random.default_rng(31)
+    for xi, xj, xk in frames(dims):
+        diag = float(np.sqrt(xi * xi + xj * xj + xk * xk))
+        n = rng.uniform(xj, diag, 12)
+        a = np.concatenate([rng.uniform(0.0, xi, 8), [0.0, xi, 0.0, xi]])
+        b = np.concatenate([rng.uniform(0.0, xk, 8), [0.3 * xk, 0.0, 0.0, xk]])
+        ref = [opposing_slice_quad(*node, xi, xj, xk) for node in zip(n, a, b)]
+        assert_close(rays._opposing_slices(n, a, b, xi, xj, xk), ref)
+        # n = X_j: 2 pi inside the face, pi on an edge and pi/2 at a corner, all at weight 1 / X_j^3
+        limit = rays._opposing_slices(xj, np.array([0.5 * xi, 0.0, xi]), np.array([0.5 * xk, 0.5 * xk, xk]), xi, xj, xk)
+        assert_close(limit, np.array([2.0, 1.0, 0.5]) * np.pi / (12.0 * xi * xj * xk))
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_adjacent_slices_match_quad(dims):
+    """Random exits, exits on the side edges, on the shared edge e = 0 and just below e = n."""
+    rng = np.random.default_rng(32)
+    for xi, xj, xk in frames(dims):
+        diag = float(np.sqrt(xi * xi + xj * xj + xk * xk))
+        n = rng.uniform(0.0, diag, 14)
+        a = np.concatenate([rng.uniform(0.0, xi, 8), [0.0, xi, 0.0, xi, 0.4 * xi, 0.6 * xi]])
+        e = np.concatenate([rng.uniform(0.0, np.minimum(n[:8], xj)), [0.5, 0.5, 0.0, 0.0, 0.0, 0.999] * np.minimum(n[8:], xj)])
+        ref = [adjacent_slice_quad(*node, xi, xj, xk) for node in zip(n, a, e)]
+        assert_close(rays._adjacent_slices(n, a, e, xi, xj, xk), ref)
+        assert np.all(rays._adjacent_slices(n[:4], a[:4], n[:4], xi, xj, xk) == 0.0)
+
+
+def overlap_kernel(u, alpha, width):
+    """Density of x + alpha t at u in [0, width], for x ~ U(0, width), t ~ U(-1, 1)."""
+    return 0.5 * (min(1.0, u / alpha) + min(1.0, (width - u) / alpha)) / width
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_exit_maps_match_quad_over_slope(dims):
+    """Every node of both exit maps (the adjacent e = 0 column aside) against `quad` over the slope s."""
+    box = BoxDims(*dims)
+    for j in (1, 2, 3):
+        idx = IndexTriple(j % 3 + 1, j, (j + 1) % 3 + 1)
+        xi, xj, xk = box.dim(idx.i), box.dim(idx.j), box.dim(idx.k)
+        opp = rays.exit_pdf_opposing(box, idx, 9, 7)
+        closed = opp.mass * opp.density.values
+        ref = np.array(
+            [
+                [
+                    piecewise_quad(
+                        lambda s: overlap_kernel(a, xj / s, xi) * overlap_kernel(b, xj / s, xk),
+                        [xj / p for p in (a, xi - a, b, xk - b) if p > 0],
+                        0.0,
+                        1.0,
+                    )
+                    for b in opp.density.nodes(1)
+                ]
+                for a in opp.density.nodes(0)
+            ]
+        )
+        assert np.abs(closed - ref).max() <= 1e-12 * ref.max()
+        adj = rays.exit_pdf_adjacent(box, idx, 9, 7)
+        closed = adj.mass * adj.density.values[:, 1:]
+        ref = np.array(
+            [
+                [
+                    piecewise_quad(
+                        lambda s: min(1.0, (xk * s / e) ** 2) / (4.0 * xk * s) * overlap_kernel(a, e / s, xi),
+                        [e / p for p in (a, xi - a, xk) if p > 0],
+                        0.0,
+                        1.0,
+                    )
+                    for e in adj.density.nodes(1)[1:]
+                ]
+                for a in adj.density.nodes(0)
+            ]
+        )
+        assert np.abs(closed - ref).max() <= 1e-12 * ref.max()
+
+
+def test_cube_opposing_exit_mass_is_exact(cube):
+    assert rays.exit_pdf_opposing(cube, IDX, 65, 65).mass == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
