@@ -20,17 +20,15 @@ where theta_in is the angle of the circle that lies inside the rectangle
 and the (length, exit location) joints are these values on a grid.  The
 location-integrated pair laws integrate them over the exit face: in
 closed form for an opposing pair, and by Gauss-Legendre panels split at
-the arc's kinks for an adjacent pair.  Every node value is exact up to
-rounding and that quadrature; nothing is sampled or convolved.
+the arc's kinks for an adjacent pair.  Every node value (but the opposing
+pair law's first) is exact to that quadrature; nothing is convolved.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .rays import FacePdf, _acos_ratio
+from .rays import FacePdf, _acos_ratio, _jump_law, _panels
 from .density import GridDensity, GridDensity1D
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
@@ -43,14 +41,7 @@ __all__ = [
     "pair_length_pdf",
 ]
 
-_PANEL_NODES = 24  # Gauss-Legendre nodes per panel of the adjacent pair integral
-
-
-@functools.cache
-def _phi_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on phi in (0, pi); built on first use, off the import path."""
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    return 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
+_PANEL_NODES = 24  # Gauss-Legendre nodes per panel of the adjacent pair integral and the opposing edge node
 
 
 def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> float:
@@ -184,9 +175,8 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     (E, Z) is uniform on X_j x X_k, so
     f(n) = 2n / (X_i^2 X_j X_k) int_0^min(n, X_i) (X_i - t) theta(sqrt(n^2 - t^2)) dt,
     theta the arc angle at a corner of that rectangle.  With t = n sin a
-    the range splits where n cos a equals X_j, X_k or their hypotenuse;
-    each panel is mapped by a = mid - half cos(phi), which smooths the
-    square-root behaviour at its ends, and summed by Gauss-Legendre in phi.
+    the range splits where n cos a equals X_j, X_k or their hypotenuse,
+    and each panel is summed by `rays._panels`.
     """
     xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
     n = np.asarray(n, dtype=float)
@@ -203,11 +193,7 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     m = n[..., None]
     a_max = 0.5 * np.pi - _acos_ratio(xi, m)
     cuts = [np.minimum(a_max, _acos_ratio(c, m)) for c in (xj, xk, np.hypot(xj, xk))]
-    edges = np.sort(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), axis=-1)[..., None]
-    lo, half = edges[..., :-1, :], 0.5 * np.diff(edges, axis=-2)
-    phi, phi_weights = _phi_rule()
-    a = lo + half * (1.0 - np.cos(phi))
-    weight = half * np.sin(phi) * phi_weights
+    a, weight = _panels(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), _PANEL_NODES)
     s = m[..., None] * np.cos(a)
     integrand = (xi - m[..., None] * np.sin(a)) * _inside_angle(s, 0.0, xj, 0.0, xk) * s
     return 2.0 * n * np.sum(weight * integrand, axis=(-2, -1)) / (xi * xi * xj * xk)
@@ -222,9 +208,12 @@ def pair_length_pdf(
     """Unit-mass length density for a face pair, location integrated out.
 
     The node values are the exact law (see `_pair_values`); the support
-    starts at the gap X_j for an opposing pair and at 0 for an adjacent one.
+    starts at the gap X_j for an opposing pair, whose n = X_j node is the
+    first cell's hat average (`rays._jump_law`), and at 0 for an adjacent one.
     """
     box = BoxDims.from_any(box)
-    n_lo = box.dim(indices.j) if kind is PairKind.OPPOSING else 0.0
-    n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
-    return GridDensity1D(n_lo, box.diagonal, _pair_values(box, kind, indices, n_grid)).normalized(force=True)
+    if kind is PairKind.OPPOSING:
+        law = _jump_law(lambda n: _pair_values(box, kind, indices, n), box.dim(indices.j), box.diagonal, n_nodes, _PANEL_NODES)
+    else:
+        law = GridDensity1D(0.0, box.diagonal, _pair_values(box, kind, indices, np.linspace(0.0, box.diagonal, n_nodes)))
+    return law.normalized(force=True)

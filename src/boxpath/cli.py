@@ -51,7 +51,7 @@ class RunConfig:
     grid_nodes_1d: int = 1025
     bins_joint: tuple[int, int, int] = (8, 8, 8)
     bins_length: int = 128
-    angle_nodes: int = 2048  # angle rule of the ray length marginals
+    angle_nodes: int = 2048  # unused: the ray length marginals are panel integrals; kept so older configs load
     slope_nodes: int = 2048  # unused: the exit maps are closed in the slope; kept so older configs load
 
     def to_dict(self) -> dict:
@@ -200,7 +200,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             outputs.append(f"rays_exit_{cls.label}.csv")
 
     for model in ("rays", "chords"):
-        table = combined.class_law_table(box, model, cfg.grid_nodes_1d, cfg.angle_nodes)
+        table = combined.class_law_table(box, model, cfg.grid_nodes_1d)
         comb = table.combined()
         meta = {
             "integral": comb.integral,

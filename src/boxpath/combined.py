@@ -125,7 +125,7 @@ class ClassLawTable:
         for cls, mult, p_entry in pairs:
             weight = mult * p_entry
             if self.model == "chords":
-                weight = weight * entry_probability(box, cls.exit_face) / (1.0 - entry_probability(box, cls.entry_face))
+                weight = weight * chords.conditional_exit_probability(box, cls.entry_face, cls.exit_face)
             law = self.laws[_law_key(box, cls)]
             values += weight * law.project(grid)
             terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, law.integral()))
@@ -140,14 +140,12 @@ def class_law_table(
     box: BoxDims,
     model: str = "rays",
     n_nodes: int = 1025,
-    angle_nodes: int = 2048,
     classes: list[FacePairClass] | None = None,
 ) -> ClassLawTable:
     """Compute the length law of each class in `classes` (default: all nine).
 
-    "rays" laws are `rays.length_marginal_*` sub-densities at
-    `angle_nodes` (halved for adjacent classes, whose elevation integral
-    is closed); "chords" laws are `chords.pair_length_pdf` unit densities.
+    "rays" laws are `rays.length_marginal_*` sub-densities; "chords" laws
+    are `chords.pair_length_pdf` unit densities.
     A law is computed once per distinct (kind, X_i, X_j, X_k),
     so on the cube one law serves every class of a kind.
     """
@@ -162,23 +160,22 @@ def class_law_table(
         if model == "chords":
             laws[key] = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes)
         elif cls.kind is PairKind.OPPOSING:
-            laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes, angle_nodes)
+            laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes)
         else:
-            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes, angle_nodes // 2)
+            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes)
     return ClassLawTable(box, model, n_nodes, laws)
 
 
 def combined_length_pdf_rays(
     box: BoxDims,
     n_nodes: int = 1025,
-    angle_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density over all entries for the face-interior model.
 
     f(n) = sum over entry faces of P_entry times the per-entry length law,
     expanded into 2 opposing + 4 adjacent weighted class marginals.
     """
-    return class_law_table(box, "rays", n_nodes, angle_nodes).combined()
+    return class_law_table(box, "rays", n_nodes).combined()
 
 
 def combined_length_pdf_chords(
@@ -199,7 +196,6 @@ def single_face_length_pdf(
     entry_face: FaceId,
     model: str = "rays",
     n_nodes: int = 1025,
-    angle_nodes: int = 2048,
 ) -> CombinedLengthPdf:
     """Length density conditional on one entry face.
 
@@ -208,7 +204,7 @@ def single_face_length_pdf(
     remaining surface).  The five exit faces contribute one opposing and
     four adjacent terms; the table holds only the laws those need.
     """
-    table = class_law_table(box, model, n_nodes, angle_nodes, _exit_classes(entry_face))
+    table = class_law_table(box, model, n_nodes, _exit_classes(entry_face))
     return table.single_face(entry_face)
 
 

@@ -363,15 +363,6 @@ class JointHistogram:
             raise ValueError("histogram is empty")
         return self.counts / n
 
-    def densities(self) -> np.ndarray:
-        """Per-bin empirical density values (probability / bin volume)."""
-        widths = (
-            np.diff(self.n_edges)[:, None, None]
-            * np.diff(self.u_edges)[None, :, None]
-            * np.diff(self.v_edges)[None, None, :]
-        )
-        return self.probabilities() / widths
-
 
 def class_bin_edges(
     box: BoxDims, cls_kind: PairKind, indices, n_bins: int, u_bins: int, v_bins: int

@@ -23,13 +23,13 @@ with the radial integral closed: a slice at length n integrates the
 direction weight over the arcs of a circle that lie inside the entry
 face, the arcs of `chords._inside_angle` (Santalo, Integral Geometry and
 Geometric Probability, 1976), and on each piece of an arc that weight has
-an elementary antiderivative.  The length marginals keep one angle rule;
-in the adjacent one the exit-elevation integral is closed (see
-`length_marginal_adjacent`).
+an elementary antiderivative.  The length marginals integrate the same
+slices over the exit face, by Gauss-Legendre panels split at the kinks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
 DIRECTION_MODEL = "cube-components"
 
 _BLOCK = 64  # length nodes per vectorised block of the ray joints and length marginals
+_MARGINAL_NODES = 16  # Gauss-Legendre nodes per panel of the ray length marginals
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,23 @@ def _acos_ratio(d, r):
     """arccos(min(1, d / r)) for d, r >= 0, with its r -> 0 limit: 0 off the line, pi/2 on it."""
     near = d < r
     return np.arccos(np.where(near, d / np.where(near, r, 1.0), d > 0))
+
+
+_leggauss = functools.cache(lambda nodes: np.polynomial.legendre.leggauss(nodes))  # built on first use, off the import path
+
+
+def _panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between the sorted `points` of the last axis.
+
+    A panel [lo, lo + 2 h] is mapped by x = lo + h (1 - cos phi), which smooths a square-root
+    end of the integrand, and summed by `nodes` nodes in phi.  Both results have shape
+    points.shape[:-1] + (panels, nodes).
+    """
+    edges = np.sort(points, axis=-1)[..., None]
+    lo, half = edges[..., :-1, :], 0.5 * np.diff(edges, axis=-2)
+    x, w = _leggauss(nodes)
+    phi = 0.5 * np.pi * (x + 1.0)
+    return lo + half * (1.0 - np.cos(phi)), half * np.sin(phi) * (0.5 * np.pi * w)
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +226,32 @@ def _opposing_slices(n, a, b, xi, xj, xk):
     return np.where(n >= xj, xj * n * inside, 0.0) / (12.0 * xi * xk)
 
 
+def _adjacent_arc(e, rho):
+    """The cumulative weight C(t) of `joint_pdf_adjacent` at elevation e and radius rho > 0, and
+    with moment=True also D(t) = int_0^t rho sin(phi) w(phi) dphi, whose three pieces grow by
+    sec / rho, rho^2 sin^2 / (2 e^3) and -1 / (rho sin)."""
+    rho2 = rho * rho
+    arc = _acos_ratio(e, rho)
+    near, far = np.minimum(0.25 * np.pi, arc), np.maximum(0.25 * np.pi, 0.5 * np.pi - arc)
+    sin_near, sin_far = np.sin(near), np.sin(far)
+    mid_scale = rho / np.where(e > 0.0, e, 1.0) ** 3  # the middle piece is empty at e = 0
+
+    def cumulative(t, moment=False):
+        low, mid, high = np.minimum(t, near), np.sin(np.clip(t, near, far)), np.sin(np.maximum(t, far))
+        c = np.tan(low) / rho2 + mid_scale * (mid - sin_near) + (1.0 / sin_far**2 - 1.0 / high**2) / (2.0 * rho2)
+        if not moment:
+            return c
+        d = (1.0 / np.cos(low) - 1.0) / rho + 0.5 * mid_scale * rho * (mid * mid - sin_near * sin_near) + (1.0 / sin_far - 1.0 / high) / rho
+        return c, d
+
+    return cumulative
+
+
 def _adjacent_slices(n, a, e, xi, xj, xk):
     """Adjacent joint values at lengths n over exits (a, e), broadcast; see `joint_pdf_adjacent`."""
     live = e < n
     rho = np.sqrt(np.where(live, n * n - e * e, 1.0))
-    rho2 = rho * rho
-    arc = _acos_ratio(e, rho)
-    near, far = np.minimum(0.25 * np.pi, arc), np.maximum(0.25 * np.pi, 0.5 * np.pi - arc)
-    mid_scale = rho / np.where(e > 0.0, e, 1.0) ** 3  # the middle piece is empty at e = 0
-
-    def cumulative(t):
-        return (
-            np.tan(np.minimum(t, near)) / rho2
-            + mid_scale * (np.sin(np.clip(t, near, far)) - np.sin(near))
-            + (1.0 / np.sin(far) ** 2 - 1.0 / np.sin(np.maximum(t, far)) ** 2) / (2.0 * rho2)
-        )
-
+    cumulative = _adjacent_arc(e, rho)
     depth_cut = cumulative(_acos_ratio(xk, rho))
     inside = sum(np.maximum(0.0, cumulative(0.5 * np.pi - _acos_ratio(d, rho)) - depth_cut) for d in (a, xi - a))
     return np.where(live, n * inside, 0.0) / (12.0 * xi * xk)
@@ -316,59 +344,71 @@ def joint_pdf_adjacent(
 # Length marginals (location integrated over the exit face).
 
 
+def _jump_law(values, lo: float, hi: float, n_nodes: int, nodes: int) -> GridDensity1D:
+    """f = values(n) on `n_nodes` nodes over [lo, hi], in blocks of `_BLOCK` lengths, for f with a jump
+    and a sqrt(n - lo) term at lo that the trapezoid rule does not resolve: the lo node is the first
+    cell's hat average int f phi_0 / int phi_0, the node value of `GridDensity1D.project`."""
+    n_grid = np.linspace(lo, hi, n_nodes)
+    vals = np.concatenate([values(n_grid[start : start + _BLOCK]) for start in range(0, n_nodes, _BLOCK)])
+    h = n_grid[1] - lo
+    n, w = _panels(np.array([lo, lo + h]), nodes)
+    vals[0] = np.sum(w * values(n[0]) * (1.0 - (n[0] - lo) / h)) / (0.5 * h)
+    return GridDensity1D(lo, hi, vals)
+
+
+def _opposing_values(n, xi, xj, xk):
+    """The opposing length law at lengths n >= X_j (1-d); see `length_marginal_opposing`."""
+    n = n[:, None]
+    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
+    star = np.minimum(0.25 * np.pi, _acos_ratio(xj, r))
+    ends = [_acos_ratio(xi, r), 0.5 * np.pi - _acos_ratio(xk, r)]  # outside them the integrand is 0
+    t, w = _panels(np.concatenate([*ends, star, 0.5 * np.pi - star], axis=-1), _MARGINAL_NODES)
+    rc, rs = r[..., None] * np.cos(t), r[..., None] * np.sin(t)
+    inside = np.maximum(0.0, xi - rc) * np.maximum(0.0, xk - rs) / np.maximum(xj, np.maximum(rc, rs)) ** 3
+    return xj * n[:, 0] * np.sum(w * inside, axis=(-2, -1)) / (3.0 * xi * xk)
+
+
 def length_marginal_opposing(
     box: BoxDims,
     indices: IndexTriple,
     n_nodes: int = 1025,
-    angle_nodes: int = 4096,
 ) -> GridDensity1D:
     """Sub-density of the path length for opposing exits (mass = face-exit
     probability given entry, not renormalized).
 
-    The angle sum runs over blocks of `_BLOCK` length nodes, so the
-    temporaries scale with a block, not with `n_nodes x angle_nodes`.
+    The slices of `joint_pdf_opposing` integrated over the exit face give,
+    with r = sqrt(n^2 - X_j^2),
+
+        f(n) = X_j n / (3 X_i X_k) int_0^{pi/2} (X_i - r cos t)_+ (X_k - r sin t)_+
+               / max(X_j, r cos t, r sin t)^3 dt,
+
+    which `chords._pair_values` closes for chords with weight 1.  Its panels
+    (`_panels`) end at arccos(min(1, X_i / r)) and pi/2 - arccos(min(1, X_k / r))
+    and split at t* = min(pi/4, arccos(min(1, X_j / r))) and pi/2 - t*, where
+    the largest of the three terms changes (pi/4 is a kink only once t* = pi/4).
+    The n = X_j node is the first cell's hat average (`_jump_law`).
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
-    n_grid = np.linspace(xj, box.diagonal, n_nodes)
-    theta = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
-    dtheta = np.pi / angle_nodes
-    sin, cos = np.sin(theta), np.cos(theta)
-    vals = np.empty(n_nodes)
-    for start in range(0, n_nodes, _BLOCK):
-        n = n_grid[start : start + _BLOCK]
-        root = np.sqrt(np.maximum(n[:, None] ** 2 - xj * xj, 0.0))
-        delta = root * sin
-        dplane = root * cos
-        ki = np.clip(xi - np.abs(delta), 0.0, None) / xi
-        kk = 2.0 * np.clip(xk - dplane, 0.0, None) / xk
-        reach = n[:, None] / np.maximum(xj, np.maximum(np.abs(delta), dplane))
-        w = xj / (12.0 * n**2)
-        vals[start : start + _BLOCK] = w * (ki * kk * reach**3).sum(axis=1) * dtheta
-    return GridDensity1D(xj, box.diagonal, vals)
+    return _jump_law(lambda n: _opposing_values(n, xi, xj, xk), xj, box.diagonal, n_nodes, _MARGINAL_NODES)
 
 
-def _below_antiderivative(e, n, c, m, ratio):
-    """Antiderivative in e of c * root * (1 - ratio * root) / reach^3 with reach = m * root."""
-    return c / m**3 * (np.arctanh(e / n) / n - ratio * np.arcsin(e / n))
-
-
-def _above_antiderivative(e, n, c, ratio):
-    """Antiderivative in e of c * root * (1 - ratio * root) / reach^3 with reach = e."""
-    root = np.sqrt(np.maximum(n * n - e * e, 0.0))
-    far = -root / (2.0 * e * e) + np.log((n + root) / e) / (2.0 * n)
-    return c * (far + ratio * (n * n / (2.0 * e * e) + np.log(e)))
-
-
-def _elevation_integral(n, lo, hi, c, m, ratio):
-    """Integral over e in [lo, hi] (lo <= hi) of c * root * (1 - ratio * root) / reach^3.
-
-    root = sqrt(n^2 - e^2) and reach = max(e, m * root), which is m * root
-    below e* = n m / sqrt(1 + m^2) and e above it.
-    """
-    split = np.clip(n * m / np.sqrt(1.0 + m * m), lo, hi)
-    below = _below_antiderivative(split, n, c, m, ratio) - _below_antiderivative(lo, n, c, m, ratio)
-    return below + _above_antiderivative(hi, n, c, ratio) - _above_antiderivative(split, n, c, ratio)
+def _adjacent_values(n, xi, xj, xk):
+    """6 X_k times the adjacent length law at lengths n > 0 (1-d); see `length_marginal_adjacent`."""
+    m = n[:, None]
+    top, sq = np.minimum(xj, m), m * m
+    roots = (sq - xk * xk, sq - xi * xi, sq - 2.0 * xk * xk, 0.5 * (sq - xk * xk), sq - 2.0 * xi * xi, 0.5 * (sq - xi * xi), sq - xi * xi - xk * xk)
+    kinks = [m / np.sqrt(3.0), m / np.sqrt(2.0), xk, *(np.sqrt(np.maximum(v, 0.0)) for v in roots)]
+    e, w = _panels(np.concatenate([np.zeros_like(m), top, *(np.minimum(top, k) for k in kinks)], axis=-1), _MARGINAL_NODES)
+    row, col = np.nonzero(w[..., 0] > 0.0)  # most panels are empty; evaluate only the others
+    e, w, m = e[row, col], w[row, col], m[row]
+    live = e < m  # e rounds to n only at the very end of a panel, where the integrand vanishes
+    rho = np.sqrt(np.where(live, m * m - e * e, 1.0))
+    cumulative = _adjacent_arc(e, rho)
+    lo = _acos_ratio(xk, rho)
+    (c_lo, d_lo), (c_hi, d_hi) = (cumulative(t, moment=True) for t in (lo, np.maximum(lo, 0.5 * np.pi - _acos_ratio(xi, rho))))
+    panel_sums = np.sum(np.where(live, w * (c_hi - c_lo - (d_hi - d_lo) / xi), 0.0), axis=-1)
+    return n * np.bincount(row, panel_sums, minlength=n.size)
 
 
 def length_marginal_adjacent(
@@ -381,49 +421,32 @@ def length_marginal_adjacent(
     """Sub-density of the path length for exits through the adjacent face
     x_k = 0 (mass = face-exit probability given entry).
 
-    f(n) = n / (12 X_k) int dphi int de ki depth / reach^3 [depth <= X_k]
-    over the in-plane angle phi and the exit elevation e, with
-    root = sqrt(n^2 - e^2), depth = root cos(phi), ki = 1 - root |sin(phi)| / X_i
-    and reach = max(e, m root), m = max(|sin(phi)|, cos(phi)).  The
-    elevation integral is closed: the integrand is nonzero on [lo, hi] with
-    hi = min(X_j, n) and lo where ki and the depth bound switch on, and it
-    has two pieces split at e* = n m / sqrt(1 + m^2), where reach turns from
-    m root to e.  With s = |sin(phi)|, c = cos(phi) their antiderivatives are
+    The slices of `joint_pdf_adjacent` integrated over the exit position
+    along the shared edge give, with rho = sqrt(n^2 - e^2),
 
-        below e*:  (c / m^3) [atanh(e/n) / n - (s/X_i) arcsin(e/n)]
-        above e*:  c [-root / (2 e^2) + ln((n + root) / e) / (2 n)
-                      + (s/X_i) (n^2 / (2 e^2) + ln e)].
+        f(n) = n / (6 X_k) int_0^{min(X_j, n)} [C - D / X_i] de,
 
-    Only the angle phi keeps a midpoint rule (`angle_nodes`), vectorised
-    over blocks of length nodes.  The n = 0 node is the exact n -> 0+
-    limit at the same angle nodes: X_i, X_j and X_k are then infinite on
-    the scale of n, so n times the elevation integral is the n = 1 integral
-    over e in [0, 1] with ki = 1, which integrates over phi to about
-    3.0936 / (12 X_k).  `elevation_nodes` is unused; it is kept so that
-    existing calls and argument readers keep working.
+    C and D from `_adjacent_arc`, taken from the depth cut
+    arccos(min(1, X_k / rho)) to the side cut pi/2 - arccos(min(1, X_i / rho))
+    (empty once the cuts cross).  Its panels in e (`_panels`) split where
+    the weight's pieces change (n / sqrt(3), n / sqrt(2)), where a cut
+    appears or crosses a piece boundary (X_k, and for X = X_k and X_i:
+    sqrt(n^2 - X^2), sqrt(n^2 - 2 X^2) and sqrt((n^2 - X^2) / 2)) and where
+    the cuts meet (sqrt(n^2 - X_i^2 - X_k^2)).  At e = X_i, where the side
+    cut crosses the last piece boundary, the integrand vanishes at the cut
+    and the kink is too weak to need a split.  The n = 0 node is the exact
+    n -> 0+ limit, this integral at n = 1 with X_i, X_j and X_k infinite:
+    C0 / (12 X_k), C0 about 3.0936.  `angle_nodes` and `elevation_nodes`
+    are unused, kept so that existing calls and argument readers work.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = _dims(box, indices)
     n_grid = np.linspace(0.0, box.diagonal, n_nodes)
-    phi = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
-    dphi = np.pi / angle_nodes
-    s, c = np.abs(np.sin(phi)), np.cos(phi)
-    m = np.maximum(s, c)
-    ratio = s / xi
-    with np.errstate(divide="ignore"):
-        # ki > 0 and depth <= X_k hold where root^2 <= cap
-        cap = np.minimum((xi / s) ** 2, (xk / c) ** 2)
     vals = np.empty(n_nodes)
-    vals[0] = _elevation_integral(1.0, 0.0, 1.0, c, m, 0.0).sum() * dphi / (12.0 * xk)
+    vals[0] = _adjacent_values(np.ones(1), np.inf, np.inf, np.inf)[0]
     for start in range(1, n_nodes, _BLOCK):
-        n = n_grid[start : start + _BLOCK, None]
-        hi = np.minimum(xj, n)
-        lo = np.minimum(np.sqrt(np.maximum(n * n - cap, 0.0)), hi)
-        integ = _elevation_integral(n, lo, hi, c, m, ratio).sum(axis=1) * dphi
-        # the a-marginal of the location indicator contributes X_i * ki,
-        # cancelling the 1/X_i of the entry-area density
-        vals[start : start + _BLOCK] = n[:, 0] / (12.0 * xk) * integ
-    return GridDensity1D(0.0, box.diagonal, vals)
+        vals[start : start + _BLOCK] = _adjacent_values(n_grid[start : start + _BLOCK], xi, xj, xk)
+    return GridDensity1D(0.0, box.diagonal, vals / (6.0 * xk))
 
 
 # ---------------------------------------------------------------------------

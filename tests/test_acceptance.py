@@ -242,7 +242,7 @@ def test_gate_6_end_to_end():
             joint = rays.joint_pdf_adjacent(cube, cls.indices, 64, 64, 64)
         rep = compare.compare_joint(hists[cls.label], joint.density)
         worst_joint = max(worst_joint, rep.l1)
-    comb = combined_length_pdf_rays(cube, 1025, 2048)
+    comb = combined_length_pdf_rays(cube, 1025)
     worst_len = max(worst_len, binned_l1(comb.normalized(), edges, counts))
 
     batch = sample_chords(cube, n, 607, 1)

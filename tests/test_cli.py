@@ -117,10 +117,11 @@ def test_classes_with_equal_dims_share_values_not_labels(workdir, stem, kind):
         assert density.axis_names[-2:] == (f"x{i}", f"x{k if kind is PairKind.OPPOSING else j}")
 
 
-def test_slope_nodes_is_accepted_and_unused(workdir, tmp_path):
-    """An older config's `slope_nodes` still loads, and its value changes no artifact byte."""
+@pytest.mark.parametrize("key", ["slope_nodes", "angle_nodes"])
+def test_slope_nodes_is_accepted_and_unused(workdir, tmp_path, key):
+    """An older config's `slope_nodes` or `angle_nodes` still loads, and its value changes no artifact byte."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**TINY, "slope_nodes": 64}))
+    cfg.write_text(json.dumps({**TINY, key: 64}))
     assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     saved = sorted(p.name for p in (workdir / "analytic").glob("*.npz"))
     assert saved == sorted(p.name for p in (tmp_path / "out").glob("*.npz"))
@@ -131,7 +132,7 @@ def test_slope_nodes_is_accepted_and_unused(workdir, tmp_path):
 def test_single_face_uses_config_nodes(workdir):
     cfg = cli.RunConfig.from_dict(TINY)
     saved, _ = bio.load_density(workdir / "analytic" / "single_face_rays_axis2.npz")
-    law = single_face_length_pdf(cfg.box_dims, FaceId(2, Side.LOW), "rays", cfg.grid_nodes_1d, angle_nodes=cfg.angle_nodes)
+    law = single_face_length_pdf(cfg.box_dims, FaceId(2, Side.LOW), "rays", cfg.grid_nodes_1d)
     assert np.array_equal(saved.values, law.density.values)
 
 

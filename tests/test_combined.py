@@ -1,6 +1,8 @@
 """Combined (all-entry) length laws for both models."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +32,19 @@ from boxpath.rays import FacePdf
 
 from conftest import binned_l1
 
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def _load_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
 
 @pytest.fixture(scope="module")
 def cube_combined_rays(cube):
-    return combined_length_pdf_rays(cube, 513, 1024)
+    return combined_length_pdf_rays(cube, 513)
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +88,27 @@ def test_slab_mixtures_keep_their_mass(slab):
 
     Each chord class law has unit mass, so the chord mixture's is 1 to
     rounding; the ray class laws carry their face-exit masses, which sum
-    to 1 up to the angle rule.
+    to 1 up to each law's own trapezoid mass error.
     """
-    assert combined_length_pdf_rays(slab, 257, 512).integral == pytest.approx(1.0, abs=2e-4)
+    assert combined_length_pdf_rays(slab, 257).integral == pytest.approx(1.0, abs=2e-4)
     assert combined_length_pdf_chords(slab, 257).integral == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims, bound", [((1.0, 1.0, 1.0), 1e-6), ((1.0, 0.1, 1.0), 5e-6)], ids=["cube", "slab"])
+def test_combined_ray_mean_matches_oracle(dims, bound):
+    """At the benchmark's 257 nodes the ray mixture's mean matches the independent
+    oracle's (measured off by 4.5e-8 on the cube and 3.1e-6 on the slab)."""
+    oracle = _load_oracle()
+    law = combined_length_pdf_rays(BoxDims(*dims), 257).density
+    _, mean = oracle.law_mass_mean(law.lo, law.hi, law.values)
+    assert abs(mean - oracle.references(dims)["ray_combined"]) <= bound
 
 
 def test_scaling_law():
     """Scaling the box by c scales every chord length by c."""
     small = BoxDims(0.5, 0.4, 0.55)
     big = BoxDims(1.0, 0.8, 1.1)
-    for builder in (lambda box: combined_length_pdf_rays(box, 257, 512), lambda box: combined_length_pdf_chords(box, 257)):
+    for builder in (lambda box: combined_length_pdf_rays(box, 257), lambda box: combined_length_pdf_chords(box, 257)):
         e_small = builder(small).density.mean()
         e_big = builder(big).density.mean()
         assert e_big == pytest.approx(2.0 * e_small, rel=1e-3)
@@ -117,13 +138,13 @@ def test_single_face_matches_pinned_sampling(cube):
 
 def test_combined_is_entry_weighted_sum_of_single_faces(skew_box):
     """f(n) = sum over entry faces f of P_f times the single-face law of f."""
-    for model, combined, nodes in (
-        ("rays", combined_length_pdf_rays(skew_box, 129, 256), {"angle_nodes": 256}),
-        ("chords", combined_length_pdf_chords(skew_box, 129), {}),
+    for model, combined in (
+        ("rays", combined_length_pdf_rays(skew_box, 129)),
+        ("chords", combined_length_pdf_chords(skew_box, 129)),
     ):
         total = np.zeros(129)
         for face in ALL_FACES:
-            single = single_face_length_pdf(skew_box, face, model, 129, **nodes)
+            single = single_face_length_pdf(skew_box, face, model, 129)
             total += entry_probability(skew_box, face) * single.density.values
         peak = combined.density.values.max()
         assert np.max(np.abs(total - combined.density.values)) <= 1e-12 * peak

@@ -1,12 +1,13 @@
 """Face-entry ray model: exit pdfs, joints, marginals, Jacobians."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from boxpath import BoxDims, IndexTriple, compare, rays
+from boxpath import BoxDims, IndexTriple, PairKind, canonical_classes, compare, rays
 from boxpath.geometry import FaceId, IndexTriple, Side
 
 IDX = IndexTriple(1, 2, 3)
@@ -86,49 +87,10 @@ def test_joint_location_marginal_matches_exit_pdf(cube, cube_joints):
 
 def test_joint_length_marginal_matches_dedicated(cube, cube_joints):
     jo, ja = cube_joints
-    lm = rays.length_marginal_opposing(cube, IDX, 513, 1024).normalized(force=True)
+    lm = rays.length_marginal_opposing(cube, IDX, 513).normalized(force=True)
     assert line_l1(lm, jo.density.marginal_1d(0), 1.0, np.sqrt(3.0)) <= 0.01
     lma = rays.length_marginal_adjacent(cube, IDX, 513, 512, 256).normalized(force=True)
     assert line_l1(lma, ja.density.marginal_1d(0), 0.0, np.sqrt(3.0)) <= 0.03
-
-
-def _adjacent_marginal_midpoint(box, idx, n_nodes, angle_nodes, elevation_nodes):
-    """The adjacent length marginal by a per-n midpoint rule in elevation and angle."""
-    xi, xj, xk = box.dim(idx.i), box.dim(idx.j), box.dim(idx.k)
-    n_grid = np.linspace(0.0, box.diagonal, n_nodes)
-    phi = (np.arange(angle_nodes) + 0.5) / angle_nodes * np.pi - np.pi / 2.0
-    vals = np.zeros(n_nodes)
-    for idx_n, n in enumerate(n_grid[1:], 1):
-        e_hi = min(xj, n)
-        e = e_hi * (np.arange(elevation_nodes) + 0.5) / elevation_nodes
-        root = np.sqrt(n * n - e * e)[:, None]
-        delta, depth = root * np.sin(phi), root * np.cos(phi)
-        reach = np.maximum(e[:, None], np.maximum(np.abs(delta), depth))
-        ki = np.clip(1.0 - np.abs(delta) / xi, 0.0, None)
-        integ = np.where(depth <= xk, ki * depth / reach**3, 0.0).sum() * (e_hi / elevation_nodes) * (np.pi / angle_nodes)
-        vals[idx_n] = n / (12.0 * xk) * integ
-    return vals
-
-
-@pytest.mark.parametrize(
-    "dims, idx",
-    [
-        ((1.0, 1.0, 1.0), IndexTriple(1, 2, 3)),
-        ((1.0, 0.1, 1.0), IndexTriple(1, 3, 2)),
-        ((0.2, 1.0, 0.2), IndexTriple(2, 1, 3)),
-        ((1.3, 0.8, 1.1), IndexTriple(1, 3, 2)),
-    ],
-)
-def test_adjacent_marginal_closed_elevation_matches_midpoint_rule(dims, idx):
-    """The closed elevation integral agrees with a 4096-node midpoint rule at the same angle nodes.
-
-    The midpoint rule's own error (the depth bound is a jump in e) was
-    measured at up to 1.6e-5 of the peak on these boxes.
-    """
-    box = BoxDims(*dims)
-    closed = rays.length_marginal_adjacent(box, idx, 33, 128).values
-    brute = _adjacent_marginal_midpoint(box, idx, 33, 128, 4096)
-    assert np.abs(closed[1:] - brute[1:]).max() <= 5e-5 * brute.max()
 
 
 def test_adjacent_marginal_zero_length_limit(skew_box):
@@ -161,8 +123,9 @@ def test_adjacent_marginal_mass_cube(cube):
 def test_adjacent_marginal_memory_is_blocked(slab):
     """Temporaries scale with a block of length nodes, not with the whole grid.
 
-    At 1025 x 1024 nodes one (length, angle) array is 8 MB; the blocked
-    kernel peaked at about 4 MB under tracemalloc, an unblocked one at 64 MB.
+    At 1025 length nodes one (length, panel, node) array of the elevation
+    panels is 1.6 MB; the blocked kernel peaked at about 0.6 MB under
+    tracemalloc.
     """
     tracemalloc.start()
     try:
@@ -174,11 +137,11 @@ def test_adjacent_marginal_memory_is_blocked(slab):
 
 
 def test_opposing_marginal_memory_is_blocked(slab):
-    """As for the adjacent marginal: at 1025 x 2048 nodes the blocked kernel
-    peaked at about 7 MB under tracemalloc, an unblocked one at 112 MB."""
+    """As for the adjacent marginal: at 1025 length nodes the blocked kernel
+    peaked at about 0.2 MB under tracemalloc."""
     tracemalloc.start()
     try:
-        rays.length_marginal_opposing(slab, IDX, 1025, 2048)
+        rays.length_marginal_opposing(slab, IDX, 1025)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,6 +294,113 @@ def test_exit_maps_match_quad_over_slope(dims):
             ]
         )
         assert np.abs(closed - ref).max() <= 1e-12 * ref.max()
+
+
+def distinct_classes(dims, kind):
+    """(X_i, X_j, X_k) of each canonical class of `kind` with its own length law."""
+    box = BoxDims(*dims)
+    return sorted({tuple(box.dim(a) for a in cls.indices.as_tuple) for cls in canonical_classes() if cls.kind is kind})
+
+
+def quad_with_points(f, points, lo, hi, epsrel):
+    return quad(f, lo, hi, points=sorted({p for p in points if lo < p < hi}) or None, epsabs=0.0, epsrel=epsrel, limit=200)[0]
+
+
+def opposing_marginal_quad(n, xi, xj, xk):
+    """The exit-face overlap of an in-plane offset of length r times the weight, over the whole circle."""
+    r = np.sqrt(n * n - xj * xj)
+
+    def f(psi):
+        c, s = abs(math.cos(psi)), abs(math.sin(psi))
+        return max(0.0, xi - r * c) * max(0.0, xk - r * s) / max(xj, r * c, r * s) ** 3
+
+    half = [math.acos(d / r) for d in (xi, xk, xj) if d < r]
+    points = [c + s * h for c in np.arange(5) * 0.5 * np.pi for h in half for s in (-1, 1)]
+    return xj * n * quad_with_points(f, points + list(np.arange(8) * 0.25 * np.pi), 0.0, 2.0 * np.pi, 1e-12) / (12.0 * xi * xk)
+
+
+def adjacent_marginal_quad(n, xi, xj, xk):
+    """Nested: over the elevation e, of the half circle's angle phi of (X_i - rho |sin|)_+ depth / reach^3 [depth <= X_k].
+
+    The inner integrand is even in phi, so it runs over [0, pi/2] and is doubled.
+    """
+
+    def inner(e):
+        rho = math.sqrt(n * n - e * e)
+
+        def f(phi):
+            side, depth = rho * math.sin(phi), rho * math.cos(phi)
+            return (depth <= xk) * max(0.0, xi - side) * depth / max(e, side, depth) ** 3
+
+        points = [math.asin(d / rho) for d in (xi, e) if d < rho] + [math.acos(d / rho) for d in (xk, e) if d < rho]
+        return 2.0 * quad_with_points(f, points + [0.25 * np.pi], 0.0, 0.5 * np.pi, 1e-11)
+
+    sq = n * n
+    kinks = [n / np.sqrt(3.0), n / np.sqrt(2.0), np.sqrt(max(0.0, sq - xi * xi - xk * xk))]
+    for x in (xi, xk):
+        kinks += [x, *(np.sqrt(max(0.0, v)) for v in (sq - x * x, sq - 2.0 * x * x, 0.5 * (sq - x * x)))]
+    return n * quad_with_points(inner, kinks, 0.0, min(xj, n), 1e-9) / (12.0 * xi * xk)
+
+
+def marginal_nodes(rng, lo, xi, xj, xk):
+    """A random length and two just past kinks, at sqrt(a X_i^2 + b X_j^2 + c X_k^2) for a, b, c in 0..2."""
+    diag = float(np.sqrt(xi * xi + xj * xj + xk * xk))
+    kinks = {np.sqrt(a * xi * xi + b * xj * xj + c * xk * xk) for a in range(3) for b in range(3) for c in range(3)}
+    past = sorted(k + 1e-6 * diag for k in kinks if lo < k + 1e-6 * diag < diag)
+    return np.concatenate([rng.uniform(lo, diag, 1), rng.choice(past, min(2, len(past)), replace=False)])
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_opposing_marginal_matches_quad(dims):
+    rng = np.random.default_rng(41)
+    for xi, xj, xk in distinct_classes(dims, PairKind.OPPOSING):
+        box = BoxDims(xi, xj, xk)
+        peak = rays.length_marginal_opposing(box, IDX, 65).values.max()
+        n = marginal_nodes(rng, xj, xi, xj, xk)
+        ref = np.array([opposing_marginal_quad(v, xi, xj, xk) for v in n])
+        assert np.abs(rays._opposing_values(n, xi, xj, xk) - ref).max() <= 1e-7 * peak
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_adjacent_marginal_matches_quad(dims):
+    rng = np.random.default_rng(42)
+    for xi, xj, xk in distinct_classes(dims, PairKind.ADJACENT):
+        box = BoxDims(xi, xj, xk)
+        peak = rays.length_marginal_adjacent(box, IDX, 65).values.max()
+        n = marginal_nodes(rng, 0.0, xi, xj, xk)
+        ref = np.array([adjacent_marginal_quad(v, xi, xj, xk) for v in n])
+        assert np.abs(rays._adjacent_values(n, xi, xj, xk) / (6.0 * xk) - ref).max() <= 1e-7 * peak
+
+
+@pytest.mark.parametrize("dims", QUAD_BOXES, ids=QUAD_IDS)
+def test_marginal_panels_resolve_every_kink(dims, monkeypatch):
+    """With every kink a panel end, each panel's integrand is smooth, and at 1999
+    lengths per class the rule agrees with 40 nodes per panel within 2e-8 of the
+    peak (6.4e-9 measured).  Leaving out any one of the panel ends costs
+    between 2.8e-8 and 3e-3 of the peak, in a band of lengths that the few
+    nodes of the quad tests can miss."""
+    for kind, values in ((PairKind.OPPOSING, rays._opposing_values), (PairKind.ADJACENT, rays._adjacent_values)):
+        for xi, xj, xk in distinct_classes(dims, kind):
+            lo = xj if kind is PairKind.OPPOSING else 0.0
+            n = np.linspace(lo, np.sqrt(xi * xi + xj * xj + xk * xk), 2001)[1:-1]
+            rule = values(n, xi, xj, xk)
+            monkeypatch.setattr(rays, "_MARGINAL_NODES", 40)
+            fine = values(n, xi, xj, xk)
+            monkeypatch.undo()
+            assert np.abs(rule - fine).max() <= 2e-8 * fine.max()
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 1.0), (1.0, 0.1, 1.0)], ids=["cube", "slab"])
+def test_opposing_edge_node_is_hat_average(dims):
+    """The n = X_j node is int f phi_0 / int phi_0 over the first cell, which f(X_j) is not."""
+    box = BoxDims(*dims)
+    xi, xj, xk = box.dim(1), box.dim(2), box.dim(3)
+    law = rays.length_marginal_opposing(box, IDX, 257)
+    h = law.spacing
+    hat = quad(lambda v: opposing_marginal_quad(v, xi, xj, xk) * (1.0 - (v - xj) / h), xj, xj + h, epsabs=0.0, epsrel=1e-10)[0]
+    assert law.values[0] == pytest.approx(hat / (0.5 * h), rel=1e-9)
+    np.testing.assert_allclose(law.values[1:], rays._opposing_values(law.nodes[1:], xi, xj, xk), rtol=1e-13)
+    assert abs(law.values[0] - rays._opposing_values(law.nodes[:1], xi, xj, xk)[0]) > 1e-3 * law.values[0]
 
 
 def test_cube_opposing_exit_mass_is_exact(cube):
