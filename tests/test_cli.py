@@ -388,11 +388,22 @@ def test_workers_env_override(cube, monkeypatch):
     assert cli.RunConfig(workers=2).resolved_workers() == 2
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats and scipy.special cost most of the import time of every
-    # CLI run; compare imports scipy.special only when it computes a p-value
+def test_cli_runs_compare_without_scipy():
+    # compare computes its p-values in closed form, so no CLI stage pays
+    # scipy's import time and memory
     src = str(Path(boxpath.__file__).resolve().parents[1])
-    code = "import sys, boxpath.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = """
+import sys
+import numpy as np
+import boxpath.cli
+from boxpath import compare
+from boxpath.density import GridDensity1D
+
+density = GridDensity1D(0.0, 1.0, np.linspace(0.5, 1.5, 33))
+rep = compare.compare_length(np.linspace(0.0, 1.0, 9), np.arange(100, 900, 100), density)
+assert 0.0 <= rep.chi2_pvalue <= 1.0 and 0.0 <= rep.ks[0].pvalue <= 1.0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
