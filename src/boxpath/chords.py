@@ -190,13 +190,16 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
 
         vals = 4.0 * n * (antiderivative(t_hi) - antiderivative(t_lo)) / (xi * xi * xk * xk)
         return np.where(n >= xj, vals, 0.0)
-    m = n[..., None]
+    m = n.reshape(-1, 1)
     a_max = 0.5 * np.pi - _acos_ratio(xi, m)
     cuts = [np.minimum(a_max, _acos_ratio(c, m)) for c in (xj, xk, np.hypot(xj, xk))]
     a, weight = _panels(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), _PANEL_NODES)
-    s = m[..., None] * np.cos(a)
-    integrand = (xi - m[..., None] * np.sin(a)) * _inside_angle(s, 0.0, xj, 0.0, xk) * s
-    return 2.0 * n * np.sum(weight * integrand, axis=(-2, -1)) / (xi * xi * xj * xk)
+    row, col = np.nonzero(weight[..., 0] > 0.0)  # most panels are empty; evaluate only the others
+    a, weight, m = a[row, col], weight[row, col], m[row]
+    s = m * np.cos(a)
+    integrand = (xi - m * np.sin(a)) * _inside_angle(s, 0.0, xj, 0.0, xk) * s
+    sums = np.bincount(row, np.sum(weight * integrand, axis=-1), minlength=n.size).reshape(n.shape)
+    return 2.0 * n * sums / (xi * xi * xj * xk)
 
 
 def pair_length_pdf(

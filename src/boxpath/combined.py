@@ -12,7 +12,7 @@ Either way the mixture integrates to one by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -92,12 +92,20 @@ class ClassLawTable:
     """Length laws of canonical classes for one box, one model and one set of nodes.
 
     `laws` is keyed by (kind, X_i, X_j, X_k); see `class_law_table`.
+    `projected` holds each law projected onto the mixture grid, the
+    n_nodes nodes on [0, diagonal], under the same keys, so every mixture
+    reuses one projection per law.
     """
 
     box: BoxDims
     model: str
     n_nodes: int
     laws: dict[tuple, GridDensity1D]
+    projected: dict[tuple, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = np.linspace(0.0, self.box.diagonal, self.n_nodes)
+        object.__setattr__(self, "projected", {key: law.project(grid) for key, law in self.laws.items()})
 
     def combined(self) -> CombinedLengthPdf:
         """The length law over all entries: 2 opposing and 4 adjacent pairs per class."""
@@ -115,20 +123,20 @@ class ClassLawTable:
         """Sum `multiplicity * p_entry * P(pair | entry) * law` over (class, multiplicity, p_entry).
 
         For rays P(pair | entry) is carried by the sub-density law itself;
-        for chords it is P_exit / (1 - P_entry).  Each law is projected onto
-        the mixture grid, which keeps its mass across a jump between nodes.
+        for chords it is P_exit / (1 - P_entry).  Each law enters through its
+        projection onto the mixture grid (`projected`), which keeps its mass
+        across a jump between nodes.
         """
         box = self.box
-        grid = np.linspace(0.0, box.diagonal, self.n_nodes)
         values = np.zeros(self.n_nodes)
         terms = []
         for cls, mult, p_entry in pairs:
             weight = mult * p_entry
             if self.model == "chords":
                 weight = weight * chords.conditional_exit_probability(box, cls.entry_face, cls.exit_face)
-            law = self.laws[_law_key(box, cls)]
-            values += weight * law.project(grid)
-            terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, law.integral()))
+            key = _law_key(box, cls)
+            values += weight * self.projected[key]
+            terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, self.laws[key].integral()))
         density = GridDensity1D(0.0, box.diagonal, values)
         integral = density.integral()
         if abs(integral - 1.0) > _MASS_TOL:

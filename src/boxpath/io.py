@@ -2,15 +2,17 @@
 
 All writers produce byte-identical output for identical inputs.  The npz
 container is written through zipfile with a pinned timestamp because the
-stock savez embeds the current time in every member header.  CSV floats
-use repr (shortest round-trip form).  Trajectory spills are fixed-layout
-little-endian records behind a small header.
+stock savez embeds the current time in every member header.  Its members
+are stored, not deflated: deflate shrinks the dense float grids only about
+fourfold and took longer than computing them, and `np.load` reads stored
+and deflated members alike, so older deflated artifacts still load.  CSV
+floats use repr (shortest round-trip form).  Trajectory spills are
+fixed-layout little-endian records behind a small header.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io as _io
 import json
 import os
 import zipfile
@@ -55,15 +57,18 @@ _READ_BLOCK = 1 << 16  # records per block of a filtered read
 
 
 def write_npz(path, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write an npz archive with fixed member timestamps (reproducible bytes)."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+    """Write an npz archive with fixed member timestamps (reproducible bytes).
+
+    Every member is ZIP_STORED (see the module docstring) and each array is
+    written straight into its member, without an in-memory copy.
+    """
+    with zipfile.ZipFile(path, "w") as zf:
         for name in arrays:
-            buf = _io.BytesIO()
-            np.lib.format.write_array(buf, np.asanyarray(arrays[name]), allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
+            info.compress_type = zipfile.ZIP_STORED
             info.external_attr = 0o644 << 16
-            zf.writestr(info, buf.getvalue())
+            with zf.open(info, "w") as member:
+                np.lib.format.write_array(member, np.asanyarray(arrays[name]), allow_pickle=False)
 
 
 def _meta_array(meta: Mapping) -> np.ndarray:

@@ -17,6 +17,7 @@ from boxpath import (
     FACE_PAIRS,
     BoxDims,
     FaceId,
+    GridDensity1D,
     JointHistogram,
     PairKind,
     Side,
@@ -101,6 +102,21 @@ def test_analytic_computes_each_class_law_once(workdir, tmp_path, monkeypatch):
     counted(chords, "pair_length_pdf")
     assert cli.main(["analytic", "--config", str(workdir / "tiny.json"), "--out", str(tmp_path)]) == 0
     assert calls == {**{f"{m.__name__}.{name}": 1 for m, name in kernels}, "boxpath.chords.pair_length_pdf": 2}
+
+
+def test_analytic_projects_each_class_law_once(workdir, tmp_path, monkeypatch):
+    """The combined and three single-face mixtures of a model share one
+    projection per distinct class law: 2 per model on the cube."""
+    calls = []
+    project = GridDensity1D.project
+
+    def counted(self, grid):
+        calls.append(len(grid))
+        return project(self, grid)
+
+    monkeypatch.setattr(GridDensity1D, "project", counted)
+    assert cli.main(["analytic", "--config", str(workdir / "tiny.json"), "--out", str(tmp_path)]) == 0
+    assert calls == [TINY["grid_nodes_1d"]] * 4
 
 
 @pytest.mark.parametrize("kind", list(PairKind))

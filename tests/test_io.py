@@ -1,6 +1,7 @@
 """Serialization: byte-determinism and exact round-trips."""
 
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -52,6 +53,56 @@ def test_npz_bytes_deterministic(tmp_path, densities):
     bio.save_density(p1, densities[2], {"k": 1})
     bio.save_density(p2, densities[2], {"k": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_npz_members_stored_with_pinned_timestamp(tmp_path, densities):
+    path = tmp_path / "d.npz"
+    bio.save_density(path, densities[2], {"k": 1})
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [info.filename for info in infos] == ["domain.npy", "values.npy", "axis_names.npy", "meta.npy"]
+    for info in infos:
+        assert info.compress_type == zipfile.ZIP_STORED
+        assert info.date_time == (1980, 1, 1, 0, 0, 0)
+        assert info.compress_size == info.file_size
+
+
+def test_write_npz_bytes_deterministic(tmp_path):
+    rng = np.random.default_rng(5)
+    arrays = {"a": rng.random((4, 5, 6)), "b/c": np.arange(7, dtype=np.int64), "d": np.array(["x", "yz"])}
+    p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
+    bio.write_npz(p1, arrays)
+    bio.write_npz(p2, dict(arrays))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def _deflated_copy(src, dst):
+    """Rewrite every member of the npz `src` deflated, as archives written before members were stored."""
+    with np.load(src) as z, zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name in z.files:
+            with zf.open(name + ".npy", "w") as member:
+                np.lib.format.write_array(member, z[name], allow_pickle=False)
+    with zipfile.ZipFile(dst) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+
+
+def test_deflated_archives_still_load(tmp_path, densities, rays_batch_cube):
+    for i, d in enumerate(densities):
+        stored, deflated = tmp_path / f"d{i}.npz", tmp_path / f"d{i}_deflated.npz"
+        bio.save_density(stored, d, {"tag": i})
+        _deflated_copy(stored, deflated)
+        (want, want_meta), (got, got_meta) = bio.load_density(stored), bio.load_density(deflated)
+        assert np.array_equal(got.values, want.values) and got.values.dtype == want.values.dtype
+        assert got_meta == want_meta == {"tag": i}
+    stored, deflated = tmp_path / "h.npz", tmp_path / "h_deflated.npz"
+    bio.save_histograms(stored, canonical_histograms(rays_batch_cube, 6, 5, 5), {"seed": 7})
+    _deflated_copy(stored, deflated)
+    (want, want_meta), (got, got_meta) = bio.load_histograms(stored), bio.load_histograms(deflated)
+    assert got_meta == want_meta and set(got) == set(want)
+    for label, h in want.items():
+        for field in ("n_edges", "u_edges", "v_edges", "counts"):
+            assert np.array_equal(getattr(got[label], field), getattr(h, field))
+        assert (got[label].kind, got[label].indices, got[label].total) == (h.kind, h.indices, h.total)
 
 
 def test_histograms_round_trip(tmp_path, cube, rays_batch_cube):
