@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import FacePdf, _acos_ratio, _jump_law, _panels
+from .rays import FacePdf, _acos_ratio, _jump_law, _live_panels
 from .density import GridDensity, GridDensity1D
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
@@ -67,7 +67,8 @@ def _inside_angle(r, left, right, bottom, top):
     arccos(d_x / r) + arccos(d_y / r) - pi/2 is added back.  At r = 0 the
     angle is 2 pi inside the rectangle, pi on an edge and pi/2 at a corner.
     """
-    cut = [_acos_ratio(d, r) for d in (left, bottom, right, top)]
+    # A side through the centre (d = 0.0) cuts a half circle at every r: arccos(0) = pi/2.
+    cut = [0.5 * np.pi if np.ndim(d) == 0 and d == 0.0 else _acos_ratio(d, r) for d in (left, bottom, right, top)]
     overlap = sum(np.maximum(0.0, cut[s] + cut[(s + 1) % 4] - 0.5 * np.pi) for s in range(4))
     return np.maximum(0.0, 2.0 * np.pi - 2.0 * sum(cut) + overlap)
 
@@ -176,7 +177,7 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     f(n) = 2n / (X_i^2 X_j X_k) int_0^min(n, X_i) (X_i - t) theta(sqrt(n^2 - t^2)) dt,
     theta the arc angle at a corner of that rectangle.  With t = n sin a
     the range splits where n cos a equals X_j, X_k or their hypotenuse,
-    and each panel is summed by `rays._panels`.
+    and each non-empty panel is summed by `rays._live_panels`.
     """
     xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
     n = np.asarray(n, dtype=float)
@@ -193,9 +194,8 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     m = n.reshape(-1, 1)
     a_max = 0.5 * np.pi - _acos_ratio(xi, m)
     cuts = [np.minimum(a_max, _acos_ratio(c, m)) for c in (xj, xk, np.hypot(xj, xk))]
-    a, weight = _panels(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), _PANEL_NODES)
-    row, col = np.nonzero(weight[..., 0] > 0.0)  # most panels are empty; evaluate only the others
-    a, weight, m = a[row, col], weight[row, col], m[row]
+    row, a, weight = _live_panels(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), _PANEL_NODES)
+    m = m[row]  # most panels are empty, and only the others are evaluated
     s = m * np.cos(a)
     integrand = (xi - m * np.sin(a)) * _inside_angle(s, 0.0, xj, 0.0, xk) * s
     sums = np.bincount(row, np.sum(weight * integrand, axis=-1), minlength=n.size).reshape(n.shape)

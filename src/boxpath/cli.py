@@ -76,6 +76,8 @@ class RunConfig:
         BoxDims.from_any(self.box)
         if self.samples <= 0:
             raise ValueError("samples must be positive")
+        if self.workers < 0:
+            raise ValueError("workers must be 0 (BOXPATH_WORKERS or 1) or positive")
         if self.direction_model not in montecarlo.DIRECTION_MODELS:
             raise ValueError(f"direction_model must be one of {montecarlo.DIRECTION_MODELS}")
         for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "angle_nodes", "slope_nodes", "bins_length"):
@@ -97,6 +99,8 @@ class RunConfig:
                 value = int(env)
             except ValueError as exc:
                 raise ValueError(f"BOXPATH_WORKERS must be an integer, got {env!r}") from exc
+            if value < 0:
+                raise ValueError(f"BOXPATH_WORKERS must not be negative, got {value}")
             if value > 0:
                 return value
         return 1
@@ -276,12 +280,43 @@ def _sample_streams(sampler, box: BoxDims, cfg: RunConfig, workers: int, spill: 
     return hists, lengths, faces, montecarlo.merge_meta(metas)
 
 
+def _keep_freed_heap() -> bool:
+    """Let glibc's malloc keep freed heap pages for the rest of the process; True if it took both settings.
+
+    Each sampler stream allocates and frees megabytes of numpy temporaries.
+    By default glibc unmaps blocks above its dynamic mmap threshold and trims
+    the heap top on free, so every stream faults its pages in again, zeroed
+    by the kernel.  Raising the mmap threshold to its 64-bit maximum (32 MiB)
+    and the trim threshold to 1 GiB keeps them for reuse.  Both are needed:
+    setting either one turns off the dynamic thresholds, and the other then
+    stays at its 128 KiB default.  No draw, sum or output byte changes.
+
+    The setting is process-wide and cannot be undone, so in-process callers
+    of `main(["sample", ...])` keep it too; none of their results change.
+    On other C libraries this does nothing and returns False.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    import ctypes  # only `sample` pays for it
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_mmap_threshold, m_trim_threshold = -3, -1  # glibc's <malloc.h> codes
+    results = (mallopt(m_mmap_threshold, 32 << 20), mallopt(m_trim_threshold, 1 << 30))
+    return results == (1, 1)
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _keep_freed_heap()
     cfg = _load_config(args)
+    workers = cfg.resolved_workers()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = cfg.box_dims
-    workers = cfg.resolved_workers()
     outputs: list[str] = []
     stats: dict = {}
     length_arrays: dict[str, np.ndarray] = {}

@@ -96,9 +96,30 @@ def _panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     edges = np.sort(points, axis=-1)[..., None]
     lo, half = edges[..., :-1, :], 0.5 * np.diff(edges, axis=-2)
+    shift, sin, w = _panel_rule(nodes)
+    return lo + half * shift, half * sin * w
+
+
+def _live_panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_panels` over the rows of 2-d `points`, keeping only the panels of nonzero weight.
+
+    Returns (row, x, w): each kept panel's row in `points`, and its nodes and
+    weights, shape (kept, nodes).  Empty panels are dropped before they are
+    mapped, so their nodes are never built; the kept ones are the same bits.
+    """
+    edges = np.sort(points, axis=-1)
+    lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=-1)
+    shift, sin, w = _panel_rule(nodes)
+    row, col = np.nonzero(half * sin[0] * w[0] > 0.0)
+    lo, half = lo[row, col, None], half[row, col, None]
+    return row, lo + half * shift, half * sin * w
+
+
+def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panel map's node offsets 1 - cos phi, its Jacobian sin phi and the weights in phi."""
     x, w = _leggauss(nodes)
     phi = 0.5 * np.pi * (x + 1.0)
-    return lo + half * (1.0 - np.cos(phi)), half * np.sin(phi) * (0.5 * np.pi * w)
+    return 1.0 - np.cos(phi), np.sin(phi), 0.5 * np.pi * w
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +420,8 @@ def _adjacent_values(n, xi, xj, xk):
     top, sq = np.minimum(xj, m), m * m
     roots = (sq - xk * xk, sq - xi * xi, sq - 2.0 * xk * xk, 0.5 * (sq - xk * xk), sq - 2.0 * xi * xi, 0.5 * (sq - xi * xi), sq - xi * xi - xk * xk)
     kinks = [m / np.sqrt(3.0), m / np.sqrt(2.0), xk, *(np.sqrt(np.maximum(v, 0.0)) for v in roots)]
-    e, w = _panels(np.concatenate([np.zeros_like(m), top, *(np.minimum(top, k) for k in kinks)], axis=-1), _MARGINAL_NODES)
-    row, col = np.nonzero(w[..., 0] > 0.0)  # most panels are empty; evaluate only the others
-    e, w, m = e[row, col], w[row, col], m[row]
+    row, e, w = _live_panels(np.concatenate([np.zeros_like(m), top, *(np.minimum(top, k) for k in kinks)], axis=-1), _MARGINAL_NODES)
+    m = m[row]  # most panels are empty, and only the others are evaluated
     live = e < m  # e rounds to n only at the very end of a panel, where the integrand vanishes
     rho = np.sqrt(np.where(live, m * m - e * e, 1.0))
     cumulative = _adjacent_arc(e, rho)
