@@ -105,7 +105,7 @@ def _live_panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Returns (row, x, w): each kept panel's row in `points`, and its nodes and
     weights, shape (kept, nodes).  Empty panels are dropped before they are
-    mapped, so their nodes are never built; the kept ones are the same bits.
+    mapped, so their nodes are never built; the kept ones equal `_panels`' bitwise.
     """
     edges = np.sort(points, axis=-1)
     lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=-1)
