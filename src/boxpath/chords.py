@@ -120,7 +120,7 @@ def conditional_length_pdf(
         raise NumericalError("degenerate conditional support")
     n_grid = np.linspace(n_lo, n_hi, n_nodes)
     vals = _conditional_values(box, kind, indices, [u], [v], n_grid)[:, 0, 0]
-    return GridDensity1D(n_lo, n_hi, vals).normalized(force=True)
+    return GridDensity1D(n_lo, n_hi, vals).normalized()
 
 
 def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int) -> FacePdf:
@@ -137,7 +137,7 @@ def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_n
     entry = FaceId(indices.j, 0)
     exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
     mass = conditional_exit_probability(box, entry, exit_face)
-    return FacePdf(kind, indices, dens.normalized(force=True), mass)
+    return FacePdf(kind, indices, dens.normalized(), mass)
 
 
 def joint_pdf_opposing(
@@ -219,4 +219,4 @@ def pair_length_pdf(
         law = _jump_law(lambda n: _pair_values(box, kind, indices, n), box.dim(indices.j), box.diagonal, n_nodes, _PANEL_NODES)
     else:
         law = GridDensity1D(0.0, box.diagonal, _pair_values(box, kind, indices, np.linspace(0.0, box.diagonal, n_nodes)))
-    return law.normalized(force=True)
+    return law.normalized()

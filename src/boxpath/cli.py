@@ -51,8 +51,6 @@ class RunConfig:
     grid_nodes_1d: int = 1025
     bins_joint: tuple[int, int, int] = (8, 8, 8)
     bins_length: int = 128
-    angle_nodes: int = 2048  # unused: the ray length marginals are panel integrals; kept so older configs load
-    slope_nodes: int = 2048  # unused: the exit maps are closed in the slope; kept so older configs load
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -62,6 +60,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        # Older configs still carry these; no law has read them since the
+        # length marginals and exit maps became closed or panel integrals.
+        data = {key: value for key, value in data.items() if key not in ("angle_nodes", "slope_nodes")}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -80,7 +81,7 @@ class RunConfig:
             raise ValueError("workers must be 0 (BOXPATH_WORKERS or 1) or positive")
         if self.direction_model not in montecarlo.DIRECTION_MODELS:
             raise ValueError(f"direction_model must be one of {montecarlo.DIRECTION_MODELS}")
-        for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "angle_nodes", "slope_nodes", "bins_length"):
+        for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "bins_length"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} is too small")
         if len(self.bins_joint) != 3 or any(b < 2 for b in self.bins_joint):
@@ -111,17 +112,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
-    cfg = RunConfig.from_dict(data)
-    if getattr(args, "box", None):
-        cfg = dataclasses.replace(cfg, box=tuple(args.box))
-    for name in ("seed", "samples", "workers"):
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+    for name in ("box", "seed", "samples", "workers", "direction_model"):
         value = getattr(args, name, None)
         if value is not None:
-            cfg = dataclasses.replace(cfg, **{name: value})
-    if getattr(args, "direction_model", None):
-        cfg = dataclasses.replace(cfg, direction_model=args.direction_model)
-    cfg.validate()
-    return cfg
+            data[name] = value
+    return RunConfig.from_dict(data)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -404,48 +401,51 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # figures
 
 
-def _load_joint(analytic_dir: Path, model: str, label: str):
-    return bio.load_density(analytic_dir / f"{model}_joint_{label}.npz")
+_FIGURES = ("band", "elevation", "location", "lengths")
 
 
-def _figure_band(analytic_dir: Path, out: Path, band: tuple[float, float], files: list[str]) -> None:
+def _heatmap(out: Path, stem: str, sheet, value_name: str, title: str, labels: tuple[str, str], files: list[str]) -> None:
+    """Write a 2-d density as `stem`.csv and `stem`.svg; `labels` name its x and y axes."""
+    bio.write_density_csv(out / f"{stem}.csv", sheet, value_name=value_name)
+    svg.heatmap_svg(out / f"{stem}.svg", sheet.values, sheet.domain, title=title, xlabel=labels[0], ylabel=labels[1])
+    files += [f"{stem}.csv", f"{stem}.svg"]
+
+
+def _overlay(out: Path, stem: str, title: str, columns: dict[str, np.ndarray], series: list[dict], files: list[str]) -> None:
+    """Write length-law columns as `stem`.csv and their overlay plot as `stem`.svg."""
+    bio.write_series_csv(out / f"{stem}.csv", columns)
+    svg.line_svg(out / f"{stem}.svg", series, title=title, xlabel="path length", ylabel="density")
+    files += [f"{stem}.csv", f"{stem}.svg"]
+
+
+def _analytic_series(model: str, dens, columns: dict[str, np.ndarray]) -> dict:
+    """One model's analytic line; its nodes and values also become table columns."""
+    columns["n"] = dens.nodes
+    columns[f"{model}_density"] = dens.values
+    return {"x": dens.nodes, "y": dens.values, "label": f"{model} analytic", "dash": model == "chords"}
+
+
+def _sampled_series(model: str, counts: np.ndarray, edges: np.ndarray) -> dict:
+    """One model's length histogram as a density at its bin centers."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return {"x": centers, "y": counts / max(1, counts.sum()) / np.diff(edges), "label": f"{model} sampled"}
+
+
+def _figure_band(analytic_dir: Path, out: Path, band: tuple[float, float], diag: float, files: list[str]) -> None:
     """Exit-face maps of chords whose length falls in a diagonal band."""
-    density, meta = _load_joint(analytic_dir, "chords", "opposing-entry2")
-    (n_lo, n_hi) = density.domain[0]
-    diag = n_hi
     lo, hi = band[0] * diag, band[1] * diag
     for label in ("opposing-entry2", "adjacent-entry2-exit1"):
-        density, meta = _load_joint(analytic_dir, "chords", label)
-        sheet = density.band_integral(0, lo, hi)
-        stem = f"band_map_{label}"
-        bio.write_density_csv(out / f"{stem}.csv", sheet, value_name="band_mass")
-        svg.heatmap_svg(
-            out / f"{stem}.svg",
-            sheet.values,
-            sheet.domain,
-            title=f"chord exit map, length in [{lo:.3f}, {hi:.3f}]",
-            xlabel=sheet.axis_names[0],
-            ylabel=sheet.axis_names[1],
-        )
-        files += [f"{stem}.csv", f"{stem}.svg"]
+        sheet = bio.load_density(analytic_dir / f"chords_joint_{label}.npz")[0].band_integral(0, lo, hi)
+        title = f"chord exit map, length in [{lo:.3f}, {hi:.3f}]"
+        _heatmap(out, f"band_map_{label}", sheet, "band_mass", title, sheet.axis_names, files)
 
 
 def _figure_elevation(analytic_dir: Path, out: Path, files: list[str]) -> None:
     """Length-elevation heatmaps on an adjacent exit face, both models."""
+    labels = ("path length", "elevation above shared edge")
     for model in ("rays", "chords"):
-        density, meta = _load_joint(analytic_dir, model, "adjacent-entry2-exit1")
-        sheet = density.integrate_out(1)
-        stem = f"elevation_profile_{model}"
-        bio.write_density_csv(out / f"{stem}.csv", sheet, value_name="density")
-        svg.heatmap_svg(
-            out / f"{stem}.svg",
-            sheet.values,
-            sheet.domain,
-            title=f"{model}: length vs exit elevation",
-            xlabel="path length",
-            ylabel="elevation above shared edge",
-        )
-        files += [f"{stem}.csv", f"{stem}.svg"]
+        sheet = bio.load_density(analytic_dir / f"{model}_joint_adjacent-entry2-exit1.npz")[0].integrate_out(1)
+        _heatmap(out, f"elevation_profile_{model}", sheet, "density", f"{model}: length vs exit elevation", labels, files)
 
 
 def _cell_lengths(spill: Path, face_code: int, cell: tuple[float, float, float]) -> np.ndarray:
@@ -463,45 +463,30 @@ def _figure_location(
     sample_files: dict[str, Path],
     out: Path,
     box: BoxDims,
-    face_code: int,
+    exit_face: FaceId,
     cell: tuple[float, float, float],
     files: list[str],
 ) -> None:
     """Length-law overlay at a small exit-location cell, both models."""
-    exit_face = FaceId.from_code(face_code)
     labels = {pair.label for pair in FACE_PAIRS if pair.exit_face == exit_face}
     series = []
     columns: dict[str, np.ndarray] = {}
-    for model, dash in (("rays", False), ("chords", True)):
+    for model in ("rays", "chords"):
         joints = {}
         for label in labels:
-            density, meta = _load_joint(analytic_dir, model, label)
+            density, meta = bio.load_density(analytic_dir / f"{model}_joint_{label}.npz")
             joints[label] = rays.FacePdf(PairKind(meta["kind"]), IndexTriple(*meta["indices"]), density, meta["mass"])
-        dens = combined.location_length_pdf(joints, box, exit_face, cell)
-        x = dens.nodes
-        series.append({"x": x, "y": dens.values, "label": f"{model} analytic", "dash": dash})
-        columns["n"] = x
-        columns[f"{model}_density"] = dens.values
+        series.append(_analytic_series(model, combined.location_length_pdf(joints, box, exit_face, cell), columns))
     for model in ("rays", "chords"):
         spill = sample_files.get(f"{model}.bin")
         if spill is None:
             continue
-        lengths = _cell_lengths(spill, face_code, cell)
+        lengths = _cell_lengths(spill, exit_face.code, cell)
         if lengths.size == 0:
             raise EmptyCellError(f"no {model} samples in the requested cell", 0)
-        counts, edges = np.histogram(lengths, bins=32, range=(0.0, box.diagonal))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens_vals = counts / counts.sum() / np.diff(edges)
-        series.append({"x": centers, "y": dens_vals, "label": f"{model} sampled"})
-    bio.write_series_csv(out / "location_length.csv", columns)
-    svg.line_svg(
-        out / "location_length.svg",
-        series,
-        title=f"length law at cell on face {exit_face} around ({cell[0]}, {cell[1]})",
-        xlabel="path length",
-        ylabel="density",
-    )
-    files += ["location_length.csv", "location_length.svg"]
+        series.append(_sampled_series(model, *np.histogram(lengths, bins=32, range=(0.0, box.diagonal))))
+    title = f"length law at cell on face {exit_face} around ({cell[0]}, {cell[1]})"
+    _overlay(out, "location_length", title, columns, series, files)
 
 
 def _figure_lengths(analytic_dir: Path, sample_files: dict[str, Path], out: Path, files: list[str]) -> None:
@@ -517,33 +502,28 @@ def _figure_lengths(analytic_dir: Path, sample_files: dict[str, Path], out: Path
         for tag, npz_tpl, hist_tpl in specs:
             series = []
             columns: dict[str, np.ndarray] = {}
-            for model, dash in (("rays", False), ("chords", True)):
-                dens, meta = bio.load_density(analytic_dir / npz_tpl.format(model=model))
-                series.append({"x": dens.nodes, "y": dens.values, "label": f"{model} analytic", "dash": dash})
-                columns["n"] = dens.nodes
-                columns[f"{model}_density"] = dens.values
+            for model in ("rays", "chords"):
+                dens, _ = bio.load_density(analytic_dir / npz_tpl.format(model=model))
+                series.append(_analytic_series(model, dens, columns))
                 if lengths is not None:
                     counts = lengths[hist_tpl.format(model=model) + "counts"]
-                    edges = lengths[f"{model}/edges"]
-                    centers = 0.5 * (edges[:-1] + edges[1:])
-                    dens_vals = counts / max(1, counts.sum()) / np.diff(edges)
-                    series.append({"x": centers, "y": dens_vals, "label": f"{model} sampled"})
-            stem = f"length_overlay_{tag}"
-            bio.write_series_csv(out / f"{stem}.csv", columns)
-            svg.line_svg(
-                out / f"{stem}.svg",
-                series,
-                title=f"path-length laws ({tag})",
-                xlabel="path length",
-                ylabel="density",
-            )
-            files += [f"{stem}.csv", f"{stem}.svg"]
+                    series.append(_sampled_series(model, counts, lengths[f"{model}/edges"]))
+            _overlay(out, f"length_overlay_{tag}", f"path-length laws ({tag})", columns, series, files)
     finally:
         if lengths is not None:
             lengths.close()
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    which = set(args.which.split(",")) if args.which else set(_FIGURES)
+    unknown = which.difference(_FIGURES)
+    if unknown:
+        raise ValueError(f"--which: unknown figures {sorted(unknown)}; choose from {','.join(_FIGURES)}")
+    if not args.band[0] < args.band[1]:
+        raise ValueError(f"--band needs LO < HI, got {args.band[0]} {args.band[1]}")
+    if not args.cell[2] > 0:
+        raise ValueError(f"--cell needs a positive half width HALF, got {args.cell[2]}")
+    exit_face = FaceId.from_code(args.cell_face)
     analytic_dir = Path(args.analytic)
     manifest = _read_manifest(analytic_dir)
     # Only the files the sample run lists are its own; a rerun without
@@ -557,17 +537,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     box = BoxDims.from_any(manifest["config"]["box"])
-    which = set(args.which.split(",")) if args.which else {"band", "elevation", "location", "lengths"}
-    unknown = which - {"band", "elevation", "location", "lengths"}
-    if unknown:
-        raise ValueError(f"unknown figures: {sorted(unknown)}")
     files: list[str] = []
     if "band" in which:
-        _figure_band(analytic_dir, out, (args.band[0], args.band[1]), files)
+        _figure_band(analytic_dir, out, (args.band[0], args.band[1]), box.diagonal, files)
     if "elevation" in which:
         _figure_elevation(analytic_dir, out, files)
     if "location" in which:
-        _figure_location(analytic_dir, sample_files, out, box, args.cell_face, tuple(args.cell), files)
+        _figure_location(analytic_dir, sample_files, out, box, exit_face, tuple(args.cell), files)
     if "lengths" in which:
         _figure_lengths(analytic_dir, sample_files, out, files)
     _write_json(out / "figures_manifest.json", {"command": "figures", "outputs": sorted(files)})

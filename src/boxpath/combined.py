@@ -42,7 +42,7 @@ __all__ = [
     "single_face_length_pdf",
 ]
 
-_MASS_TOL = 0.2  # the mixture's |integral - 1| that GridDensity1D.normalized accepts
+_MASS_TOL = 0.2  # the largest |integral - 1| of a length mixture that is not refused
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class CombinedLengthPdf:
     terms: tuple[ComponentTerm, ...]
 
     def normalized(self) -> GridDensity1D:
-        return self.density.normalized(force=True)
+        return self.density.normalized()
 
 
 def _law_key(box: BoxDims, cls: FacePairClass) -> tuple:
@@ -249,4 +249,4 @@ def location_length_pdf(
         acc += entry_probability(box, pair.entry_face) * joint.mass * part.project(grid)
     if acc.sum() <= 0:
         raise NumericalError("location cell has no analytic mass; widen the cell")
-    return GridDensity1D(0.0, box.diagonal, acc).normalized(force=True)
+    return GridDensity1D(0.0, box.diagonal, acc).normalized()

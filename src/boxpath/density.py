@@ -53,6 +53,13 @@ def _validate_values(values: np.ndarray, ndim: int) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _unit_mass(values: np.ndarray, mass: float) -> np.ndarray:
+    """`values` divided by their grid mass; NumericalError when there is none."""
+    if mass <= 0:
+        raise NumericalError("cannot normalize a zero-mass density")
+    return values / mass
+
+
 @dataclass(frozen=True)
 class GridDensity1D:
     """PL density on uniform nodes over [lo, hi]."""
@@ -123,14 +130,9 @@ class GridDensity1D:
             raise NumericalError("cannot take the mean of a zero-mass density")
         return float(np.trapezoid(x * self.values, x) / m)
 
-    def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity1D":
-        """Rescale to unit mass; rejects grossly non-unit input unless forced."""
-        m = self.integral()
-        if m <= 0:
-            raise NumericalError("cannot normalize a zero-mass density")
-        if not force and abs(m - 1.0) > tol:
-            raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
-        return GridDensity1D(self.lo, self.hi, self.values / m)
+    def normalized(self) -> "GridDensity1D":
+        """Rescale to unit mass."""
+        return GridDensity1D(self.lo, self.hi, _unit_mass(self.values, self.integral()))
 
 
 @dataclass(frozen=True)
@@ -173,13 +175,9 @@ class GridDensity:
             out = np.trapezoid(out, dx=self.spacing(axis), axis=axis)
         return float(out)
 
-    def normalized(self, tol: float = 0.2, force: bool = False) -> "GridDensity":
-        m = self.integral()
-        if m <= 0:
-            raise NumericalError("cannot normalize a zero-mass density")
-        if not force and abs(m - 1.0) > tol:
-            raise NumericalError(f"mass {m:.6g} is off unity by more than {tol}; pass force=True to override")
-        return GridDensity(self.domain, self.values / m, self.axis_names)
+    def normalized(self) -> "GridDensity":
+        """Rescale to unit mass."""
+        return GridDensity(self.domain, _unit_mass(self.values, self.integral()), self.axis_names)
 
     def _without(self, axis: int, vals: np.ndarray) -> "GridDensity | GridDensity1D":
         """The density on the axes other than `axis`, holding `vals`."""

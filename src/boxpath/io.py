@@ -149,10 +149,6 @@ def load_histograms(path) -> tuple[dict[str, JointHistogram], dict]:
     return out, meta
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_density_csv(path, density: GridDensity1D | GridDensity, value_name: str = "density") -> None:
     """Tabulate grid nodes and values; one row per node, C order."""
     if isinstance(density, GridDensity1D):
@@ -160,13 +156,8 @@ def write_density_csv(path, density: GridDensity1D | GridDensity, value_name: st
     else:
         names = list(density.axis_names)
         axes = [density.nodes(a) for a in range(len(names))]
-    values = np.atleast_1d(density.values)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names + [value_name]) + "\n")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh] + [values.ravel()]
-        for row in zip(*flat):
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+    mesh = np.meshgrid(*axes, indexing="ij")
+    write_series_csv(path, dict(zip(names + [value_name], [*mesh, density.values])))
 
 
 def write_series_csv(path, columns: Mapping[str, np.ndarray]) -> None:
@@ -178,7 +169,7 @@ def write_series_csv(path, columns: Mapping[str, np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
         for row in zip(*arrs):
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def start_trajectories(path, box: BoxDims, count: int) -> None:

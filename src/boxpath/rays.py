@@ -170,7 +170,7 @@ def exit_pdf_opposing(
     vals = sum(_ramp_product(p / xj, q / xj) for p in (a, xi - a) for q in (b, xk - b)) / (4.0 * xi * xk)
     dens = GridDensity(((0.0, xi), (0.0, xk)), vals, (f"x{indices.i}", f"x{indices.k}"))
     mass = dens.integral()
-    return FacePdf(PairKind.OPPOSING, indices, dens.normalized(force=True), mass)
+    return FacePdf(PairKind.OPPOSING, indices, dens.normalized(), mass)
 
 
 def exit_pdf_adjacent(
@@ -214,7 +214,7 @@ def exit_pdf_adjacent(
     vals[:, 0] = np.maximum(0.0, 2.0 * (cell_mass - vals[:, 1] * h / 2.0) / h)
     dens = GridDensity(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
     mass = dens.integral()
-    return FacePdf(PairKind.ADJACENT, indices, dens.normalized(force=True), mass)
+    return FacePdf(PairKind.ADJACENT, indices, dens.normalized(), mass)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def _joint(
         vals[start : start + _BLOCK] = slices(n_grid[start : start + _BLOCK, None, None], a, b, xi, xj, xk)
     dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, ("n", f"x{indices.i}", f"x{b_axis}"))
     mass = dens.integral()
-    return FacePdf(kind, indices, dens.normalized(force=True), mass)
+    return FacePdf(kind, indices, dens.normalized(), mass)
 
 
 def joint_pdf_opposing(

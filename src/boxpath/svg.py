@@ -45,10 +45,6 @@ def _color(t: np.ndarray) -> np.ndarray:
     return (rgb * 255.0 + 0.5).astype(int)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
-    return np.linspace(lo, hi, count)
-
-
 def _axes(parts: list[str], xlo: float, xhi: float, ylo: float, yhi: float, xlabel: str, ylabel: str, title: str) -> None:
     x0, y0 = _MARGIN_L, _MARGIN_T
     x1, y1 = x0 + _PLOT_W, y0 + _PLOT_H
@@ -56,13 +52,13 @@ def _axes(parts: list[str], xlo: float, xhi: float, ylo: float, yhi: float, xlab
         f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(_PLOT_W)}" height="{_f(_PLOT_H)}" '
         'fill="none" stroke="#333" stroke-width="1"/>'
     )
-    for tx in _ticks(xlo, xhi):
+    for tx in np.linspace(xlo, xhi, 5):
         px = x0 + (tx - xlo) / (xhi - xlo) * _PLOT_W
         parts.append(f'<line x1="{_f(px)}" y1="{_f(y1)}" x2="{_f(px)}" y2="{_f(y1 + 5)}" stroke="#333"/>')
         parts.append(
             f'<text x="{_f(px)}" y="{_f(y1 + 18)}" font-size="11" text-anchor="middle">{tx:.3g}</text>'
         )
-    for ty in _ticks(ylo, yhi):
+    for ty in np.linspace(ylo, yhi, 5):
         py = y1 - (ty - ylo) / (yhi - ylo) * _PLOT_H
         parts.append(f'<line x1="{_f(x0 - 5)}" y1="{_f(py)}" x2="{_f(x0)}" y2="{_f(py)}" stroke="#333"/>')
         parts.append(
@@ -78,6 +74,21 @@ def _axes(parts: list[str], xlo: float, xhi: float, ylo: float, yhi: float, xlab
     parts.append(
         f'<text x="{_f(x0 + _PLOT_W / 2)}" y="20" font-size="14" text-anchor="middle" font-weight="bold">{title}</text>'
     )
+
+
+def _write_document(path, legend_width: float, body: list[str]) -> None:
+    """Write `body` as an SVG document on white; `legend_width` is the room right of the plot."""
+    total_w = _MARGIN_L + _PLOT_W + _MARGIN_R + legend_width
+    total_h = _MARGIN_T + _PLOT_H + _MARGIN_B
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(total_w)}" height="{_f(total_h)}" '
+        f'viewBox="0 0 {_f(total_w)} {_f(total_h)}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
+        "</svg>",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def heatmap_svg(
@@ -102,13 +113,7 @@ def heatmap_svg(
     nx, ny = values.shape
     w = _PLOT_W / nx
     h = _PLOT_H / ny
-    total_w = _MARGIN_L + _PLOT_W + _MARGIN_R + 74
-    total_h = _MARGIN_T + _PLOT_H + _MARGIN_B
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(total_w)}" height="{_f(total_h)}" '
-        f'viewBox="0 0 {_f(total_w)} {_f(total_h)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    parts: list[str] = []
     for i in range(nx):
         for j in range(ny):
             r, g, b = rgb[i, j]
@@ -135,9 +140,7 @@ def heatmap_svg(
     parts.append(
         f'<text x="{_f(bar_x + 20)}" y="{_f(_MARGIN_T + _PLOT_H)}" font-size="10">{vmin:.4g}</text>'
     )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_document(path, 74, parts)
 
 
 def line_svg(
@@ -156,17 +159,11 @@ def line_svg(
     yhi = max(float(np.max(s["y"])) for s in series) * 1.05
     if yhi <= ylo:
         yhi = ylo + 1.0
-    total_w = _MARGIN_L + _PLOT_W + _MARGIN_R + 150
-    total_h = _MARGIN_T + _PLOT_H + _MARGIN_B
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(total_w)}" height="{_f(total_h)}" '
-        f'viewBox="0 0 {_f(total_w)} {_f(total_h)}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    parts: list[str] = []
     for idx, s in enumerate(series):
         x = np.asarray(s["x"], dtype=float)
         y = np.asarray(s["y"], dtype=float)
-        color = s.get("color", _LINE_COLORS[idx % len(_LINE_COLORS)])
+        color = _LINE_COLORS[idx % len(_LINE_COLORS)]
         dash = ' stroke-dasharray="6,4"' if s.get("dash") else ""
         px = _MARGIN_L + (x - xlo) / (xhi - xlo) * _PLOT_W
         py = _MARGIN_T + _PLOT_H - (np.clip(y, ylo, yhi) - ylo) / (yhi - ylo) * _PLOT_H
@@ -177,6 +174,4 @@ def line_svg(
         parts.append(f'<line x1="{_f(lx)}" y1="{_f(ly - 4)}" x2="{_f(lx + 22)}" y2="{_f(ly - 4)}" stroke="{color}" stroke-width="2"{dash}/>')
         parts.append(f'<text x="{_f(lx + 28)}" y="{_f(ly)}" font-size="11">{s["label"]}</text>')
     _axes(parts, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_document(path, 150, parts)

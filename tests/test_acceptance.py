@@ -324,7 +324,7 @@ def test_gate_7c_mean_length_decreasing_in_elevation():
     means = []
     for q in range(5):
         band = joint.density.band_integral(2, 0.2 * q, 0.2 * (q + 1)).integrate_out(1)
-        means.append(band.normalized(force=True).mean())
+        means.append(band.normalized().mean())
 
     # oracle: midpoint quadrature over (T, D, e), independent of the chords module
     t = -1.0 + (np.arange(256) + 0.5) / 128

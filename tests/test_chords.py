@@ -99,7 +99,7 @@ def test_batched_joint_matches_per_node_loop(dims, kind):
     n_lo = xj if kind is PairKind.OPPOSING else 0.0
     u, v = np.linspace(0.0, xi, nodes), np.linspace(0.0, other, nodes)
     vals = per_node_length_values(box, kind, IDX, u, v, np.linspace(n_lo, box.diagonal, n_nodes)) / (xi * other)
-    ref = GridDensity(joint.density.domain, vals).normalized(force=True).values
+    ref = GridDensity(joint.density.domain, vals).normalized().values
     assert np.max(np.abs(joint.density.values - ref)) <= 1e-12 * ref.max()
 
 
@@ -112,7 +112,7 @@ def test_conditional_length_matches_per_node_loop(dims, kind):
         dens = chords.conditional_length_pdf(box, kind, IDX, uv, 129)
         n_grid = np.linspace(dens.lo, dens.hi, 129)
         vals = per_node_length_values(box, kind, IDX, np.array([uv[0]]), np.array([uv[1]]), n_grid)
-        ref = GridDensity1D(dens.lo, dens.hi, vals[:, 0, 0]).normalized(force=True).values
+        ref = GridDensity1D(dens.lo, dens.hi, vals[:, 0, 0]).normalized().values
         assert np.max(np.abs(dens.values - ref)) <= 1e-12 * ref.max()
 
 
@@ -125,7 +125,7 @@ def test_conditional_length_is_a_joint_row(dims):
         uv = (joint.density.nodes(1)[a], joint.density.nodes(2)[b])
         dens = chords.conditional_length_pdf(box, PairKind.OPPOSING, IDX, uv, 33)
         assert (dens.lo, dens.hi) == pytest.approx(joint.density.domain[0], rel=1e-14)
-        row = GridDensity1D(dens.lo, dens.hi, joint.density.values[:, a, b]).normalized(force=True).values
+        row = GridDensity1D(dens.lo, dens.hi, joint.density.values[:, a, b]).normalized().values
         assert np.max(np.abs(dens.values - row)) <= 1e-12 * row.max()
 
 
@@ -361,7 +361,7 @@ def test_adjacent_mean_length_increases_with_elevation(cube):
     means = []
     for lo, hi in ((0.05, 0.2), (0.25, 0.4), (0.45, 0.6), (0.65, 0.8), (0.85, 1.0)):
         band = joint.density.band_integral(2, lo, hi).integrate_out(1)
-        means.append(band.normalized(force=True).mean())
+        means.append(band.normalized().mean())
     assert all(b > a for a, b in zip(means, means[1:]))
     # pointwise: the law at elevation e has no support below e
     dens = chords.conditional_length_pdf(cube, PairKind.ADJACENT, IDX, (0.5, 0.8))

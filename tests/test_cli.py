@@ -135,10 +135,15 @@ def test_classes_with_equal_dims_share_values_not_labels(workdir, stem, kind):
 
 @pytest.mark.parametrize("key", ["slope_nodes", "angle_nodes"])
 def test_slope_nodes_is_accepted_and_unused(workdir, tmp_path, key):
-    """An older config's `slope_nodes` or `angle_nodes` still loads, and its value changes no artifact byte."""
+    """An older config's `slope_nodes` and `angle_nodes` still load, their values change no artifact byte,
+    and the manifest leaves both out."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TINY, key: 64}))
+    assert {"slope_nodes", "angle_nodes"} <= set(json.loads(cfg.read_text()))
     assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert config == cli.RunConfig.from_dict(TINY).to_dict()
+    assert not {"slope_nodes", "angle_nodes"} & set(config)
     saved = sorted(p.name for p in (workdir / "analytic").glob("*.npz"))
     assert saved == sorted(p.name for p in (tmp_path / "out").glob("*.npz"))
     for name in saved:
@@ -367,6 +372,65 @@ def test_figures_subset(workdir, tmp_path):
     assert cli.main(["figures", "--analytic", str(workdir / "analytic"), "--out", str(out), "--which", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--which", "band,nope"], "--which"),
+        (["--band", "0.7", "0.6"], "--band"),
+        (["--band", "0.7", "0.7"], "--band"),
+        (["--cell", "0.5", "0.5", "-0.1"], "--cell"),
+        (["--cell", "0.5", "0.5", "0.0"], "--cell"),
+        (["--cell-face", "6"], "face code"),
+    ],
+    ids=["which", "band-reversed", "band-empty", "cell-negative", "cell-zero", "cell-face"],
+)
+def test_figures_refuses_bad_inputs_before_writing(workdir, tmp_path, capsys, flags, message):
+    out = tmp_path / "figs"
+    assert cli.main(["figures", "--analytic", str(workdir / "analytic"), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[np.ndarray]]:
+    """Header and float columns of a figure table."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [np.array(col) for col in zip(*[[float(v) for v in row.split(",")] for row in rows])]
+
+
+def _legend(path: Path) -> list[str]:
+    return [e.text for e in ET.parse(path).getroot().iter() if e.tag.endswith("text") and e.text.endswith(("analytic", "sampled"))]
+
+
+def test_figure_tables_carry_the_artifacts_numbers(workdir, tmp_path):
+    """Every figure table holds the saved laws' own floats, and the overlay legends keep their order."""
+    analytic = workdir / "analytic"
+    out = tmp_path / "figs"
+    argv = ["figures", "--analytic", str(analytic), "--sample", str(workdir / "sample"), "--out", str(out)]
+    assert cli.main([*argv, "--cell", "0.5", "0.5", "0.1"]) == 0
+    for tag, stem in [("all", "combined_{}")] + [(f"axis{j}", f"single_face_{{}}_axis{j}") for j in (1, 2, 3)]:
+        names, cols = _read_csv(out / f"length_overlay_{tag}.csv")
+        assert names == ["n", "rays_density", "chords_density"]
+        for model, col in zip(("rays", "chords"), cols[1:]):
+            law, _ = bio.load_density(analytic / f"{stem.format(model)}.npz")
+            assert np.array_equal(cols[0], law.nodes) and np.array_equal(col, law.values)
+    diag = BoxDims.from_any(TINY["box"]).diagonal
+    sheets = {}
+    for label in ("opposing-entry2", "adjacent-entry2-exit1"):
+        joint, _ = bio.load_density(analytic / f"chords_joint_{label}.npz")
+        sheets[f"band_map_{label}"] = joint.band_integral(0, 0.675 * diag, 0.705 * diag)
+    for model in ("rays", "chords"):
+        joint, _ = bio.load_density(analytic / f"{model}_joint_adjacent-entry2-exit1.npz")
+        sheets[f"elevation_profile_{model}"] = joint.integrate_out(1)
+    for stem, sheet in sheets.items():
+        names, (a, b, values) = _read_csv(out / f"{stem}.csv")
+        assert names == [*sheet.axis_names, "band_mass" if stem.startswith("band") else "density"]
+        mesh = np.meshgrid(sheet.nodes(0), sheet.nodes(1), indexing="ij")
+        assert np.array_equal(a, mesh[0].ravel()) and np.array_equal(b, mesh[1].ravel())
+        assert np.array_equal(values, sheet.values.ravel())
+    assert _legend(out / "length_overlay_all.svg") == ["rays analytic", "rays sampled", "chords analytic", "chords sampled"]
+    assert _legend(out / "location_length.svg") == ["rays analytic", "chords analytic", "rays sampled", "chords sampled"]
+
+
 def test_usage_errors(tmp_path):
     assert cli.main(["analytic", "--box", "1", "0", "1", "--out", str(tmp_path)]) == 2
     assert cli.main(["sample", "--samples", "-3", "--out", str(tmp_path)]) == 2
@@ -376,6 +440,17 @@ def test_usage_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"grid_nodes_9d": 4}')
     assert cli.main(["analytic", "--config", str(unknown), "--out", str(tmp_path)]) == 2
+    unknown.write_text('{"s_nodes_conditional": 5}')
+    assert cli.main(["analytic", "--config", str(unknown), "--out", str(tmp_path)]) == 2
+    unknown.write_text("[1, 2]")
+    assert cli.main(["analytic", "--config", str(unknown), "--out", str(tmp_path)]) == 2
+
+
+def test_flags_override_the_config_before_it_is_validated(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "samples": -3}))
+    args = cli.build_parser().parse_args(["sample", "--config", str(cfg), "--samples", "10", "--box", "1", "2", "3", "--out", "x"])
+    assert cli._load_config(args) == cli.RunConfig.from_dict({**TINY, "samples": 10, "box": [1.0, 2.0, 3.0]})
 
 
 def test_missing_artifacts_exit_code(tmp_path):

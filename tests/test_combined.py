@@ -184,7 +184,7 @@ def test_location_length_pdf_consistent(skew_box):
         i, j, k = (skew_box.dim(a) for a in cls.indices.as_tuple)
         n_lo, other = (j, k) if cls.kind is PairKind.OPPOSING else (0.0, j)
         density = GridDensity(((n_lo, skew_box.diagonal), (0.0, i), (0.0, other)), rng.random((17, 9, 11)) + 0.1)
-        joints[cls.label] = FacePdf(cls.kind, cls.indices, density.normalized(force=True), rng.uniform(0.05, 0.3))
+        joints[cls.label] = FacePdf(cls.kind, cls.indices, density.normalized(), rng.uniform(0.05, 0.3))
     face = FaceId(3, Side.HIGH)
     law = location_length_pdf(joints, skew_box, face, (0.65, 0.4, 2.0))
     mix = sum(
@@ -194,7 +194,7 @@ def test_location_length_pdf_consistent(skew_box):
         for pair in FACE_PAIRS
         if pair.exit_face == face
     )
-    expected = GridDensity1D(0.0, skew_box.diagonal, mix).normalized(force=True)
+    expected = GridDensity1D(0.0, skew_box.diagonal, mix).normalized()
     assert np.max(np.abs(law.values - expected.values)) <= 1e-9
     with pytest.raises(NumericalError):
         location_length_pdf(joints, skew_box, face, (40.0, 40.0, 0.01))

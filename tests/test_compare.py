@@ -16,7 +16,7 @@ def make_density(seed: int = 0) -> GridDensity:
     rng = np.random.default_rng(seed)
     vals = rng.random((16, 12, 12)) + 0.3
     d = GridDensity(((1.0, 2.0), (0.0, 1.0), (0.0, 1.0)), vals)
-    return d.normalized(force=True)
+    return d.normalized()
 
 
 def hist_from_density(density: GridDensity, n_samples: int, seed: int, bins=(8, 6, 6)) -> JointHistogram:

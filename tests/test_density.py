@@ -36,12 +36,15 @@ def test_negative_values_rejected():
     assert d.values.min() == 0.0
 
 
-def test_normalized_guards_against_mass_drift():
+def test_normalized_rescales_to_unit_mass():
     d = GridDensity1D(0.0, 1.0, np.full(11, 2.0))
-    with pytest.raises(NumericalError):
-        d.normalized()
-    assert d.normalized(force=True).integral() == pytest.approx(1.0, abs=1e-12)
-    assert d.normalized(tol=1.5).integral() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(d.normalized().values, d.values / d.integral())
+    assert d.normalized().integral() == pytest.approx(1.0, abs=1e-12)
+    grid = GridDensity(((0.0, 1.0), (0.0, 2.0)), np.full((5, 3), 2.0))
+    assert grid.normalized().integral() == pytest.approx(1.0, abs=1e-12)
+    for empty in (GridDensity1D(0.0, 1.0, np.zeros(11)), GridDensity(((0.0, 1.0), (0.0, 1.0)), np.zeros((4, 4)))):
+        with pytest.raises(NumericalError):
+            empty.normalized()
 
 
 def pl_first_moment(d: GridDensity1D) -> float:

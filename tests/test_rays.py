@@ -87,9 +87,9 @@ def test_joint_location_marginal_matches_exit_pdf(cube, cube_joints):
 
 def test_joint_length_marginal_matches_dedicated(cube, cube_joints):
     jo, ja = cube_joints
-    lm = rays.length_marginal_opposing(cube, IDX, 513).normalized(force=True)
+    lm = rays.length_marginal_opposing(cube, IDX, 513).normalized()
     assert line_l1(lm, jo.density.marginal_1d(0), 1.0, np.sqrt(3.0)) <= 0.01
-    lma = rays.length_marginal_adjacent(cube, IDX, 513, 512, 256).normalized(force=True)
+    lma = rays.length_marginal_adjacent(cube, IDX, 513, 512, 256).normalized()
     assert line_l1(lma, ja.density.marginal_1d(0), 0.0, np.sqrt(3.0)) <= 0.03
 
 
