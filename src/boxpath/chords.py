@@ -31,7 +31,7 @@ import numpy as np
 from .rays import FacePdf, _acos_ratio, _jump_law, _live_panels
 from .density import GridDensity, GridDensity1D
 from .errors import NumericalError
-from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability
+from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability, joint_frame
 
 __all__ = [
     "conditional_exit_probability",
@@ -81,7 +81,7 @@ def _conditional_values(box: BoxDims, kind: PairKind, indices: IndexTriple, u, v
     at (u, elevation v) on x_k = 0: c = v and the centre (u, 0) lies on the
     rectangle's edge x_k = 0.  The density is zero below n = c.
     """
-    xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
+    xi, xj, xk = indices.dims(box)
     n = np.asarray(n, dtype=float)[:, None, None]
     u = np.asarray(u, dtype=float)[None, :, None]
     v = np.asarray(v, dtype=float)[None, None, :]
@@ -109,7 +109,7 @@ def conditional_length_pdf(
     entry corner.
     """
     box = BoxDims.from_any(box)
-    xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
+    xi, xj, xk = indices.dims(box)
     u, v = float(exit_uv[0]), float(exit_uv[1])
     if kind is PairKind.OPPOSING:
         n_lo, far_k = xj, max(v * v, (v - xk) ** 2)
@@ -125,15 +125,10 @@ def conditional_length_pdf(
 
 def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int) -> FacePdf:
     box = BoxDims.from_any(box)
-    xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
-    other = xk if kind is PairKind.OPPOSING else xj
-    n_lo = xj if kind is PairKind.OPPOSING else 0.0
-    n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
-    u = np.linspace(0.0, xi, u_nodes)
-    v = np.linspace(0.0, other, v_nodes)
-    vals = _conditional_values(box, kind, indices, u, v, n_grid) / (xi * other)
-    names = ("n", f"x{indices.i}", f"x{indices.k}" if kind is PairKind.OPPOSING else f"x{indices.j}")
-    dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, names)
+    domain, names = joint_frame(box, kind, indices)
+    n_grid, u, v = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, (n_nodes, u_nodes, v_nodes)))
+    vals = _conditional_values(box, kind, indices, u, v, n_grid) / (domain[1][1] * domain[2][1])
+    dens = GridDensity(domain, vals, names)
     entry = FaceId(indices.j, 0)
     exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
     mass = conditional_exit_probability(box, entry, exit_face)
@@ -179,7 +174,7 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     the range splits where n cos a equals X_j, X_k or their hypotenuse,
     and each non-empty panel is summed by `rays._live_panels`.
     """
-    xi, xj, xk = box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
+    xi, xj, xk = indices.dims(box)
     n = np.asarray(n, dtype=float)
     if kind is PairKind.OPPOSING:
         r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
@@ -210,13 +205,15 @@ def pair_length_pdf(
 ) -> GridDensity1D:
     """Unit-mass length density for a face pair, location integrated out.
 
-    The node values are the exact law (see `_pair_values`); the support
-    starts at the gap X_j for an opposing pair, whose n = X_j node is the
-    first cell's hat average (`rays._jump_law`), and at 0 for an adjacent one.
+    The node values are the exact law (see `_pair_values`).  The support
+    is the class's length axis in `geometry.joint_frame`: it starts at the
+    gap X_j for an opposing pair, whose n = X_j node is the first cell's
+    hat average (`rays._jump_law`), and at 0 for an adjacent one.
     """
     box = BoxDims.from_any(box)
+    lo, hi = joint_frame(box, kind, indices)[0][0]
     if kind is PairKind.OPPOSING:
-        law = _jump_law(lambda n: _pair_values(box, kind, indices, n), box.dim(indices.j), box.diagonal, n_nodes, _PANEL_NODES)
+        law = _jump_law(lambda n: _pair_values(box, kind, indices, n), lo, hi, n_nodes, _PANEL_NODES)
     else:
-        law = GridDensity1D(0.0, box.diagonal, _pair_values(box, kind, indices, np.linspace(0.0, box.diagonal, n_nodes)))
+        law = GridDensity1D(lo, hi, _pair_values(box, kind, indices, np.linspace(lo, hi, n_nodes)))
     return law.normalized()

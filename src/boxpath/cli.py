@@ -172,7 +172,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     # distinct (kind, X_i, X_j, X_k) is computed once and relabelled per class.
     laws: dict[tuple, tuple[rays.FacePdf, ...]] = {}
     for cls in canonical_classes():
-        key = combined._law_key(box, cls)
+        key = cls.law_key(box)
         if key not in laws:
             ray_joint, chord_joint, ray_exit = (
                 (rays.joint_pdf_opposing, chords.joint_pdf_opposing, rays.exit_pdf_opposing)
@@ -483,7 +483,7 @@ def _figure_location(
             continue
         lengths = _cell_lengths(spill, exit_face.code, cell)
         if lengths.size == 0:
-            raise EmptyCellError(f"no {model} samples in the requested cell", 0)
+            raise EmptyCellError(f"no {model} samples in the requested cell")
         series.append(_sampled_series(model, *np.histogram(lengths, bins=32, range=(0.0, box.diagonal))))
     title = f"length law at cell on face {exit_face} around ({cell[0]}, {cell[1]})"
     _overlay(out, "location_length", title, columns, series, files)
@@ -534,9 +534,17 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         sample_manifest = _read_manifest(sample_dir)
         _check_same_run(manifest, sample_manifest)
         sample_files = {name: sample_dir / name for name in sample_manifest["outputs"]}
+    box = BoxDims.from_any(manifest["config"]["box"])
+    # A cell square off its face would fail the location figure after other figures were written.
+    extents = [box.dim(axis) for axis in exit_face.plane_axes]
+    a, b, half = args.cell
+    if "location" in which and not all(c - half < x and c + half > 0.0 for c, x in zip((a, b), extents)):
+        raise NumericalError(
+            f"--cell {a} {b} {half} lies off --cell-face {exit_face.code} ({exit_face}), "
+            f"whose local coordinates span [0, {extents[0]}] x [0, {extents[1]}]"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    box = BoxDims.from_any(manifest["config"]["box"])
     files: list[str] = []
     if "band" in which:
         _figure_band(analytic_dir, out, (args.band[0], args.band[1]), box.diagonal, files)

@@ -74,13 +74,6 @@ class CombinedLengthPdf:
         return self.density.normalized()
 
 
-def _law_key(box: BoxDims, cls: FacePairClass) -> tuple:
-    # The ray and chord kernels see the box only through (X_i, X_j, X_k)
-    # and the diagonal, so classes with equal dims share one law.
-    i, j, k = cls.indices.as_tuple
-    return (cls.kind, box.dim(i), box.dim(j), box.dim(k))
-
-
 def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
     """The five classes of one entry face: the opposing exit, then the adjacent ones."""
     pairs = [pair for pair in FACE_PAIRS if pair.entry_face == entry_face]
@@ -91,7 +84,7 @@ def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
 class ClassLawTable:
     """Length laws of canonical classes for one box, one model and one set of nodes.
 
-    `laws` is keyed by (kind, X_i, X_j, X_k); see `class_law_table`.
+    `laws` is keyed by `FacePairClass.law_key`, (kind, X_i, X_j, X_k).
     `projected` holds each law projected onto the mixture grid, the
     n_nodes nodes on [0, diagonal], under the same keys, so every mixture
     reuses one projection per law.
@@ -134,7 +127,7 @@ class ClassLawTable:
             weight = mult * p_entry
             if self.model == "chords":
                 weight = weight * chords.conditional_exit_probability(box, cls.entry_face, cls.exit_face)
-            key = _law_key(box, cls)
+            key = cls.law_key(box)
             values += weight * self.projected[key]
             terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, self.laws[key].integral()))
         density = GridDensity1D(0.0, box.diagonal, values)
@@ -162,7 +155,7 @@ def class_law_table(
     box = BoxDims.from_any(box)
     laws: dict[tuple, GridDensity1D] = {}
     for cls in canonical_classes() if classes is None else classes:
-        key = _law_key(box, cls)
+        key = cls.law_key(box)
         if key in laws:
             continue
         if model == "chords":

@@ -133,7 +133,7 @@ def _compare(
         raise IncompatibleGridError(f"bin shapes differ: {q.shape} vs {counts.shape}")
     q = q / q.sum()
     if n_in == 0:
-        raise EmptyCellError(empty, 0)
+        raise EmptyCellError(empty)
     p = counts.astype(float) / n_in
     l1 = float(np.abs(p - q).sum())
     # E|p_i - q_i| of a binomial bin, in its normal approximation

@@ -249,14 +249,6 @@ def convolve_sum(fx: GridDensity1D, fy: GridDensity1D) -> GridDensity1D:
     return GridDensity1D(lo, lo + (vals.size - 1) * h, vals)
 
 
-def _pl_integral(f: GridDensity1D, a: float, b: float) -> float:
-    """Exact integral of the PL density over [a, b]."""
-    if b <= a:
-        return 0.0
-    w = _hat_bin_weights(f.nodes, np.array([a, b]))[:, 0]
-    return float(w @ f.values)
-
-
 def square_density(fx: GridDensity1D, s_hi: float | None = None, s_nodes: int = 1025) -> GridDensity1D:
     """Density of X^2 on [0, s_hi]: f(s) = (f_x(sqrt s) + f_x(-sqrt s)) / (2 sqrt s).
 
@@ -272,7 +264,7 @@ def square_density(fx: GridDensity1D, s_hi: float | None = None, s_nodes: int = 
     vals = np.empty(s_nodes)
     vals[1:] = (fx.interp(r) + fx.interp(-r)) / (2.0 * r)
     h = s[1]
-    first_cell_mass = _pl_integral(fx, -np.sqrt(h), np.sqrt(h))
+    first_cell_mass = bin_masses_1d(fx, np.array([-np.sqrt(h), np.sqrt(h)]))[0]
     vals[0] = max(0.0, 2.0 * (first_cell_mass - vals[1] * h / 2.0) / h)
     return GridDensity1D(0.0, s_hi, vals)
 

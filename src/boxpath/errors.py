@@ -19,7 +19,3 @@ class IncompatibleGridError(BoxpathError):
 
 class EmptyCellError(BoxpathError):
     """A requested location cell contains no samples."""
-
-    def __init__(self, message: str, count: int = 0):
-        super().__init__(message)
-        self.count = count

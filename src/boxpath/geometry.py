@@ -6,9 +6,11 @@ onto 9 canonical classes: 3 with parallel (opposing) faces and 6 with
 perpendicular (adjacent) faces.  Each class fixes an index triple (i, j, k)
 where j is the entry-face axis; the canonical frame places the entry face
 on the plane x_j = 0, an opposing exit on x_j = X_j, and an adjacent exit
-on x_k = 0.  Mapping any concrete pair onto its class is a composition of
-axis reflections.  `FACE_PAIRS` classifies all 30 pairs once; the sampler
-binning, the length mixtures and the location law all read it.
+on x_k = 0.  `joint_frame` gives that frame's (length, exit) axes, which
+every class law and histogram uses.  Mapping any concrete pair onto its
+class is a composition of axis reflections.  `FACE_PAIRS` classifies all
+30 pairs once; the sampler binning, the length mixtures and the location
+law all read it.
 
 Axes are numbered 1..3 in the public API.
 """
@@ -32,6 +34,7 @@ __all__ = [
     "canonical_classes",
     "classify_pair",
     "entry_probability",
+    "joint_frame",
 ]
 
 
@@ -168,6 +171,14 @@ class IndexTriple:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.i, self.j, self.k)
 
+    def dims(self, box: BoxDims) -> tuple[float, float, float]:
+        """The canonical edge lengths (X_i, X_j, X_k)."""
+        return box.dim(self.i), box.dim(self.j), box.dim(self.k)
+
+    def exit_axes(self, kind: PairKind) -> tuple[int, int]:
+        """The axes of the canonical exit coordinates: (i, k) on an opposing exit, (i, j) on an adjacent one."""
+        return (self.i, self.k) if kind is PairKind.OPPOSING else (self.i, self.j)
+
     def __str__(self) -> str:
         return f"(i={self.i}, j={self.j}, k={self.k})"
 
@@ -196,10 +207,14 @@ class FacePairClass:
     def exit_frame(self) -> tuple[tuple[int, int, bool], tuple[int, int, bool]]:
         """For each canonical exit coordinate: its axis, the exit-face local
         column it is read from, and whether it is mirrored (x -> X - x)."""
-        i, j, k = self.indices.as_tuple
         plane = self.exit_face.plane_axes
-        uv = (i, k) if self.kind is PairKind.OPPOSING else (i, j)
+        uv = self.indices.exit_axes(self.kind)
         return tuple((axis, plane.index(axis), axis in self.reflected_axes) for axis in uv)  # type: ignore[return-value]
+
+    def law_key(self, box: BoxDims) -> tuple:
+        """(kind, X_i, X_j, X_k): the class laws see the box only through these
+        and the diagonal, so classes with equal keys share one law."""
+        return (self.kind, *self.indices.dims(box))
 
     def exit_local_to_canonical(self, box: BoxDims, ab: np.ndarray) -> np.ndarray:
         """Map exit-face local coordinates (ascending-axis order) to canonical ones.
@@ -214,6 +229,19 @@ class FacePairClass:
         for c, (axis, col, mirror) in enumerate(self.exit_frame):
             out[:, c] = box.dim(axis) - ab[:, col] if mirror else ab[:, col]
         return out
+
+
+def joint_frame(box: BoxDims, kind: PairKind, indices: IndexTriple) -> tuple[tuple[tuple[float, float], ...], tuple[str, ...]]:
+    """The (length n, exit u, exit v) domain of a class law and its axis names.
+
+    An opposing path is at least X_j long and an adjacent one may be
+    arbitrarily short; every path is at most the diagonal.  The exit
+    coordinates run over the edges of `IndexTriple.exit_axes`.
+    """
+    u, v = indices.exit_axes(kind)
+    n_lo = box.dim(indices.j) if kind is PairKind.OPPOSING else 0.0
+    domain = ((n_lo, box.diagonal), (0.0, box.dim(u)), (0.0, box.dim(v)))
+    return domain, ("n", f"x{u}", f"x{v}")
 
 
 def classify_pair(entry: FaceId, exit: FaceId) -> FacePairClass:

@@ -25,13 +25,13 @@ once per box and bin counts.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ALL_FACES, FACE_PAIRS, BoxDims, FaceId, PairKind, canonical_classes
-from .pool import run_each
+from .geometry import ALL_FACES, FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, canonical_classes, joint_frame
 
 __all__ = [
     "DIRECTION_MODELS",
@@ -224,10 +224,22 @@ def for_each_stream(count: int, workers: int, task: Callable[[int, slice], None]
 
     `rows` is the stream's slice of the run's `count` paths (empty when
     the run has fewer paths than streams).  Tasks run on `workers`
-    threads, so at most `workers` streams are in flight at once.
+    threads when above one, so at most `workers` streams are in flight at
+    once.  Each task must write only its own output slot, or add integers
+    into a shared total under a lock, so results do not depend on the
+    worker count or on the order the tasks run in.
     """
     offsets = np.concatenate([[0], np.cumsum(_stream_counts(int(count)))]).tolist()
-    run_each(lambda s: task(s, slice(offsets[s], offsets[s + 1])), range(STREAM_COUNT), workers)
+
+    def run(s: int) -> None:
+        task(s, slice(offsets[s], offsets[s + 1]))
+
+    if workers <= 1:
+        for s in range(STREAM_COUNT):
+            run(s)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(STREAM_COUNT)))
 
 
 def merge_meta(metas: Sequence[dict]) -> dict:
@@ -367,15 +379,9 @@ class JointHistogram:
 def class_bin_edges(
     box: BoxDims, cls_kind: PairKind, indices, n_bins: int, u_bins: int, v_bins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram edges matching a class's canonical support."""
-    box = BoxDims.from_any(box)
-    i, j, k = indices
-    n_lo = box.dim(j) if cls_kind is PairKind.OPPOSING else 0.0
-    n_edges = np.linspace(n_lo, box.diagonal, n_bins + 1)
-    u_edges = np.linspace(0.0, box.dim(i), u_bins + 1)
-    v_hi = box.dim(k) if cls_kind is PairKind.OPPOSING else box.dim(j)
-    v_edges = np.linspace(0.0, v_hi, v_bins + 1)
-    return n_edges, u_edges, v_edges
+    """Histogram edges over a class's canonical frame (`geometry.joint_frame`)."""
+    domain, _ = joint_frame(BoxDims.from_any(box), cls_kind, IndexTriple(*indices))
+    return tuple(np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(domain, (n_bins, u_bins, v_bins)))  # type: ignore[return-value]
 
 
 class JointBinning:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import GridDensity, GridDensity1D
-from .geometry import BoxDims, IndexTriple, PairKind
+from .geometry import BoxDims, IndexTriple, PairKind, joint_frame
 
 __all__ = [
     "FacePdf",
@@ -72,10 +72,6 @@ class FacePdf:
     indices: IndexTriple
     density: GridDensity
     mass: float
-
-
-def _dims(box: BoxDims, indices: IndexTriple) -> tuple[float, float, float]:
-    return box.dim(indices.i), box.dim(indices.j), box.dim(indices.k)
 
 
 def _acos_ratio(d, r):
@@ -164,11 +160,12 @@ def exit_pdf_opposing(
     face-restricted integral is the face-exit probability.
     """
     box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
+    xi, xj, xk = indices.dims(box)
     a = np.linspace(0.0, xi, a_nodes)[:, None]
     b = np.linspace(0.0, xk, b_nodes)[None, :]
     vals = sum(_ramp_product(p / xj, q / xj) for p in (a, xi - a) for q in (b, xk - b)) / (4.0 * xi * xk)
-    dens = GridDensity(((0.0, xi), (0.0, xk)), vals, (f"x{indices.i}", f"x{indices.k}"))
+    domain, names = joint_frame(box, PairKind.OPPOSING, indices)
+    dens = GridDensity(domain[1:], vals, names[1:])
     mass = dens.integral()
     return FacePdf(PairKind.OPPOSING, indices, dens.normalized(), mass)
 
@@ -196,7 +193,7 @@ def exit_pdf_adjacent(
     mass.
     """
     box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
+    xi, xj, xk = indices.dims(box)
     a = np.linspace(0.0, xi, a_nodes)[:, None]
     e = np.linspace(0.0, xj, e_nodes)
 
@@ -212,7 +209,8 @@ def exit_pdf_adjacent(
     esub = h * (np.arange(_EDGE_SUBNODES) + 0.5) / _EDGE_SUBNODES
     cell_mass = rows(esub).mean(axis=1) * h
     vals[:, 0] = np.maximum(0.0, 2.0 * (cell_mass - vals[:, 1] * h / 2.0) / h)
-    dens = GridDensity(((0.0, xi), (0.0, xj)), vals, (f"x{indices.i}", f"x{indices.j}"))
+    domain, names = joint_frame(box, PairKind.ADJACENT, indices)
+    dens = GridDensity(domain[1:], vals, names[1:])
     mass = dens.integral()
     return FacePdf(PairKind.ADJACENT, indices, dens.normalized(), mass)
 
@@ -288,18 +286,14 @@ def _joint(
 ) -> FacePdf:
     """One class joint, filled in blocks of `_BLOCK` length nodes."""
     box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
-    if kind is PairKind.OPPOSING:
-        n_lo, other, b_axis, slices = xj, xk, indices.k, _opposing_slices
-    else:
-        n_lo, other, b_axis, slices = 0.0, xj, indices.j, _adjacent_slices
-    n_grid = np.linspace(n_lo, box.diagonal, n_nodes)
-    a = np.linspace(0.0, xi, a_nodes)[None, :, None]
-    b = np.linspace(0.0, other, b_nodes)[None, None, :]
+    xi, xj, xk = indices.dims(box)
+    slices = _opposing_slices if kind is PairKind.OPPOSING else _adjacent_slices
+    domain, names = joint_frame(box, kind, indices)
+    n_grid, a, b = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, (n_nodes, a_nodes, b_nodes)))
     vals = np.empty((n_nodes, a_nodes, b_nodes))
     for start in range(0, n_nodes, _BLOCK):
-        vals[start : start + _BLOCK] = slices(n_grid[start : start + _BLOCK, None, None], a, b, xi, xj, xk)
-    dens = GridDensity(((n_lo, box.diagonal), (0.0, xi), (0.0, other)), vals, ("n", f"x{indices.i}", f"x{b_axis}"))
+        vals[start : start + _BLOCK] = slices(n_grid[start : start + _BLOCK, None, None], a[:, None], b, xi, xj, xk)
+    dens = GridDensity(domain, vals, names)
     mass = dens.integral()
     return FacePdf(kind, indices, dens.normalized(), mass)
 
@@ -410,7 +404,7 @@ def length_marginal_opposing(
     The n = X_j node is the first cell's hat average (`_jump_law`).
     """
     box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
+    xi, xj, xk = indices.dims(box)
     return _jump_law(lambda n: _opposing_values(n, xi, xj, xk), xj, box.diagonal, n_nodes, _MARGINAL_NODES)
 
 
@@ -460,7 +454,7 @@ def length_marginal_adjacent(
     are unused, kept so that existing calls and argument readers work.
     """
     box = BoxDims.from_any(box)
-    xi, xj, xk = _dims(box, indices)
+    xi, xj, xk = indices.dims(box)
     n_grid = np.linspace(0.0, box.diagonal, n_nodes)
     vals = np.empty(n_nodes)
     vals[0] = _adjacent_values(np.ones(1), np.inf, np.inf, np.inf)[0]
@@ -482,7 +476,7 @@ def forward_opposing(
     the un-normalized direction components (t_i, t_j, t_k) with t_j > 0.
     """
     box = BoxDims.from_any(box)
-    _, xj, _ = _dims(box, indices)
+    xj = box.dim(indices.j)
     x_i, x_k = float(entry[0]), float(entry[1])
     t_i, t_j, t_k = (float(v) for v in direction)
     if t_j <= 0:
@@ -498,7 +492,7 @@ def jacobian_opposing(
     """|det| of the forward_opposing differential: n^2 D / (X_j r^2) with
     D the transverse displacement along axis k."""
     box = BoxDims.from_any(box)
-    _, xj, _ = _dims(box, indices)
+    xj = box.dim(indices.j)
     n, r, _, xk_exit, _ = forward_opposing(box, indices, entry, direction)
     d = abs(xk_exit - float(entry[1]))
     return float(n * n * d / (xj * r * r))

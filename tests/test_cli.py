@@ -391,6 +391,25 @@ def test_figures_refuses_bad_inputs_before_writing(workdir, tmp_path, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "box, flags, extent",
+    [
+        ((1.0, 0.1, 1.0), ["--which", "location", "--cell-face", "0", "--cell", "0.5", "0.5", "0.05"], "[0, 0.1] x [0, 1.0]"),
+        ((0.2, 1.0, 0.2), [], "[0, 0.2] x [0, 0.2]"),  # the default --cell misses the rod's face 3
+    ],
+    ids=["slab-face0", "rod-default"],
+)
+def test_figures_refuses_an_off_face_cell_before_writing(tmp_path, capsys, box, flags, extent):
+    cfg = tmp_path / "box.json"
+    cfg.write_text(json.dumps({**TINY, "box": list(box)}))
+    assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "analytic")]) == 0
+    out = tmp_path / "figs"
+    assert cli.main(["figures", "--analytic", str(tmp_path / "analytic"), "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "--cell " in err and "--cell-face" in err and extent in err
+    assert not out.exists()
+
+
 def _read_csv(path: Path) -> tuple[list[str], list[np.ndarray]]:
     """Header and float columns of a figure table."""
     header, *rows = path.read_text().splitlines()

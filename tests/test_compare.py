@@ -74,9 +74,8 @@ def test_empty_cell_raises():
     d = make_density()
     h = hist_from_density(d, 1000, 8)
     empty = JointHistogram(h.kind, h.indices, h.n_edges, h.u_edges, h.v_edges, np.zeros_like(h.counts), 0)
-    with pytest.raises(EmptyCellError) as info:
+    with pytest.raises(EmptyCellError):
         compare.compare_joint(empty, d)
-    assert info.value.count == 0
     with pytest.raises(EmptyCellError):
         compare.compare_length(h.n_edges, np.zeros(h.n_edges.size - 1), d.marginal_1d(0))
 

@@ -12,10 +12,13 @@ from boxpath import (
     PairKind,
     Side,
     canonical_classes,
+    chords,
     classify_pair,
     combined_length_pdf_chords,
     entry_probability,
+    rays,
 )
+from boxpath.montecarlo import class_bin_edges
 
 
 def test_face_codes_round_trip():
@@ -109,6 +112,30 @@ def test_canonical_ranges(skew_box):
             else:
                 hi2 = skew_box.dim(cls.indices.j)
             assert np.all(uv[:, 1] >= -1e-12) and np.all(uv[:, 1] <= hi2 + 1e-12)
+
+
+@pytest.mark.parametrize("cls", canonical_classes(), ids=lambda c: c.label)
+def test_class_frame_on_a_box_of_three_different_edges(skew_box, cls):
+    """Every class law and histogram of one class shares its frame: n on
+    [X_j or 0, diagonal], u on [0, X_i], v on [0, X_k or X_j], read off the
+    box by hand.  All three edges differ, so swapped axes would show."""
+    i, j, k = cls.indices.as_tuple
+    opposing = cls.kind is PairKind.OPPOSING
+    v = k if opposing else j
+    domain = (
+        (skew_box.dim(j) if opposing else 0.0, skew_box.diagonal),
+        (0.0, skew_box.dim(i)),
+        (0.0, skew_box.dim(v)),
+    )
+    names = ("n", f"x{i}", f"x{v}")
+    kind = "opposing" if opposing else "adjacent"
+    for model in (rays, chords):
+        joint = getattr(model, f"joint_pdf_{kind}")(skew_box, cls.indices, 4, 4, 4).density
+        assert (joint.domain, joint.axis_names) == (domain, names)
+    exit_map = getattr(rays, f"exit_pdf_{kind}")(skew_box, cls.indices, 4, 4).density
+    assert (exit_map.domain, exit_map.axis_names) == (domain[1:], names[1:])
+    edges = class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, 3, 3, 3)
+    assert tuple((e[0], e[-1]) for e in edges) == domain
 
 
 def test_hand_checked_reflection_case():
