@@ -521,7 +521,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         raise ValueError(f"--which: unknown figures {sorted(unknown)}; choose from {','.join(_FIGURES)}")
     if not args.band[0] < args.band[1]:
         raise ValueError(f"--band needs LO < HI, got {args.band[0]} {args.band[1]}")
-    if not args.cell[2] > 0:
+    if args.cell is not None and not args.cell[2] > 0:
         raise ValueError(f"--cell needs a positive half width HALF, got {args.cell[2]}")
     exit_face = FaceId.from_code(args.cell_face)
     analytic_dir = Path(args.analytic)
@@ -537,7 +537,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     box = BoxDims.from_any(manifest["config"]["box"])
     # A cell square off its face would fail the location figure after other figures were written.
     extents = [box.dim(axis) for axis in exit_face.plane_axes]
-    a, b, half = args.cell
+    # By default the cell is centred on its face, 5 % of the face's shorter side in half width.
+    a, b, half = args.cell or (0.5 * extents[0], 0.5 * extents[1], 0.05 * min(extents))
     if "location" in which and not all(c - half < x and c + half > 0.0 for c, x in zip((a, b), extents)):
         raise NumericalError(
             f"--cell {a} {b} {half} lies off --cell-face {exit_face.code} ({exit_face}), "
@@ -551,7 +552,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if "elevation" in which:
         _figure_elevation(analytic_dir, out, files)
     if "location" in which:
-        _figure_location(analytic_dir, sample_files, out, box, exit_face, tuple(args.cell), files)
+        _figure_location(analytic_dir, sample_files, out, box, exit_face, (a, b, half), files)
     if "lengths" in which:
         _figure_lengths(analytic_dir, sample_files, out, files)
     _write_json(out / "figures_manifest.json", {"command": "figures", "outputs": sorted(files)})
@@ -608,7 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", help="comma list: band,elevation,location,lengths")
     p.add_argument("--band", nargs=2, type=float, default=(0.675, 0.705), metavar=("LO", "HI"), help="length band as fractions of the diagonal")
     p.add_argument("--cell-face", dest="cell_face", type=int, default=3, help="exit face code 0..5 for the location figure")
-    p.add_argument("--cell", nargs=3, type=float, default=(1.0, 0.25, 0.02), metavar=("A", "B", "HALF"), help="cell center and half width in face-local coordinates")
+    p.add_argument(
+        "--cell",
+        nargs=3,
+        type=float,
+        metavar=("A", "B", "HALF"),
+        help="cell center and half width in face-local coordinates (default: the face's center, half width 5%% of its shorter side)",
+    )
     p.set_defaults(func=_cmd_figures)
     return parser
 

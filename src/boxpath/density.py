@@ -104,7 +104,7 @@ class GridDensity1D:
         if hi <= lo:
             return out
         # Between merged nodes both f and every target hat are linear.
-        pts = np.unique(np.clip(np.concatenate([self.nodes, grid]), lo, hi))
+        pts = _sorted_distinct(np.clip(np.concatenate([self.nodes, grid]), lo, hi))
         p, q = pts[:-1], pts[1:]
         fp, fq = self.interp(p), self.interp(q)
         cell = np.clip(np.searchsorted(grid, 0.5 * (p + q)) - 1, 0, grid.size - 2)
@@ -273,6 +273,13 @@ def square_density(fx: GridDensity1D, s_hi: float | None = None, s_nodes: int = 
 # Exact PL integration against bin edges.
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array without NaN, ascending: `np.unique`'s
+    result, without the `numpy.ma` import that `np.unique` costs on first use."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
 def _hat_bin_weights(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """W[m, b] = integral over bin b of the PL hat function at node m.
 
@@ -287,7 +294,7 @@ def _hat_bin_weights(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
     hi = min(nodes[-1], edges[-1])
     if hi <= lo:
         return w
-    pts = np.unique(np.clip(np.concatenate([nodes, edges]), lo, hi))
+    pts = _sorted_distinct(np.clip(np.concatenate([nodes, edges]), lo, hi))
     p, q = pts[:-1], pts[1:]
     keep = q > p
     p, q = p[keep], q[keep]

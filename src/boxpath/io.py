@@ -6,8 +6,10 @@ stock savez embeds the current time in every member header.  Its members
 are stored, not deflated: deflate shrinks the dense float grids only about
 fourfold and took longer than computing them, and `np.load` reads stored
 and deflated members alike, so older deflated artifacts still load.  CSV
-floats use repr (shortest round-trip form).  Trajectory spills are
-fixed-layout little-endian records behind a small header.
+floats use repr (shortest round-trip form).  A trajectory spill is a
+small header, then one little-endian column per record field, so a
+sampler stream's arrays go to disk as they are, with one positional
+write each, and a read gets each field back as one contiguous array.
 """
 
 from __future__ import annotations
@@ -39,17 +41,19 @@ __all__ = [
     "write_trajectories",
 ]
 
-_TRAJ_MAGIC = b"BOXPATH\x01"
-# One packed little-endian record per path, its fields named as the batch's:
-# entry_code at byte 0, exit_code at 1, entry_ab at 2, exit_ab at 18, length
-# at 34; 42 bytes in all.
+_TRAJ_MAGIC = b"BOXPATH\x02"
+_TRAJ_V1_MAGIC = b"BOXPATH\x01"  # packed 42-byte records, no longer read
+# The record fields, named as the batch's, in their column order: a spill
+# of `count` records holds each field's column, little-endian, from byte
+# _TRAJ_HEADER + count * (the field's offset here) on.  The float columns
+# come first, so each starts 8-byte aligned; 42 bytes per record in all.
 _TRAJ_DTYPE = np.dtype(
     [
-        ("entry_code", "u1"),
-        ("exit_code", "u1"),
         ("entry_ab", "<f8", (2,)),
         ("exit_ab", "<f8", (2,)),
         ("length", "<f8"),
+        ("entry_code", "u1"),
+        ("exit_code", "u1"),
     ]
 )
 _TRAJ_HEADER = 40  # magic, three box dims, record count
@@ -185,29 +189,46 @@ def start_trajectories(path, box: BoxDims, count: int) -> None:
         fh.truncate(_TRAJ_HEADER + count * _TRAJ_DTYPE.itemsize)
 
 
+def _columns(count: int):
+    """Each field's name, dtype and the byte offset of its column in a spill of `count` records."""
+    for name in _TRAJ_DTYPE.names:
+        dtype, offset = _TRAJ_DTYPE.fields[name][:2]
+        yield name, dtype, _TRAJ_HEADER + count * offset
+
+
 def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> None:
-    """Raw little-endian spill: 8-byte magic, box dims, count, then records.
+    """Raw little-endian spill: 8-byte magic, box dims, count, then one column per field.
 
     Without `at` the batch is the whole spill.  With `at` its records are
-    written from record `at` on into a spill begun by `start_trajectories`.
+    written from record `at` on into a spill begun by `start_trajectories`:
+    each of the batch's arrays goes to its column with one positional write.
     """
     if at is None:
         start_trajectories(path, batch.box, len(batch))
         at = 0
-    rec = np.empty(len(batch), dtype=_TRAJ_DTYPE)
-    for name in _TRAJ_DTYPE.names:
-        rec[name] = getattr(batch, name)
-    offset = _TRAJ_HEADER + at * _TRAJ_DTYPE.itemsize
-    with open(path, "r+b") as fh:
-        if os.fstat(fh.fileno()).st_size < offset + rec.nbytes:
+    fd = os.open(path, os.O_RDWR)
+    try:
+        header = os.pread(fd, _TRAJ_HEADER, 0)
+        if header[:8] != _TRAJ_MAGIC:
+            raise IncompatibleGridError(f"{path}: not a spill begun by start_trajectories (bad magic)")
+        count = int.from_bytes(header[32:], "little")
+        if at + len(batch) > count:
             raise ValueError(f"{path}: records {at}..{at + len(batch)} lie past the end of the spill")
-        fh.seek(offset)
-        rec.tofile(fh)
+        for name, dtype, offset in _columns(count):
+            column = np.ascontiguousarray(getattr(batch, name), dtype=dtype.base)
+            view = memoryview(column.reshape(-1).view(np.uint8))
+            offset += at * dtype.itemsize
+            while view:  # a positional write may write less than asked
+                done = os.pwrite(fd, view, offset)
+                view, offset = view[done:], offset + done
+    finally:
+        os.close(fd)
 
 
 def read_trajectories(path, where=None) -> TrajectoryBatch:
-    """Read a spill; IncompatibleGridError for a bad magic, a truncated file,
-    or a record whose face codes are not a traversal pair.
+    """Read a spill; IncompatibleGridError for a bad magic, a spill of the
+    older packed-record format, a truncated file, or a record whose face
+    codes are not a traversal pair.
 
     With `where`, a function from a TrajectoryBatch to a row mask, the
     records are read in blocks of `_READ_BLOCK` and only the rows it keeps
@@ -217,6 +238,10 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_TRAJ_HEADER)
+        if header[:8] == _TRAJ_V1_MAGIC:
+            raise IncompatibleGridError(
+                f"{path}: a spill in the packed-record format 1, which is no longer read; rerun `sample --spill`"
+            )
         if header[:8] != _TRAJ_MAGIC:
             raise IncompatibleGridError(f"{path}: not a trajectory spill (bad magic)")
         count = int.from_bytes(header[32:], "little")
@@ -225,19 +250,28 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
             raise IncompatibleGridError(f"{path}: truncated spill ({found} of {count} records)")
         box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
         block = count if where is None else _READ_BLOCK
-        kept = []
+        kept: dict[str, list[np.ndarray]] = {name: [] for name in _TRAJ_DTYPE.names}
         for start in range(0, count, max(1, block)):
-            rec = np.fromfile(fh, dtype=_TRAJ_DTYPE, count=min(block, count - start))
-            bad = (rec["entry_code"] > 5) | (rec["exit_code"] > 5) | (rec["entry_code"] == rec["exit_code"])
+            rows = min(block, count - start)
+            columns = {}
+            for name, dtype, offset in _columns(count):
+                fh.seek(offset + start * dtype.itemsize)
+                columns[name] = np.fromfile(fh, dtype=dtype, count=rows)
+            entry, exit_ = columns["entry_code"], columns["exit_code"]
+            bad = (entry > 5) | (exit_ > 5) | (entry == exit_)
             if bad.any():
                 raise IncompatibleGridError(
                     f"{path}: record {start + int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit"
                 )
             if where is not None:
-                rec = rec[where(TrajectoryBatch(box, **{name: rec[name] for name in _TRAJ_DTYPE.names}))]
-            kept.append(rec)
-    rec = kept[0] if len(kept) == 1 else np.concatenate([np.empty(0, dtype=_TRAJ_DTYPE), *kept])
-    columns = {name: np.ascontiguousarray(rec[name]) for name in _TRAJ_DTYPE.names}
+                keep = where(TrajectoryBatch(box, **columns))
+                columns = {name: column[keep] for name, column in columns.items()}
+            for name, column in columns.items():
+                kept[name].append(column)
+    columns = {
+        name: parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, _TRAJ_DTYPE[name]), *parts])
+        for name, parts in kept.items()
+    }
     return TrajectoryBatch(box, **columns, meta={"source": "spill"})
 
 

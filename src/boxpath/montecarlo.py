@@ -388,14 +388,16 @@ class JointBinning:
     """The canonical class histograms' bins for one box and bin counts.
 
     Tables indexed by pair code (entry * 6 + exit; 36 for a row with a
-    face code outside 0..5) give each pair's class, the exit-face columns
-    of its canonical (u, v) and their mirroring; per-class tables hold the
-    edges of `class_bin_edges`.  Each row gets one flat bin index and one
-    `np.bincount` counts them.  Bin membership is exactly
+    face code outside 0..5) give each pair's class, which exit-face column
+    its canonical u is read from (v is the other one), and each axis's
+    scaled offset g = A + B * x, mirroring folded in; per-class tables
+    hold the edges of `class_bin_edges`.  Each row gets one flat bin index
+    in its class's block of bins padded by one on each side of every axis,
+    and one `np.bincount` counts them: a class's total is its block's sum,
+    its histogram the block's inside.  Bin membership is exactly
     `np.histogramdd`'s over those edges: a bin is [e_i, e_i+1), the last
-    one closed, and rows outside every bin count only in `total`.  Rows
-    are binned by floor, then corrected against the edges, as
-    `np.histogram` does for equal bins.
+    one closed, and rows outside every bin count only in `total` (see
+    `_bins`).
     """
 
     _CHUNK = 1 << 18  # rows binned per pass, which bounds the temporaries
@@ -407,23 +409,32 @@ class JointBinning:
         self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
         slot = {c.label: s for s, c in enumerate(self.classes)}
         none = len(self.classes)
+        # Per axis, one row of edges per class plus a placeholder row for
+        # rows of no class, and each row's floor offset and scale.
+        self._edges = [np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)]
+        lo = [r[:, 0] for r in self._edges]
+        scale = [b / (r[:, -1] - r[:, 0]) for b, r in zip(self.shape, self._edges)]
+        self._tol = [_near_tol(r, b) for r, b in zip(self._edges, self.shape)]
         self._cls = np.full(37, none, dtype=np.intp)
-        self._col = np.zeros((2, 37), dtype=np.intp)
+        self._swap = np.zeros(37, dtype=bool)
         self._mirror = np.zeros((2, 37), dtype=bool)
         self._dim = np.zeros((2, 37))
         for pair in FACE_PAIRS:
             code = pair.entry_face.code * 6 + pair.exit_face.code
             self._cls[code] = slot[pair.label]
-            for c, (axis, col, mirror) in enumerate(pair.exit_frame):
-                self._col[c, code], self._mirror[c, code], self._dim[c, code] = col, mirror, self.box.dim(axis)
-        # Per axis, one row of edges per class plus a placeholder row for
-        # rows of no class, flattened, and each row's first and last edge
-        # and the floor's scale b / (hi - lo).
-        rows = [np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)]
-        self._edges = [r.ravel() for r in rows]
-        self._lo = [r[:, 0].copy() for r in rows]
-        self._hi = [r[:, -1].copy() for r in rows]
-        self._scale = [b / (r[:, -1] - r[:, 0]) for b, r in zip(self.shape, rows)]
+            (u_axis, u_col, u_mirror), (v_axis, v_col, v_mirror) = pair.exit_frame
+            self._swap[code] = u_col == 1
+            self._mirror[:, code] = u_mirror, v_mirror
+            self._dim[:, code] = self.box.dim(u_axis), self.box.dim(v_axis)
+        # g = A + B x over each pair's exit column x, X - x where mirrored;
+        # the length axis reads the length itself.
+        self._a = [(1.0 - lo[0] * scale[0]).take(self._cls)]
+        self._b = [scale[0].take(self._cls)]
+        for c in (0, 1):
+            s = scale[c + 1].take(self._cls)
+            self._a.append(1.0 + (np.where(self._mirror[c], self._dim[c], 0.0) - lo[c + 1].take(self._cls)) * s)
+            self._b.append(np.where(self._mirror[c], -s, s))
+        self._base = self._cls * (self.shape[0] + 2)
 
     def histograms(self, batch: TrajectoryBatch | None = None) -> dict[str, JointHistogram]:
         """The class histograms of `batch`, or empty ones to add counts into."""
@@ -446,44 +457,66 @@ class JointBinning:
         none = len(self.classes)
         valid = (entry_code < 6) & (exit_code < 6)
         code = np.where(valid, entry_code.astype(np.intp) * 6 + exit_code, 36)
-        cls = self._cls.take(code)
-        flat = cls.copy()
-        inside = cls < none
-        for axis, b in enumerate(self.shape):
-            x = length if axis == 0 else self._canonical(axis - 1, code, exit_ab)
-            lo, hi, scale = self._lo[axis].take(cls), self._hi[axis].take(cls), self._scale[axis].take(cls)
-            idx, ok = _bins(x, lo, hi, scale, self._edges[axis], cls * (b + 1), b)
-            flat *= b
-            flat += idx
-            inside &= ok
-        size = none * int(np.prod(self.shape))
-        flat[~inside] = size
-        counts = np.bincount(flat, minlength=size + 1)[:size].reshape(none, *self.shape)
-        return counts.astype(np.uint64), np.bincount(cls, minlength=none + 1)[:none]
+        ab0, ab1 = np.ascontiguousarray(exit_ab.T)
+        swap = self._swap.take(code)
+        columns = (length, np.where(swap, ab1, ab0), np.where(swap, ab0, ab1))
+        flat = self._base.take(code)
+        for axis, (x, b) in enumerate(zip(columns, self.shape)):
 
-    def _canonical(self, c: int, code: np.ndarray, exit_ab: np.ndarray) -> np.ndarray:
-        """Canonical exit coordinate c (0: u, 1: v), as `exit_local_to_canonical` gives it."""
-        a = np.where(self._col[c].take(code) == 0, exit_ab[:, 0], exit_ab[:, 1])
-        return np.where(self._mirror[c].take(code), self._dim[c].take(code) - a, a)
+            def near_values(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                pair = code.take(rows)
+                value = x.take(rows)
+                if axis:  # the canonical coordinate, as `exit_local_to_canonical` gives it
+                    value = np.where(self._mirror[axis - 1].take(pair), self._dim[axis - 1].take(pair) - value, value)
+                return value, self._edges[axis][self._cls.take(pair), k - 1]
+
+            g = self._b[axis].take(code)
+            g *= x
+            g += self._a[axis].take(code)
+            if axis:
+                flat *= b + 2
+            flat += _bins(g, b, self._tol[axis], near_values)
+        n, u, v = (b + 2 for b in self.shape)
+        padded = np.bincount(flat, minlength=(none + 1) * n * u * v)[: none * n * u * v].reshape(none, n, u, v)
+        return padded[:, 1:-1, 1:-1, 1:-1].astype(np.uint64), padded.sum(axis=(1, 2, 3))
 
 
-def _bins(x, lo, hi, scale, edges: np.ndarray, start, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's bin among b equal bins, and whether it lies in one.
+def _near_tol(edges: np.ndarray, b: int) -> float:
+    """How close to a bin boundary a scaled offset must lie for `_bins` to check it against the edges.
 
-    The bins' edges are edges[start : start + b + 1], running from lo to hi
-    (scalars, or one per value, as `start` is), and scale is b / (hi - lo).
-    A bin is [e_i, e_i+1), the last one closed, as `np.histogram` has
-    them: the floor of the scaled offset is corrected by one against the
-    edges.
+    `edges` holds rows of b + 1 equal-bin edges.  A scaled offset
+    (x - lo) * b / (hi - lo) + 1 computed in floating point, the edges and
+    a mirrored X - x are each off by about an ulp of (|lo| + |hi|) in scaled
+    units.  The tolerance is 4 of those, but at least 1e-6; it stays below
+    0.25, so each checked value lies next to one boundary only.
     """
-    inside = (x >= lo) & (x <= hi)
-    guess = (x - lo) * scale
-    np.copyto(guess, 0.0, where=~inside)  # NaN or far-out values would not cast
-    idx = np.minimum(guess.astype(np.intp), b - 1)
-    at = idx + start
-    idx -= x < edges.take(at)
-    idx += (x >= edges.take(at + 1)) & (idx != b - 1)
-    return idx, inside
+    scale = b / (edges[:, -1] - edges[:, 0])
+    ulps = 4 * np.finfo(float).eps * float(np.max((np.abs(edges[:, 0]) + np.abs(edges[:, -1])) * scale + b + 2))
+    return min(0.25, max(1e-6, ulps))
+
+
+def _bins(g: np.ndarray, b: int, tol: float, near_values) -> np.ndarray:
+    """Each value's bin among b equal bins, numbered 1..b, with 0 below them and b + 1 above.
+
+    `g` (overwritten) is each value's scaled offset (x - lo) * b / (hi - lo) + 1,
+    known to within `tol`, so a value whose g lies farther than `tol` from
+    every integer is in bin floor(g).  Only the values within `tol` of an
+    integer k are compared with the edge between bins k - 1 and k:
+    `near_values(rows, k)` gives those rows' exact values and that edge,
+    e_{k-1}.  A bin is [e_i, e_i+1), the last one closed, as
+    `np.histogramdd` has them, and NaN lies outside every bin.
+    """
+    np.fmax(g, 0.5, out=g)  # also NaN to 0.5
+    np.fmin(g, b + 1.5, out=g)
+    idx = g.astype(np.intp)
+    frac = g - idx
+    frac -= 0.5
+    near = np.flatnonzero(np.abs(frac, out=frac) > 0.5 - tol)
+    if near.size:
+        k = np.rint(g.take(near)).astype(np.intp)
+        x, e = near_values(near, k)
+        idx[near] = k - ((x < e) | ((k == b + 1) & (x == e)))
+    return idx
 
 
 def canonical_histograms(
@@ -517,11 +550,14 @@ def length_counts(
         hi = batch.box.diagonal
     edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
     lo, hi = edges[0], edges[-1]
-    idx, inside = _bins(batch.length, lo, hi, bins / (hi - lo), edges, 0, bins)
-    # entry axis 0..2, and 3 for face codes outside 0..5
-    idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * bins
-    idx[~inside] = 4 * bins
-    by_axis = np.bincount(idx, minlength=4 * bins + 1)[: 4 * bins].reshape(4, bins)
+    scale = bins / (hi - lo)
+    g = batch.length * scale
+    g += 1.0 - lo * scale
+    idx = _bins(g, bins, _near_tol(edges[None], bins), lambda rows, k: (batch.length.take(rows), edges.take(k - 1)))
+    # entry axis 0..2, and 3 for face codes outside 0..5; bins 0 and
+    # bins + 1 of each axis lie outside the range
+    idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * (bins + 2)
+    by_axis = np.bincount(idx, minlength=4 * (bins + 2)).reshape(4, bins + 2)[:, 1:-1]
     return edges, np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
 
 

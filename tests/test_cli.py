@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -162,6 +163,18 @@ def test_analytic_refuses_direction_model_without_law(workdir, tmp_path):
     argv = ["analytic", "--config", str(workdir / "tiny.json"), "--direction-model", "ball-rejection", "--out", str(out)]
     assert cli.main(argv) == 2
     assert not out.exists()
+
+
+def test_figures_refuses_a_v1_spill(workdir, tmp_path, capsys):
+    """A sample directory whose spill is in the packed-record format 1 exits 3 and names the rerun."""
+    sample = tmp_path / "sample"
+    shutil.copytree(workdir / "sample", sample)
+    n = 4
+    records = b"".join(struct.pack("<BB5d", 2, 3, 0.5, 0.5, 0.25, 0.5, 1.0) for _ in range(n))
+    (sample / "rays.bin").write_bytes(b"BOXPATH\x01" + struct.pack("<3dQ", *TINY["box"], n) + records)
+    argv = ["figures", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(tmp_path / "figs")]
+    assert cli.main([*argv, "--which", "location"]) == 3
+    assert "sample --spill" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("box", [1.0, 0.1, 1.0]), ("direction_model", "ball-rejection")])
@@ -395,9 +408,8 @@ def test_figures_refuses_bad_inputs_before_writing(workdir, tmp_path, capsys, fl
     "box, flags, extent",
     [
         ((1.0, 0.1, 1.0), ["--which", "location", "--cell-face", "0", "--cell", "0.5", "0.5", "0.05"], "[0, 0.1] x [0, 1.0]"),
-        ((0.2, 1.0, 0.2), [], "[0, 0.2] x [0, 0.2]"),  # the default --cell misses the rod's face 3
     ],
-    ids=["slab-face0", "rod-default"],
+    ids=["slab-face0"],
 )
 def test_figures_refuses_an_off_face_cell_before_writing(tmp_path, capsys, box, flags, extent):
     cfg = tmp_path / "box.json"
@@ -408,6 +420,21 @@ def test_figures_refuses_an_off_face_cell_before_writing(tmp_path, capsys, box, 
     err = capsys.readouterr().err
     assert "--cell " in err and "--cell-face" in err and extent in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "box, title", [((0.2, 1.0, 0.2), "around (0.1, 0.1)"), ((1.0, 1.0, 1.0), "around (0.5, 0.5)")], ids=["rod", "cube"]
+)
+def test_figures_default_cell_is_centred_on_its_face(tmp_path, box, title):
+    """A plain `figures` writes the location overlay at the centre of face 3,
+    also on the rod, whose face 3 is only 0.2 x 0.2."""
+    cfg = tmp_path / "box.json"
+    cfg.write_text(json.dumps({**TINY, "box": list(box)}))
+    assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "analytic")]) == 0
+    out = tmp_path / "figs"
+    assert cli.main(["figures", "--analytic", str(tmp_path / "analytic"), "--out", str(out)]) == 0
+    assert "location_length.svg" in json.loads((out / "figures_manifest.json").read_text())["outputs"]
+    assert title in (out / "location_length.svg").read_text()
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[np.ndarray]]:
@@ -573,3 +600,25 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_analytic_compare_and_figures_leave_out_numpy_ma(workdir, tmp_path):
+    # np.unique imports numpy.ma on first use, about 26 ms for each stage
+    # that calls it; the grid projections sort and drop repeats instead
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    analytic, sample = tmp_path / "analytic", workdir / "sample"
+    code = f"""
+import sys
+from boxpath import cli
+
+for argv in (
+    ["analytic", "--config", {str(workdir / "tiny.json")!r}, "--out", {str(analytic)!r}, "--csv"],
+    ["compare", "--analytic", {str(analytic)!r}, "--sample", {str(sample)!r}, "--out", {str(tmp_path / "report.json")!r}],
+    ["figures", "--analytic", {str(analytic)!r}, "--sample", {str(sample)!r}, "--out", {str(tmp_path / "figs")!r}],
+):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -170,35 +170,57 @@ def test_trajectory_truncation_detected(tmp_path, cube):
 
 @pytest.mark.parametrize("exit_byte", [6, None], ids=["face-byte-6", "same-face"])
 def test_trajectory_bad_face_codes_rejected(tmp_path, cube, exit_byte):
-    batch = sample_rays(cube, 1_000, 33, "cube-components", 1)
+    n = 1_000
+    batch = sample_rays(cube, n, 33, "cube-components", 1)
     path = tmp_path / "t.bin"
     bio.write_trajectories(path, batch)
     blob = bytearray(path.read_bytes())
-    rec = 40 + 7 * bio._TRAJ_DTYPE.itemsize  # past magic, dims and count, to record 7
-    # a record starts with its entry face byte, then its exit face byte
-    blob[rec + 1] = blob[rec] if exit_byte is None else exit_byte
+    # past the header and the 40 bytes per record of float columns, the
+    # entry face column, then the exit face column, one byte per record
+    entry, exit_ = 40 + 40 * n + 7, 40 + 41 * n + 7
+    blob[exit_] = blob[entry] if exit_byte is None else exit_byte
     path.write_bytes(bytes(blob))
     with pytest.raises(IncompatibleGridError, match="face codes"):
         bio.read_trajectories(path)
 
 
 def test_trajectory_record_layout(tmp_path):
-    """A spill is its header, then one packed little-endian <BB5d record per path."""
+    """A spill is its header, then one little-endian column per field: entry_ab,
+    exit_ab and length as doubles, entry and exit face codes as bytes."""
     box = BoxDims(1.3, 0.8, 1.1)
+    entry_code, exit_code = (0, 2, 5), (1, 4, 3)
     entry_ab = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     exit_ab = np.array([[0.7, 0.8], [0.9, 1.0], [0.25, 0.75]])
     length = np.array([1.5, 0.125, 2.0625])
-    batch = TrajectoryBatch(box, np.array([0, 2, 5], np.uint8), entry_ab, np.array([1, 4, 3], np.uint8), exit_ab, length)
+    batch = TrajectoryBatch(box, np.array(entry_code, np.uint8), entry_ab, np.array(exit_code, np.uint8), exit_ab, length)
     path = tmp_path / "t.bin"
     bio.write_trajectories(path, batch)
-    header = b"BOXPATH\x01" + struct.pack("<3dQ", 1.3, 0.8, 1.1, 3)
-    records = [
-        struct.pack("<BB5d", e, x, *a, *b, n)
-        for e, x, a, b, n in zip((0, 2, 5), (1, 4, 3), entry_ab.tolist(), exit_ab.tolist(), length.tolist())
+    header = b"BOXPATH\x02" + struct.pack("<3dQ", 1.3, 0.8, 1.1, 3)
+    columns = [
+        struct.pack("<6d", *entry_ab.ravel().tolist()),
+        struct.pack("<6d", *exit_ab.ravel().tolist()),
+        struct.pack("<3d", *length.tolist()),
+        struct.pack("<3B", *entry_code),
+        struct.pack("<3B", *exit_code),
     ]
-    assert path.read_bytes() == header + b"".join(records)
+    blob = path.read_bytes()
+    assert blob == header + b"".join(columns)
+    assert len(blob) == 40 + 42 * 3
     back = bio.read_trajectories(path)
-    assert np.array_equal(back.entry_ab, entry_ab) and np.array_equal(back.exit_code, batch.exit_code)
+    for name in ("entry_code", "entry_ab", "exit_code", "exit_ab", "length"):
+        got = getattr(back, name)
+        assert np.array_equal(got, getattr(batch, name)) and got.flags.c_contiguous and got.flags.aligned, name
+
+
+def test_trajectory_v1_spill_refused(tmp_path):
+    """A spill of packed 42-byte records under the version-1 magic is refused
+    with a message that names the format and the rerun."""
+    n = 4
+    records = b"".join(struct.pack("<BB5d", 2, 3, 0.5, 0.5, 0.25, 0.5, 1.0) for _ in range(n))
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"BOXPATH\x01" + struct.pack("<3dQ", 1.0, 1.0, 1.0, n) + records)
+    with pytest.raises(IncompatibleGridError, match=r"format 1.*sample --spill"):
+        bio.read_trajectories(path)
 
 
 def test_csv_floats_round_trip_exactly(tmp_path, densities):

@@ -21,7 +21,7 @@ from boxpath import (
     sample_chords,
     sample_rays,
 )
-from boxpath.geometry import canonical_classes, classify_pair, entry_probability
+from boxpath.geometry import FACE_PAIRS, canonical_classes, classify_pair, entry_probability
 from boxpath.montecarlo import (
     DIRECTION_MODELS,
     _draw_directions,
@@ -387,6 +387,33 @@ def test_canonical_histograms_bin_edges_like_histogramdd(skew_box):
     hists = canonical_histograms(batch, *bins)
     for label, (_, counts, total) in per_pair_reference(skew_box, batch, bins).items():
         assert np.array_equal(hists[label].counts, counts)
+        assert hists[label].total == total
+
+
+@pytest.mark.parametrize(
+    "box", [BoxDims(1.3, 0.8, 1.1), BoxDims(1e-5, 1.0, 1e-5), BoxDims(1e-7, 1.0, 1e-7)], ids=["skew", "needle", "thinner-needle"]
+)
+def test_canonical_histograms_near_edges_like_histogramdd(box):
+    """Values an ulp or a relative 1e-9 either side of every bin edge, also
+    where a mirrored exit coordinate X - x lands there, bin as histogramdd
+    bins them, for every face pair alike.  The needles' opposing-entry2
+    lengths span only about 1e-10 and 1e-14 of their length."""
+    batch = sample_rays(box, 20_000, 46, "cube-components", 1)
+    bins = (6, 5, 4)
+    edges = [class_bin_edges(box, cls.kind, cls.indices.as_tuple, *bins) for cls in canonical_classes()]
+
+    def around(v):
+        return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), v * (1 - 1e-9), v * (1 + 1e-9)])
+
+    uv = np.concatenate([e[a] for e in edges for a in (1, 2)])
+    rng = np.random.default_rng(5)
+    pairs = rng.choice(np.array([(p.entry_face.code, p.exit_face.code) for p in FACE_PAIRS], np.uint8), len(batch))
+    batch.entry_code[:], batch.exit_code[:] = pairs.T
+    batch.length[:] = rng.choice(around(np.concatenate([e[0] for e in edges])), len(batch))
+    batch.exit_ab[:] = rng.choice(around(np.concatenate([uv, *(x - uv for x in box.as_array())])), (len(batch), 2))
+    hists = canonical_histograms(batch, *bins)
+    for label, (_, counts, total) in per_pair_reference(box, batch, bins).items():
+        assert np.array_equal(hists[label].counts, counts), label
         assert hists[label].total == total
 
 

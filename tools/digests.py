@@ -13,8 +13,12 @@ writing under DIR:
     figures_sample/               figures --sample sample_workers1
 
 The last line printed is one JSON object mapping each output's path,
-relative to DIR, to its sha256.  Run it on two checkouts with the same
-config and compare the objects to see which bytes a change moved.
+relative to DIR, to its sha256.  Each trajectory spill also gets the
+sha256 of every column as this checkout's `read_trajectories` returns it,
+under its path plus `#` and the field name (`sample_workers1/rays.bin#length`),
+so a change to the spill layout alone shows that the paths did not move.
+Run it on two checkouts with the same config and compare the objects to
+see which bytes a change moved.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+FIELDS = ("entry_code", "entry_ab", "exit_code", "exit_ab", "length")
 
 
 def run_stages(config: Path, out: Path) -> None:
@@ -53,10 +58,20 @@ def run_stages(config: Path, out: Path) -> None:
 
 
 def digests(out: Path) -> dict[str, str]:
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from boxpath import io as bio
+
     result = {}
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = str(path.relative_to(out))
         with open(path, "rb") as fh:
-            result[str(path.relative_to(out))] = hashlib.file_digest(fh, "sha256").hexdigest()
+            result[name] = hashlib.file_digest(fh, "sha256").hexdigest()
+        if path.suffix == ".bin":
+            batch = bio.read_trajectories(path)
+            for field in FIELDS:
+                column = np.ascontiguousarray(getattr(batch, field))
+                result[f"{name}#{field}"] = hashlib.sha256(column.tobytes()).hexdigest()
     return result
 
 
