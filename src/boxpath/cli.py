@@ -14,6 +14,11 @@ Subcommands:
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 missing or corrupt artifacts.  All outputs are deterministic
 for a fixed configuration, including byte-identical npz/CSV/SVG files.
+
+Run as a program (``python -m boxpath.cli``), the module loads numpy and
+the stage modules only for a subcommand that needs them, so ``presets``,
+``--help`` and ``--version`` load neither.  Imported as a module, it loads
+them at once, so every stage module is in ``sys.modules`` afterwards.
 """
 
 from __future__ import annotations
@@ -28,13 +33,20 @@ import threading
 import zipfile
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, chords, combined, compare, io as bio, montecarlo, rays, svg
+from . import __version__
 from .errors import EmptyCellError, IncompatibleGridError, NumericalError
-from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
 
 __all__ = ["build_parser", "main"]
+
+
+def _load_stages() -> None:
+    """Bind numpy, the stage modules and the geometry names as module globals."""
+    global np, chords, combined, compare, bio, montecarlo, rays, svg
+    global FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
+    import numpy as np
+
+    from . import chords, combined, compare, io as bio, montecarlo, rays, svg
+    from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
 
 
 @dataclasses.dataclass
@@ -455,7 +467,7 @@ def _cell_lengths(spill: Path, face_code: int, cell: tuple[float, float, float])
         ab = batch.exit_ab
         return (batch.exit_code == face_code) & (np.abs(ab[:, 0] - cell[0]) <= cell[2]) & (np.abs(ab[:, 1] - cell[1]) <= cell[2])
 
-    return bio.read_trajectories(spill, where=in_cell).length
+    return bio.read_trajectories(spill, where=in_cell, fields=("exit_ab", "length")).length
 
 
 def _figure_location(
@@ -582,7 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
         p.add_argument("--workers", type=int)
-        p.add_argument("--direction-model", dest="direction_model", choices=montecarlo.DIRECTION_MODELS)
+        p.add_argument(
+            "--direction-model",
+            dest="direction_model",
+            metavar="MODEL",
+            help=f"the ray sampler's direction model (default {RunConfig.direction_model}); an unknown one is refused",
+        )
 
     p = sub.add_parser("analytic", help="evaluate analytic densities onto grids")
     add_config_args(p)
@@ -623,6 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "presets":
+        _load_stages()
     try:
         return args.func(args)
     except (NumericalError, IncompatibleGridError, EmptyCellError) as exc:
@@ -638,3 +657,6 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+else:
+    # Importers, such as a tracer that wraps stage functions by module, find every stage module loaded.
+    _load_stages()

@@ -14,7 +14,6 @@ write each, and a read gets each field back as one contiguous array.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zipfile
@@ -225,7 +224,7 @@ def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> N
         os.close(fd)
 
 
-def read_trajectories(path, where=None) -> TrajectoryBatch:
+def read_trajectories(path, where=None, fields=None) -> TrajectoryBatch:
     """Read a spill; IncompatibleGridError for a bad magic, a spill of the
     older packed-record format, a truncated file, or a record whose face
     codes are not a traversal pair.
@@ -233,8 +232,14 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
     With `where`, a function from a TrajectoryBatch to a row mask, the
     records are read in blocks of `_READ_BLOCK` and only the rows it keeps
     are returned, so memory holds one block plus the kept rows.  Every
-    record is still checked.
+    record is still checked.  With `fields`, only those columns are read
+    besides the two face codes, which every read checks; the batch's other
+    fields, in what `where` sees too, are None.
     """
+    names = _TRAJ_DTYPE.names if fields is None else ("entry_code", "exit_code", *fields)
+    unknown = set(names) - set(_TRAJ_DTYPE.names)
+    if unknown:
+        raise ValueError(f"unknown spill fields {sorted(unknown)}; a spill holds {_TRAJ_DTYPE.names}")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(_TRAJ_HEADER)
@@ -250,11 +255,12 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
             raise IncompatibleGridError(f"{path}: truncated spill ({found} of {count} records)")
         box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
         block = count if where is None else _READ_BLOCK
-        kept: dict[str, list[np.ndarray]] = {name: [] for name in _TRAJ_DTYPE.names}
+        read = [(name, dtype, offset) for name, dtype, offset in _columns(count) if name in names]
+        kept: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in read}
         for start in range(0, count, max(1, block)):
             rows = min(block, count - start)
             columns = {}
-            for name, dtype, offset in _columns(count):
+            for name, dtype, offset in read:
                 fh.seek(offset + start * dtype.itemsize)
                 columns[name] = np.fromfile(fh, dtype=dtype, count=rows)
             entry, exit_ = columns["entry_code"], columns["exit_code"]
@@ -264,7 +270,7 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
                     f"{path}: record {start + int(np.argmax(bad))} has face codes outside 0..5 or entry equal to exit"
                 )
             if where is not None:
-                keep = where(TrajectoryBatch(box, **columns))
+                keep = where(_batch(box, columns))
                 columns = {name: column[keep] for name, column in columns.items()}
             for name, column in columns.items():
                 kept[name].append(column)
@@ -272,10 +278,17 @@ def read_trajectories(path, where=None) -> TrajectoryBatch:
         name: parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, _TRAJ_DTYPE[name]), *parts])
         for name, parts in kept.items()
     }
-    return TrajectoryBatch(box, **columns, meta={"source": "spill"})
+    return _batch(box, columns, meta={"source": "spill"})
+
+
+def _batch(box: BoxDims, columns: Mapping[str, np.ndarray], meta: dict | None = None) -> TrajectoryBatch:
+    """A batch of the columns read; a field not read is None."""
+    return TrajectoryBatch(box, **{name: columns.get(name) for name in _TRAJ_DTYPE.names}, meta=meta or {})
 
 
 def config_hash(config: Mapping) -> str:
     """Stable sha256 over the canonical JSON form of a configuration."""
+    import hashlib  # only the stages that write a manifest pay for it
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -25,7 +25,6 @@ once per box and bin counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,7 +60,8 @@ class TrajectoryBatch:
     """Struct-of-arrays container for sampled paths.
 
     `entry_ab` / `exit_ab` hold local face coordinates ordered by the
-    face's ascending in-plane axes.
+    face's ascending in-plane axes.  A batch read from a spill with
+    `fields` holds None for each field it did not read.
     """
 
     box: BoxDims
@@ -238,6 +238,8 @@ def for_each_stream(count: int, workers: int, task: Callable[[int, slice], None]
         for s in range(STREAM_COUNT):
             run(s)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a run on several threads pays for it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(STREAM_COUNT)))
 

@@ -4,11 +4,16 @@ and take the arguments the tracer reads."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from boxpath import BoxDims, IndexTriple, rays
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -36,3 +41,14 @@ def test_adjacent_marginal_span_attrs():
     bound.apply_defaults()
     attrs = spans._attrs("rays.length_marginal_adjacent", bound.arguments, None)
     assert set(attrs) == {"key", "evals"}
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    """The tracer imports `boxpath.cli` and then looks up each module it wraps
+    in `sys.modules`, so importing the CLI as a module must load them all."""
+    spans = _load_spans()
+    code = "import json, sys; import boxpath.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('boxpath.'))))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {f"boxpath.{mod}" for mod in spans.TARGETS} <= loaded

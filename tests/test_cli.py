@@ -335,6 +335,22 @@ def test_cell_lengths_memory_is_bounded_by_blocks(tmp_path):
     assert peak < 2 * 42 * n / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_cell_lengths_do_not_read_entry_points(workdir, tmp_path):
+    """The location overlay reads a spill's exit points, lengths and face
+    codes, not its entry points: NaN entry points leave its lengths as they were."""
+    spill = tmp_path / "rays.bin"
+    shutil.copyfile(workdir / "sample" / "rays.bin", spill)
+    cell = (0.5, 0.5, 0.2)
+    before = cli._cell_lengths(spill, 3, cell)
+    n = TINY["samples"]
+    with open(spill, "r+b") as fh:
+        fh.seek(40)  # entry_ab is the first column
+        fh.write(np.full(2 * n, np.nan, "<f8").tobytes())
+    assert np.isnan(bio.read_trajectories(spill).entry_ab).all()
+    assert before.size > 100
+    assert np.array_equal(cli._cell_lengths(spill, 3, cell), before)
+
+
 @pytest.mark.parametrize("key, value", [("box", [1.0, 0.1, 1.0]), ("direction_model", "ball-rejection")])
 def test_figures_refuses_mismatched_runs(workdir, tmp_path, key, value):
     sample = tmp_path / "sample"
@@ -579,6 +595,39 @@ def test_sample_keeps_freed_heap_pages(tmp_path):
     _, status, usage = os.wait4(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert usage.ru_minflt < 20_000
+
+
+@pytest.mark.parametrize("argv", [["presets", "--out", "presets"], ["--help"], ["--version"]], ids=["presets", "help", "version"])
+def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
+    # numpy and the stage modules are about two thirds of a `presets` run;
+    # the program run loads them only for a stage that needs them.
+    # -X importtime lists every module the run imports, one per stderr line.
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-X", "importtime", "-m", "boxpath.cli", *argv]
+    out = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert "boxpath" in imported
+    assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "boxpath")) == ["boxpath", "boxpath.errors"]
+    if argv[0] == "presets":
+        assert {p.name for p in (tmp_path / "presets").iterdir()} == {"cube.json", "slab.json", "rod.json"}
+
+
+def test_import_boxpath_loads_no_numpy():
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    code = "import sys, boxpath; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'boxpath')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['boxpath']"
+
+
+@pytest.mark.parametrize("stage", ["analytic", "sample"])
+def test_unknown_direction_model_is_refused_before_writing(tmp_path, capsys, stage):
+    out = tmp_path / stage
+    assert cli.main([stage, "--samples", "1000", "--direction-model", "bogus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "direction_model" in err and "cube-components" in err
+    assert not out.exists()
 
 
 def test_cli_runs_compare_without_scipy():

@@ -184,6 +184,28 @@ def test_trajectory_bad_face_codes_rejected(tmp_path, cube, exit_byte):
         bio.read_trajectories(path)
 
 
+def test_trajectory_read_of_selected_fields(tmp_path, cube):
+    """A read of some fields returns those columns and the face codes, leaves
+    the others None, still checks every record's codes and refuses a name
+    that is not a field."""
+    n = 1_000
+    batch = sample_rays(cube, n, 35, "cube-components", 1)
+    path = tmp_path / "t.bin"
+    bio.write_trajectories(path, batch)
+    back = bio.read_trajectories(path, where=lambda b: b.exit_code == 3, fields=("length",))
+    rows = batch.exit_code == 3
+    assert back.entry_ab is None and back.exit_ab is None
+    for name in ("entry_code", "exit_code", "length"):
+        assert np.array_equal(getattr(back, name), getattr(batch, name)[rows]), name
+    with pytest.raises(ValueError, match="exit_AB"):
+        bio.read_trajectories(path, fields=("exit_AB",))
+    blob = bytearray(path.read_bytes())
+    blob[40 + 41 * n + 7] = 6  # record 7's exit face code
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IncompatibleGridError, match="face codes"):
+        bio.read_trajectories(path, fields=("length",))
+
+
 def test_trajectory_record_layout(tmp_path):
     """A spill is its header, then one little-endian column per field: entry_ab,
     exit_ab and length as doubles, entry and exit face codes as bytes."""
