@@ -599,7 +599,7 @@ def test_sample_keeps_freed_heap_pages(tmp_path):
 
 @pytest.mark.parametrize("argv", [["presets", "--out", "presets"], ["--help"], ["--version"]], ids=["presets", "help", "version"])
 def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
-    # numpy and the stage modules are about two thirds of a `presets` run;
+    # numpy and the stage modules are most of a `presets` run's time;
     # the program run loads them only for a stage that needs them.
     # -X importtime lists every module the run imports, one per stderr line.
     src = str(Path(boxpath.__file__).resolve().parents[1])
