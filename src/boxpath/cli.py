@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import threading
-import zipfile
 from pathlib import Path
 
 from . import __version__
@@ -133,6 +132,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, created if missing; one that cannot be is a usage error (exit 2)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc.strerror}") from exc
+    return Path(path)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -144,8 +152,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     presets = {
         "cube.json": RunConfig(box=(1.0, 1.0, 1.0)),
         "slab.json": RunConfig(box=(1.0, 0.1, 1.0)),
@@ -174,8 +181,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         raise ValueError(
             f"direction model {cfg.direction_model!r} has no analytic law; only {rays.DIRECTION_MODEL!r} has one"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     box = cfg.box_dims
     n2, n3 = cfg.grid_nodes_2d, cfg.grid_nodes_3d
     outputs: list[str] = []
@@ -323,8 +329,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     _keep_freed_heap()
     cfg = _load_config(args)
     workers = cfg.resolved_workers()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     box = cfg.box_dims
     outputs: list[str] = []
     stats: dict = {}
@@ -397,14 +402,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             density, meta = bio.load_density(analytic_dir / f"{model}_joint_{label}.npz")
             rep = compare.compare_joint(hist, density)
             report["joint"][f"{model}/{label}"] = rep.to_dict()
-    with np.load(sample_dir / "sample_lengths.npz") as z:
+    with bio.load_npz(sample_dir / "sample_lengths.npz") as z:
         for model in ("rays", "chords"):
             density, _ = bio.load_density(analytic_dir / f"combined_{model}.npz")
             rep = compare.compare_length(z[f"{model}/edges"], z[f"{model}/counts"], density)
             report["length"][f"combined_{model}"] = rep.to_dict()
     worst_l1 = max(entry["l1"] for section in report.values() for entry in section.values())
     report["summary"] = {"worst_l1": worst_l1}
-    _write_json(Path(args.out), report)
+    try:
+        _write_json(Path(args.out), report)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out}: {exc.strerror}") from exc
     print(f"comparison report written to {args.out} (worst L1 {worst_l1:.4f})")
     return 0
 
@@ -509,7 +517,7 @@ def _figure_lengths(analytic_dir: Path, sample_files: dict[str, Path], out: Path
     ]
     lengths = None
     if "sample_lengths.npz" in sample_files:
-        lengths = np.load(sample_files["sample_lengths.npz"])
+        lengths = bio.load_npz(sample_files["sample_lengths.npz"])
     try:
         for tag, npz_tpl, hist_tpl in specs:
             series = []
@@ -556,8 +564,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             f"--cell {a} {b} {half} lies off --cell-face {exit_face.code} ({exit_face}), "
             f"whose local coordinates span [0, {extents[0]}] x [0, {extents[1]}]"
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     files: list[str] = []
     if "band" in which:
         _figure_band(analytic_dir, out, (args.band[0], args.band[1]), box.diagonal, files)
@@ -640,14 +647,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    corrupt: tuple[type[Exception], ...] = ()  # presets reads no archive and loads no zipfile
     if args.command != "presets":
         _load_stages()
+        from zipfile import BadZipFile  # io has loaded it
+        corrupt = (BadZipFile,)
     try:
         return args.func(args)
     except (NumericalError, IncompatibleGridError, EmptyCellError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, KeyError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, KeyError, json.JSONDecodeError, *corrupt) as exc:
         print(f"missing or corrupt artifact: {exc!r}", file=sys.stderr)
         return 4
     except (ValueError, TypeError) as exc:

@@ -1,23 +1,15 @@
-"""Gridded probability densities, sums, squares and exact bin masses.
+"""Gridded probability densities, sums and exact bin masses.
 
 Densities are stored as values on uniformly spaced nodes and interpreted
 as piecewise-linear (PL) between nodes, zero outside the sampled window.
 The module provides the grid types (with a mass-lumped projection of a
 1-d law onto another grid), the density of a sum by discrete
-convolution (`convolve_sum`), the density of a square by change of
-variables (`square_density`), and exact PL integration against
+convolution (`convolve_sum`), and exact PL integration against
 arbitrary bin edges.
 
-Two numerical points deserve attention:
-
-* Discrete convolution applies a per-output trapezoid end-correction so
-  that it reproduces the composite trapezoid rule of the exact integral.
-  Plain rectangle-rule convolution would double-count boundary nodes.
-* Densities with an integrable inverse-square-root edge (the square of a
-  variable whose density is positive at zero) cannot be represented by
-  node values alone.  `square_density` therefore sets the edge node so
-  that the first grid cell carries the exact probability mass, which the
-  trapezoid rule and the corrected convolution then conserve.
+Discrete convolution applies a per-output trapezoid end-correction so
+that it reproduces the composite trapezoid rule of the exact integral;
+plain rectangle-rule convolution would double-count boundary nodes.
 """
 
 from __future__ import annotations
@@ -34,8 +26,6 @@ __all__ = [
     "bin_masses_1d",
     "bin_masses_3d",
     "convolve_sum",
-    "square_density",
-    "uniform_density",
 ]
 
 _REL_TOL = 1e-9
@@ -208,12 +198,6 @@ class GridDensity:
         return out
 
 
-def uniform_density(lo: float, hi: float, n: int = 513) -> GridDensity1D:
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    return GridDensity1D(lo, hi, np.full(n, 1.0 / (hi - lo)))
-
-
 # ---------------------------------------------------------------------------
 # Discrete convolution with trapezoid end-correction.
 
@@ -247,26 +231,6 @@ def convolve_sum(fx: GridDensity1D, fy: GridDensity1D) -> GridDensity1D:
     vals = _conv_trap(fx.values, fy.values, h)
     lo = fx.lo + fy.lo
     return GridDensity1D(lo, lo + (vals.size - 1) * h, vals)
-
-
-def square_density(fx: GridDensity1D, s_hi: float | None = None, s_nodes: int = 1025) -> GridDensity1D:
-    """Density of X^2 on [0, s_hi]: f(s) = (f_x(sqrt s) + f_x(-sqrt s)) / (2 sqrt s).
-
-    When f_x is positive at 0 the output has an integrable 1/sqrt(s) edge;
-    the s = 0 node is then set so the first grid cell holds the exact
-    probability mass under the trapezoid rule, keeping downstream
-    integration and convolution mass-conserving.
-    """
-    if s_hi is None:
-        s_hi = max(fx.lo**2, fx.hi**2)
-    s = np.linspace(0.0, s_hi, s_nodes)
-    r = np.sqrt(s[1:])
-    vals = np.empty(s_nodes)
-    vals[1:] = (fx.interp(r) + fx.interp(-r)) / (2.0 * r)
-    h = s[1]
-    first_cell_mass = bin_masses_1d(fx, np.array([-np.sqrt(h), np.sqrt(h)]))[0]
-    vals[0] = max(0.0, 2.0 * (first_cell_mass - vals[1] * h / 2.0) / h)
-    return GridDensity1D(0.0, s_hi, vals)
 
 
 # ---------------------------------------------------------------------------

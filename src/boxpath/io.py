@@ -30,6 +30,7 @@ __all__ = [
     "config_hash",
     "load_density",
     "load_histograms",
+    "load_npz",
     "read_trajectories",
     "save_density",
     "save_histograms",
@@ -74,6 +75,14 @@ def write_npz(path, arrays: Mapping[str, np.ndarray]) -> None:
                 np.lib.format.write_array(member, np.asanyarray(arrays[name]), allow_pickle=False)
 
 
+def load_npz(path):
+    """`np.load` of an npz archive; BadZipFile, not np.load's pickle ValueError, for a non-zip file."""
+    with open(path, "rb") as fh:
+        if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):  # a member's header, or an empty archive's end
+            raise zipfile.BadZipFile(f"{path}: not an npz archive")
+    return np.load(path)
+
+
 def _meta_array(meta: Mapping) -> np.ndarray:
     return np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
 
@@ -104,7 +113,7 @@ def save_density(path, density: GridDensity1D | GridDensity, meta: Mapping | Non
 
 
 def load_density(path) -> tuple[GridDensity1D | GridDensity, dict]:
-    with np.load(path) as z:
+    with load_npz(path) as z:
         domain = z["domain"]
         values = z["values"]
         names = [str(s) for s in z["axis_names"]]
@@ -134,7 +143,7 @@ def save_histograms(path, hists: Mapping[str, JointHistogram], meta: Mapping | N
 
 
 def load_histograms(path) -> tuple[dict[str, JointHistogram], dict]:
-    with np.load(path) as z:
+    with load_npz(path) as z:
         index = _meta_load(z["index"])["histograms"]
         meta = _meta_load(z["meta"])
         out = {}

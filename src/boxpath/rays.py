@@ -41,10 +41,6 @@ __all__ = [
     "FacePdf",
     "exit_pdf_adjacent",
     "exit_pdf_opposing",
-    "forward_adjacent",
-    "forward_opposing",
-    "jacobian_adjacent",
-    "jacobian_opposing",
     "joint_pdf_adjacent",
     "joint_pdf_opposing",
     "length_marginal_adjacent",
@@ -225,9 +221,8 @@ def _sec3(t):
     return 0.5 * (sec * tan + np.log(sec + tan))
 
 
-def _opposing_slices(n, a, b, xi, xj, xk):
-    """Opposing joint values at lengths n over exits (a, b), broadcast; see `joint_pdf_opposing`."""
-    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
+def _opposing_arc(xj, r):
+    """The folded cumulative weight C(t) of `joint_pdf_opposing` on [0, pi/2] at radius r, and Q = C(pi/2)."""
     star = np.minimum(0.25 * np.pi, _acos_ratio(xj, r))
     r3 = np.where(r > 0.0, r, 1.0) ** 3
 
@@ -236,12 +231,19 @@ def _opposing_slices(n, a, b, xi, xj, xk):
 
     quarter = 2.0 * rising(0.25 * np.pi)
 
-    def cut(d):
-        t = _acos_ratio(d, r)
+    def cumulative(t):
         folded = rising(np.minimum(t, 0.5 * np.pi - t))
         return np.where(t <= 0.25 * np.pi, folded, quarter - folded)
 
-    inside = sum(np.maximum(0.0, quarter - x - y) for x in (cut(a), cut(xi - a)) for y in (cut(b), cut(xk - b)))
+    return cumulative, quarter
+
+
+def _opposing_slices(n, a, b, xi, xj, xk):
+    """Opposing joint values at lengths n over exits (a, b), broadcast; see `joint_pdf_opposing`."""
+    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
+    cumulative, quarter = _opposing_arc(xj, r)
+    cut = [cumulative(_acos_ratio(d, r)) for d in (a, xi - a, b, xk - b)]
+    inside = sum(np.maximum(0.0, quarter - x - y) for x in cut[:2] for y in cut[2:])
     return np.where(n >= xj, xj * n * inside, 0.0) / (12.0 * xi * xk)
 
 
@@ -461,79 +463,3 @@ def length_marginal_adjacent(
     for start in range(1, n_nodes, _BLOCK):
         vals[start : start + _BLOCK] = _adjacent_values(n_grid[start : start + _BLOCK], xi, xj, xk)
     return GridDensity1D(0.0, box.diagonal, vals / (6.0 * xk))
-
-
-# ---------------------------------------------------------------------------
-# Change-of-variable forward maps and Jacobians.
-
-
-def forward_opposing(
-    box: BoxDims, indices: IndexTriple, entry: np.ndarray, direction: np.ndarray
-) -> np.ndarray:
-    """Map (x_i, x_k, t_i, t_j, t_k) to (n, r, x'_i, x'_k, x_i).
-
-    `entry` holds the transverse entry coordinates (x_i, x_k); `direction`
-    the un-normalized direction components (t_i, t_j, t_k) with t_j > 0.
-    """
-    box = BoxDims.from_any(box)
-    xj = box.dim(indices.j)
-    x_i, x_k = float(entry[0]), float(entry[1])
-    t_i, t_j, t_k = (float(v) for v in direction)
-    if t_j <= 0:
-        raise ValueError("the entry-axis direction component must point inward (t_j > 0)")
-    r = float(np.sqrt(t_i * t_i + t_j * t_j + t_k * t_k))
-    scale = xj / t_j
-    return np.array([r * scale, r, x_i + scale * t_i, x_k + scale * t_k, x_i])
-
-
-def jacobian_opposing(
-    box: BoxDims, indices: IndexTriple, entry: np.ndarray, direction: np.ndarray
-) -> float:
-    """|det| of the forward_opposing differential: n^2 D / (X_j r^2) with
-    D the transverse displacement along axis k."""
-    box = BoxDims.from_any(box)
-    xj = box.dim(indices.j)
-    n, r, _, xk_exit, _ = forward_opposing(box, indices, entry, direction)
-    d = abs(xk_exit - float(entry[1]))
-    return float(n * n * d / (xj * r * r))
-
-
-def forward_adjacent(
-    box: BoxDims, indices: IndexTriple, entry: np.ndarray, direction: np.ndarray
-) -> np.ndarray:
-    """Map (x_i, x_k, t_i, t_j, t_k) to (n, x'_i, x'_j, zeta, x_i).
-
-    Exit through x_k = 0 requires t_k < 0; zeta = x_k / |t_k| is the ray
-    parameter at the exit plane and x'_j = zeta * t_j the exit elevation.
-    """
-    x_i, x_k = float(entry[0]), float(entry[1])
-    t_i, t_j, t_k = (float(v) for v in direction)
-    if t_k >= 0:
-        raise ValueError("exit through x_k = 0 requires t_k < 0")
-    if t_j <= 0:
-        raise ValueError("the entry-axis direction component must point inward (t_j > 0)")
-    zeta = x_k / abs(t_k)
-    r = float(np.sqrt(t_i * t_i + t_j * t_j + t_k * t_k))
-    return np.array([zeta * r, x_i + zeta * t_i, zeta * t_j, zeta, x_i])
-
-
-def jacobian_adjacent(
-    box: BoxDims,
-    indices: IndexTriple,
-    entry: np.ndarray,
-    direction: np.ndarray,
-    form: str = "quartic",
-) -> float:
-    """|det| of the forward_adjacent differential.
-
-    Two algebraically identical closed forms are exposed: "quartic"
-    (zeta^4 / n) and "cubic" (zeta^3 / r); on the constraint n = zeta * r
-    they coincide, which the test suite checks against finite differences.
-    """
-    n, _, _, zeta, _ = forward_adjacent(box, indices, entry, direction)
-    r = n / zeta
-    if form == "quartic":
-        return float(zeta**4 / n)
-    if form == "cubic":
-        return float(zeta**3 / r)
-    raise ValueError(f"unknown Jacobian form {form!r}; use 'quartic' or 'cubic'")

@@ -36,7 +36,7 @@ from boxpath import (
     sample_rays,
     single_face_length_pdf,
 )
-from boxpath.density import bin_masses_1d, convolve_sum, square_density, uniform_density
+from boxpath.density import GridDensity1D, bin_masses_1d
 from boxpath.montecarlo import TrajectoryBatch
 
 from conftest import binned_l1
@@ -79,67 +79,79 @@ def test_gate_1_entry_probabilities():
 
 
 # ---------------------------------------------------------------------------
-# 2. density-transform toolkit
+# 2. the toolkit the mixtures use
 
 
 def test_gate_2_transform_toolkit():
+    """A class law projected onto the mixture grid, as `combined.ClassLawTable` does, then binned.
+
+    The law 0.3 + 0.7 max(U1, U2) is PL with a jump at 1, between the
+    grid's nodes, where `interp` would lose mass; `project` keeps the
+    exact mass and mean, and `bin_masses_1d` matches sampled bins.
+    """
     rng = np.random.default_rng(101)
     n = 1_000_000
-    x = rng.uniform(0.0, 1.0, n)
-    rng.uniform(1.0, 2.0, n)  # advances the stream so the sum check keeps the samples it was written with
-    fx = uniform_density(0.0, 1.0, 512)
-
-    def l1(dens, samples):
-        edges = np.linspace(dens.lo, dens.hi, 65)
-        counts, _ = np.histogram(samples, bins=edges)
-        masses = bin_masses_1d(dens, edges)
-        return 0.5 * float(np.abs(masses / masses.sum() - counts / counts.sum()).sum())
-
-    checks = {
-        "sum": (convolve_sum(fx, fx), x + rng.uniform(0.0, 1.0, n)),
-        "square": (square_density(fx, s_nodes=512), x**2),
-    }
-    worst_l1, worst_mass = 0.0, 0.0
-    for dens, samples in checks.values():
-        worst_l1 = max(worst_l1, l1(dens, samples))
-        worst_mass = max(worst_mass, abs(dens.integral() - 1.0))
-    ok = worst_l1 <= 0.03 and worst_mass <= 2e-2
-    report("2", "transform-toolkit", ok, f"worst L1 {worst_l1:.4f}, mass drift {worst_mass:.4f}")
+    nodes = np.linspace(0.3, 1.0, 129)
+    law = GridDensity1D(0.3, 1.0, 2.0 * (nodes - 0.3) / 0.7**2)
+    grid = np.linspace(0.0, 1.2, 257)
+    mixed = GridDensity1D(0.0, 1.2, law.project(grid))
+    edges = np.linspace(0.0, 1.2, 65)
+    counts, _ = np.histogram(0.3 + 0.7 * np.maximum(rng.random(n), rng.random(n)), bins=edges)
+    l1 = 0.5 * float(np.abs(bin_masses_1d(mixed, edges) - counts / n).sum())
+    mass_gap = abs(mixed.integral() - 1.0)
+    mean_gap = abs(mixed.mean() - (0.3 + 0.7 * 2.0 / 3.0))
+    ok = l1 <= 0.03 and mass_gap <= 1e-12 and mean_gap <= 1e-12
+    report("2", "projection-and-bin-masses", ok, f"L1 {l1:.4f}, mass gap {mass_gap:.1e}, mean gap {mean_gap:.1e}")
 
 
 # ---------------------------------------------------------------------------
-# 3. Jacobians
+# 3. arc cumulatives
 
 
 def test_gate_3_jacobians():
+    """The closed arc cumulatives of the ray joints and length laws differentiate to their weights.
+
+    The weights carry the Jacobian of the change of variables onto
+    (length, exit location); their cumulatives along an arc are closed
+    piece by piece.  Central differences of the opposing C, the adjacent
+    C and D and `_sec3` must match the weights away from the kinks where
+    the pieces meet; a point within 1e-4 of a kink is drawn again.
+    """
     box = BoxDims(1.3, 0.8, 1.1)
+    xi, xj, xk = IDX.dims(box)
     rng = np.random.default_rng(102)
     eps = 1e-6
+    quarter = 0.25 * np.pi
 
-    def fd(fwd, entry, direction):
-        x0 = np.concatenate([entry, direction])
-        J = np.empty((5, 5))
-        for c in range(5):
-            xp, xm = x0.copy(), x0.copy()
-            xp[c] += eps
-            xm[c] -= eps
-            J[:, c] = (fwd(box, IDX, xp[:2], xp[2:]) - fwd(box, IDX, xm[:2], xm[2:])) / (2 * eps)
-        return abs(np.linalg.det(J))
+    def slope(f, t):
+        return (f(t + eps) - f(t - eps)) / (2.0 * eps)
 
-    worst = form_gap = 0.0
-    for _ in range(100):
-        entry = rng.uniform(0.1, 0.9, 2) * [box.dim(1), box.dim(3)]
-        d = rng.uniform(0.1, 1.0, 3)
-        d[0] *= np.sign(rng.standard_normal())
-        ana = rays.jacobian_opposing(box, IDX, entry, d)
-        worst = max(worst, abs(fd(rays.forward_opposing, entry, d) - ana) / ana)
-        d[2] = -abs(d[2])
-        ana = rays.jacobian_adjacent(box, IDX, entry, d, form="quartic")
-        alt = rays.jacobian_adjacent(box, IDX, entry, d, form="cubic")
-        worst = max(worst, abs(fd(rays.forward_adjacent, entry, d) - ana) / ana)
-        form_gap = max(form_gap, abs(ana - alt) / ana)
-    ok = worst <= 1e-5 and form_gap <= 1e-12
-    report("3", "jacobians-vs-finite-differences", ok, f"worst FD gap {worst:.2e}, form gap {form_gap:.2e}")
+    def gap(a, b):
+        return float(abs(a - b) / b)
+
+    worst = dict.fromkeys(("opposing", "C", "D", "sec3"), 0.0)
+    points = redrawn = 0
+    while points < 100:
+        n, t = rng.uniform(xj, box.diagonal), rng.uniform(0.0, 2.0 * quarter)
+        m = rng.uniform(0.0, box.diagonal)
+        e = rng.uniform(0.0, min(xj, m))
+        r, rho = np.sqrt(n * n - xj * xj), np.sqrt(m * m - e * e)
+        star = min(quarter, np.arccos(min(1.0, xj / r)))
+        arc = np.arccos(min(1.0, e / rho))
+        kinks = (star, quarter, 2.0 * quarter - star, min(quarter, arc), max(quarter, 2.0 * quarter - arc))
+        if min(abs(t - k) for k in kinks) < 1e-4:
+            redrawn += 1
+            continue
+        points += 1
+        cumulative, _ = rays._opposing_arc(xj, r)
+        worst["opposing"] = max(worst["opposing"], gap(slope(cumulative, t), 1.0 / max(xj, r * np.cos(t), r * np.sin(t)) ** 3))
+        moments = rays._adjacent_arc(e, rho)
+        weight = rho * np.cos(t) / max(e, rho * np.sin(t), rho * np.cos(t)) ** 3
+        worst["C"] = max(worst["C"], gap(slope(lambda u: moments(u, moment=True)[0], t), weight))
+        worst["D"] = max(worst["D"], gap(slope(lambda u: moments(u, moment=True)[1], t), rho * np.sin(t) * weight))
+        worst["sec3"] = max(worst["sec3"], gap(slope(rays._sec3, t), 1.0 / np.cos(t) ** 3))
+    detail = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
+    report("3", "arc-cumulatives-vs-finite-differences", max(worst.values()) <= 1e-5, f"worst gap {detail}; {redrawn} redrawn")
 
 
 # ---------------------------------------------------------------------------

@@ -522,6 +522,29 @@ def test_missing_artifacts_exit_code(tmp_path):
     assert cli.main(["analytic", "--config", str(broken), "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_program_run_exits_4_for_a_corrupt_npz(workdir, tmp_path, damage):
+    # np.load reads a file without a zip magic as a pickle and refuses it
+    # with a ValueError, which would read as a usage error (exit 2)
+    analytic = tmp_path / "analytic"
+    shutil.copytree(workdir / "analytic", analytic)
+    npz = analytic / "combined_rays.npz"
+    npz.write_bytes(b"not a zip" if damage == "garbage" else npz.read_bytes()[: npz.stat().st_size // 2])
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    argv = ["compare", "--analytic", str(analytic), "--sample", str(workdir / "sample"), "--out", str(tmp_path / "r.json")]
+    run = subprocess.run([sys.executable, "-m", "boxpath.cli", *argv], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert run.returncode == 4
+    assert "missing or corrupt artifact" in run.stderr
+
+
+@pytest.mark.parametrize("stage", ["presets", "analytic"])
+def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, capsys, stage):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert cli.main([stage, "--out", str(out)]) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(workdir):
     # a cell far outside every face has no analytic mass
     code = cli.main(
@@ -601,14 +624,17 @@ def test_sample_keeps_freed_heap_pages(tmp_path):
 def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
     # numpy and the stage modules are most of a `presets` run's time;
     # the program run loads them only for a stage that needs them.
-    # -X importtime lists every module the run imports, one per stderr line.
+    # -X importtime lists every module the run imports, one per stderr line;
+    # -S keeps out the start-up hooks of site-packages' .pth files, which may
+    # load zipfile first, so that a later import of it would not be listed.
     src = str(Path(boxpath.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    run = [sys.executable, "-X", "importtime", "-m", "boxpath.cli", *argv]
+    run = [sys.executable, "-S", "-X", "importtime", "-m", "boxpath.cli", *argv]
     out = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "boxpath" in imported
     assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "boxpath")) == ["boxpath", "boxpath.errors"]
+    assert "zipfile" not in imported
     if argv[0] == "presets":
         assert {p.name for p in (tmp_path / "presets").iterdir()} == {"cube.json", "slab.json", "rod.json"}
 

@@ -1,28 +1,26 @@
-"""Gridded-density containers, sums, squares and bin masses.
+"""Gridded-density containers, projections, sums and bin masses.
 
-Each transform is checked against a seeded Monte Carlo oracle or a
-closed form; mass conservation is the recurring invariant.
+Each is checked against a closed form; mass conservation is the
+recurring invariant.
 """
 
 import numpy as np
 import pytest
 
 from boxpath import GridDensity, GridDensity1D, IncompatibleGridError, NumericalError
-from boxpath.density import bin_masses_1d, bin_masses_3d, convolve_sum, square_density, uniform_density
-
-
-def mc_l1(dens: GridDensity1D, samples: np.ndarray, bins: int = 64) -> float:
-    counts, edges = np.histogram(samples, bins=bins, range=(dens.lo, dens.hi), density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return float(0.5 * np.trapezoid(np.abs(dens.interp(centers) - counts), centers))
+from boxpath.density import bin_masses_1d, bin_masses_3d, convolve_sum
 
 
 # ---------------------------------------------------------------------------
 # containers
 
 
+def uniform(lo: float, hi: float, n: int) -> GridDensity1D:
+    return GridDensity1D(lo, hi, np.full(n, 1.0 / (hi - lo)))
+
+
 def test_grid_density_1d_basics():
-    d = uniform_density(1.0, 3.0, 257)
+    d = uniform(1.0, 3.0, 257)
     assert d.integral() == pytest.approx(1.0, abs=1e-12)
     assert d.mean() == pytest.approx(2.0, abs=1e-12)
     assert d.interp(np.array([0.0, 2.0, 4.0])).tolist() == [0.0, 0.5, 0.0]
@@ -109,7 +107,7 @@ def test_grid_density_rejects_rank_mismatch(domain, shape, names):
 
 
 def test_sum_of_two_uniforms_is_triangular():
-    f = uniform_density(0.0, 1.0, 513)
+    f = uniform(0.0, 1.0, 513)
     tri = convolve_sum(f, f)
     assert tri.integral() == pytest.approx(1.0, abs=2e-3)
     x = np.linspace(0.05, 1.95, 301)
@@ -118,8 +116,8 @@ def test_sum_of_two_uniforms_is_triangular():
 
 
 def test_difference_of_uniforms_is_centered_triangle():
-    f = uniform_density(0.0, 1.0, 513)
-    tri = convolve_sum(f, uniform_density(-1.0, 0.0, 513))
+    f = uniform(0.0, 1.0, 513)
+    tri = convolve_sum(f, uniform(-1.0, 0.0, 513))
     assert tri.lo == pytest.approx(-1.0)
     assert tri.hi == pytest.approx(1.0)
     assert tri.interp(np.array([0.0]))[0] == pytest.approx(1.0, abs=5e-3)
@@ -127,39 +125,15 @@ def test_difference_of_uniforms_is_centered_triangle():
 
 
 def test_convolution_rejects_mismatched_spacings():
-    a = uniform_density(0.0, 1.0, 257)
-    b = uniform_density(0.0, 2.0, 401)
+    a = uniform(0.0, 1.0, 257)
+    b = uniform(0.0, 2.0, 401)
     with pytest.raises(IncompatibleGridError, match="spacings differ"):
         convolve_sum(a, b)
     # equal spacing on different supports is accepted
-    s = convolve_sum(a, uniform_density(0.0, 2.0, 513))
+    s = convolve_sum(a, uniform(0.0, 2.0, 513))
     assert s.lo == pytest.approx(0.0)
     assert s.hi == pytest.approx(3.0)
     assert s.integral() == pytest.approx(1.0, abs=5e-3)
-
-
-# ---------------------------------------------------------------------------
-# square
-
-
-def test_square_of_uniform_matches_closed_form():
-    rng = np.random.default_rng(2)
-    fx = uniform_density(0.0, 1.0, 513)
-    dens = square_density(fx, s_nodes=513)
-    assert dens.integral() == pytest.approx(1.0, abs=2e-2)
-    assert mc_l1(dens, rng.uniform(0.0, 1.0, 1_000_000) ** 2) <= 0.03
-    s = np.linspace(0.05, 0.95, 100)
-    assert np.max(np.abs(dens.interp(s) - 0.5 / np.sqrt(s)) * np.sqrt(s)) <= 2e-2
-
-
-def test_square_halving_cell_mass():
-    """The first grid cell of the squared density carries the exact mass."""
-    fx = uniform_density(0.0, 1.0, 513)
-    dens = square_density(fx, s_nodes=513)
-    h = dens.spacing
-    # P(X^2 <= h) = sqrt(h); trapezoid over the first cell must match it
-    first = 0.5 * (dens.values[0] + dens.values[1]) * h
-    assert first == pytest.approx(np.sqrt(h), rel=0.15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Every name a module imports at module level is used in that module,
-and every name a module lists in `__all__` exists."""
+every name a module lists in `__all__` exists, and the kernels' public
+names are used by the package or the benchmark."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import boxpath
 
 MODULES = sorted(p for p in Path(boxpath.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +40,30 @@ def test_module_uses_its_imports(path):
 def test_module_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every identifier the source names, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("name", ["rays", "density"])
+def test_public_names_are_used(name):
+    """A public kernel name that no other module and no benchmark span uses is dead API."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    used = set(spans.TARGETS.get(name, ()))
+    for path in Path(boxpath.__file__).parent.glob("*.py"):
+        if path.stem != name:
+            used |= referenced_names(path.read_text())
+    module = importlib.import_module(f"boxpath.{name}")
+    assert sorted(set(module.__all__) - used) == []

@@ -1,4 +1,4 @@
-"""Face-entry ray model: exit pdfs, joints, marginals, Jacobians."""
+"""Face-entry ray model: exit pdfs, joints and length marginals."""
 
 import math
 import tracemalloc
@@ -405,56 +405,3 @@ def test_opposing_edge_node_is_hat_average(dims):
 
 def test_cube_opposing_exit_mass_is_exact(cube):
     assert rays.exit_pdf_opposing(cube, IDX, 65, 65).mass == pytest.approx(1.0 / 12.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# forward maps and Jacobians
-
-
-def fd_jacobian(fwd, box, entry, direction) -> float:
-    x0 = np.concatenate([entry, direction])
-
-    def f(x):
-        return fwd(box, IDX, x[:2], x[2:])
-
-    eps = 1e-6
-    J = np.empty((5, 5))
-    for c in range(5):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[c] += eps
-        xm[c] -= eps
-        J[:, c] = (f(xp) - f(xm)) / (2 * eps)
-    return float(abs(np.linalg.det(J)))
-
-
-def test_jacobians_match_finite_differences(skew_box):
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        entry = rng.uniform(0.1, 0.9, 2) * [skew_box.dim(1), skew_box.dim(3)]
-        d = rng.uniform(0.1, 1.0, 3)
-        d[0] *= np.sign(rng.standard_normal())
-        num = fd_jacobian(rays.forward_opposing, skew_box, entry, d)
-        ana = rays.jacobian_opposing(skew_box, IDX, entry, d)
-        assert abs(num - ana) / max(num, ana) <= 1e-5
-        d[2] = -abs(d[2])
-        num = fd_jacobian(rays.forward_adjacent, skew_box, entry, d)
-        ana = rays.jacobian_adjacent(skew_box, IDX, entry, d)
-        assert abs(num - ana) / max(num, ana) <= 1e-5
-
-
-def test_adjacent_jacobian_forms_coincide(skew_box):
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        entry = rng.uniform(0.1, 0.9, 2) * [skew_box.dim(1), skew_box.dim(3)]
-        d = np.array([rng.uniform(-1, 1), rng.uniform(0.1, 1.0), -rng.uniform(0.1, 1.0)])
-        a = rays.jacobian_adjacent(skew_box, IDX, entry, d, form="quartic")
-        b = rays.jacobian_adjacent(skew_box, IDX, entry, d, form="cubic")
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_forward_maps_reject_outward_directions(cube):
-    with pytest.raises(ValueError):
-        rays.forward_opposing(cube, IDX, np.array([0.5, 0.5]), np.array([0.1, -0.2, 0.1]))
-    with pytest.raises(ValueError):
-        rays.forward_adjacent(cube, IDX, np.array([0.5, 0.5]), np.array([0.1, 0.2, 0.1]))
