@@ -118,7 +118,7 @@ def test_gate_3_jacobians():
     the pieces meet; a point within 1e-4 of a kink is drawn again.
     """
     box = BoxDims(1.3, 0.8, 1.1)
-    xi, xj, xk = IDX.dims(box)
+    xj = box.dim(IDX.j)
     rng = np.random.default_rng(102)
     eps = 1e-6
     quarter = 0.25 * np.pi
@@ -145,10 +145,10 @@ def test_gate_3_jacobians():
         points += 1
         cumulative, _ = rays._opposing_arc(xj, r)
         worst["opposing"] = max(worst["opposing"], gap(slope(cumulative, t), 1.0 / max(xj, r * np.cos(t), r * np.sin(t)) ** 3))
-        moments = rays._adjacent_arc(e, rho)
+        adjacent = rays._adjacent_arc(e, rho)
         weight = rho * np.cos(t) / max(e, rho * np.sin(t), rho * np.cos(t)) ** 3
-        worst["C"] = max(worst["C"], gap(slope(lambda u: moments(u, moment=True)[0], t), weight))
-        worst["D"] = max(worst["D"], gap(slope(lambda u: moments(u, moment=True)[1], t), rho * np.sin(t) * weight))
+        worst["C"] = max(worst["C"], gap(slope(adjacent, t), weight))
+        worst["D"] = max(worst["D"], gap(slope(lambda u: adjacent(u, moment=True)[1], t), rho * np.sin(t) * weight))
         worst["sec3"] = max(worst["sec3"], gap(slope(rays._sec3, t), 1.0 / np.cos(t) ** 3))
     detail = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
     report("3", "arc-cumulatives-vs-finite-differences", max(worst.values()) <= 1e-5, f"worst gap {detail}; {redrawn} redrawn")
