@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import FacePdf, _acos_ratio, _jump_law, _live_panels
-from .density import GridDensity, GridDensity1D
+from .rays import FacePdf, _acos_ratio, _joint, _jump_law, _live_panels
+from .density import GridDensity1D
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability, joint_frame
 
@@ -67,24 +67,19 @@ def _inside_angle(r, left, right, bottom, top):
     arccos(d_x / r) + arccos(d_y / r) - pi/2 is added back.  At r = 0 the
     angle is 2 pi inside the rectangle, pi on an edge and pi/2 at a corner.
     """
-    # A side through the centre (d = 0.0) cuts a half circle at every r: arccos(0) = pi/2.
-    cut = [0.5 * np.pi if np.ndim(d) == 0 and d == 0.0 else _acos_ratio(d, r) for d in (left, bottom, right, top)]
+    cut = [_acos_ratio(d, r) for d in (left, bottom, right, top)]
     overlap = sum(np.maximum(0.0, cut[s] + cut[(s + 1) % 4] - 0.5 * np.pi) for s in range(4))
     return np.maximum(0.0, 2.0 * np.pi - 2.0 * sum(cut) + overlap)
 
 
-def _conditional_values(box: BoxDims, kind: PairKind, indices: IndexTriple, u, v, n) -> np.ndarray:
-    """f(n | exit) = n theta_in(sqrt(n^2 - c^2)) / (X_i X_k) at every (n, u, v); shape (n, u, v).
+def _conditional_values(kind: PairKind, n, u, v, xi, xj, xk) -> np.ndarray:
+    """f(n | exit) = n theta_in(sqrt(n^2 - c^2)) / (X_i X_k) at the broadcast (n, u, v) of a class with dims X.
 
     Opposing exits sit at (u, v) on x_j = X_j: c = X_j and the centre
     (u, v) lies inside the X_i x X_k entry rectangle.  Adjacent exits sit
     at (u, elevation v) on x_k = 0: c = v and the centre (u, 0) lies on the
     rectangle's edge x_k = 0.  The density is zero below n = c.
     """
-    xi, xj, xk = indices.dims(box)
-    n = np.asarray(n, dtype=float)[:, None, None]
-    u = np.asarray(u, dtype=float)[None, :, None]
-    v = np.asarray(v, dtype=float)[None, None, :]
     if kind is PairKind.OPPOSING:
         c, bottom, top = xj, v, xk - v
     else:
@@ -119,20 +114,8 @@ def conditional_length_pdf(
     if n_hi <= n_lo:
         raise NumericalError("degenerate conditional support")
     n_grid = np.linspace(n_lo, n_hi, n_nodes)
-    vals = _conditional_values(box, kind, indices, [u], [v], n_grid)[:, 0, 0]
+    vals = _conditional_values(kind, n_grid, u, v, xi, xj, xk)
     return GridDensity1D(n_lo, n_hi, vals).normalized()
-
-
-def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, n_nodes: int, u_nodes: int, v_nodes: int) -> FacePdf:
-    box = BoxDims.from_any(box)
-    domain, names = joint_frame(box, kind, indices)
-    n_grid, u, v = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, (n_nodes, u_nodes, v_nodes)))
-    vals = _conditional_values(box, kind, indices, u, v, n_grid) / (domain[1][1] * domain[2][1])
-    dens = GridDensity(domain, vals, names)
-    entry = FaceId(indices.j, 0)
-    exit_face = FaceId(indices.j, 1) if kind is PairKind.OPPOSING else FaceId(indices.k, 0)
-    mass = conditional_exit_probability(box, entry, exit_face)
-    return FacePdf(kind, indices, dens.normalized(), mass)
 
 
 def joint_pdf_opposing(
@@ -145,9 +128,15 @@ def joint_pdf_opposing(
     """Joint (length, exit-location) density for an opposing face pair.
 
     The exit location is uniform on the face, so the joint factorizes into
-    (1 / area) times the conditional length law at each location.
+    (1 / area) times the conditional length law at each location.  Its
+    mass is the exact `conditional_exit_probability`.
     """
-    return _joint(box, PairKind.OPPOSING, indices, n_nodes, u_nodes, v_nodes)
+
+    def slices(n, u, v, xi, xj, xk):  # the conditional law over the exit face's area
+        return _conditional_values(PairKind.OPPOSING, n, u, v, xi, xj, xk) / (xi * xk)
+
+    mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.j, 1))
+    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, u_nodes, v_nodes), slices, mass)
 
 
 def joint_pdf_adjacent(
@@ -157,8 +146,13 @@ def joint_pdf_adjacent(
     u_nodes: int = 64,
     v_nodes: int = 64,
 ) -> FacePdf:
-    """Joint (length, exit-location) density for an adjacent face pair."""
-    return _joint(box, PairKind.ADJACENT, indices, n_nodes, u_nodes, v_nodes)
+    """Joint (length, exit-location) density for an adjacent face pair; as `joint_pdf_opposing`."""
+
+    def slices(n, u, e, xi, xj, xk):  # the conditional law over the exit face's area
+        return _conditional_values(PairKind.ADJACENT, n, u, e, xi, xj, xk) / (xi * xj)
+
+    mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.k, 0))
+    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, u_nodes, v_nodes), slices, mass)
 
 
 def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.ndarray:

@@ -48,6 +48,9 @@ def _load_stages() -> None:
     from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
 
 
+_NODE_KEYS = ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "bins_length")  # integer sizes of at least 4
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Tunable knobs shared by the subcommands; JSON-serializable."""
@@ -86,13 +89,19 @@ class RunConfig:
 
     def validate(self) -> None:
         BoxDims.from_any(self.box)
+        counts = [(name, getattr(self, name)) for name in ("seed", "samples", "workers", *_NODE_KEYS)]
+        for name, value in counts + [(f"bins_joint[{i}]", b) for i, b in enumerate(self.bins_joint)]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if self.workers < 0:
             raise ValueError("workers must be 0 (BOXPATH_WORKERS or 1) or positive")
         if self.direction_model not in montecarlo.DIRECTION_MODELS:
             raise ValueError(f"direction_model must be one of {montecarlo.DIRECTION_MODELS}")
-        for name in ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "bins_length"):
+        for name in _NODE_KEYS:
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} is too small")
         if len(self.bins_joint) != 3 or any(b < 2 for b in self.bins_joint):
@@ -271,27 +280,26 @@ def _sample_streams(sampler, box: BoxDims, cfg: RunConfig, workers: int, spill: 
     hists = binning.histograms()
     lengths = np.zeros((4, cfg.bins_length), dtype=np.uint64)
     faces = np.zeros((2, 6), dtype=np.int64)
-    metas: list[dict] = [{}] * montecarlo.STREAM_COUNT
     lock = threading.Lock()
     if spill is not None:
         bio.start_trajectories(spill, box, cfg.samples)
 
-    def task(stream: int, rows: slice) -> None:
+    def task(stream: int, rows: slice) -> dict:
         batch = sampler(stream=stream)
         part = montecarlo.canonical_histograms(batch, binning=binning)
         part_lengths = montecarlo.length_counts(batch, cfg.bins_length)[1]
         part_faces = montecarlo.face_counts(batch)
         if spill is not None:
             bio.write_trajectories(spill, batch, at=rows.start)
-        metas[stream] = batch.meta
         with lock:
             for label, hist in part.items():
                 hists[label].counts += hist.counts
                 hists[label].total += hist.total
             lengths[:] += part_lengths
             faces[:] += part_faces
+        return batch.meta
 
-    montecarlo.for_each_stream(cfg.samples, workers, task)
+    metas = montecarlo.for_each_stream(cfg.samples, workers, task)
     return hists, lengths, faces, montecarlo.merge_meta(metas)
 
 

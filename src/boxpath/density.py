@@ -260,8 +260,6 @@ def _hat_bin_weights(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
         return w
     pts = _sorted_distinct(np.clip(np.concatenate([nodes, edges]), lo, hi))
     p, q = pts[:-1], pts[1:]
-    keep = q > p
-    p, q = p[keep], q[keep]
     mid = 0.5 * (p + q)
     cell = np.clip(np.searchsorted(nodes, mid) - 1, 0, nodes.size - 2)
     binix = np.clip(np.searchsorted(edges, mid) - 1, 0, edges.size - 2)

@@ -26,7 +26,7 @@ once per box and bin counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,7 @@ DIRECTION_MODELS = ("cube-components", "ball-rejection")
 # Integer sampler counters in `TrajectoryBatch.meta`; a run's value is the
 # sum of its streams' values.
 _COUNTERS = ("zero_component_redraws", "direction_draws", "pair_attempts", "pair_collisions")
+_T = TypeVar("_T")  # a stream task's result
 
 
 @dataclass
@@ -219,29 +220,27 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
-def for_each_stream(count: int, workers: int, task: Callable[[int, slice], None]) -> None:
-    """Call `task(stream, rows)` for each of the STREAM_COUNT streams of a run.
+def for_each_stream(count: int, workers: int, task: Callable[[int, slice], _T]) -> list[_T]:
+    """Call `task(stream, rows)` for each of the STREAM_COUNT streams of a run; their results in stream order.
 
     `rows` is the stream's slice of the run's `count` paths (empty when
     the run has fewer paths than streams).  Tasks run on `workers`
     threads when above one, so at most `workers` streams are in flight at
-    once.  Each task must write only its own output slot, or add integers
-    into a shared total under a lock, so results do not depend on the
-    worker count or on the order the tasks run in.
+    once.  Besides returning its result, each task may write only its own
+    rows, or add integers into a shared total under a lock, so results do
+    not depend on the worker count or on the order the tasks run in.
     """
     offsets = np.concatenate([[0], np.cumsum(_stream_counts(int(count)))]).tolist()
 
-    def run(s: int) -> None:
-        task(s, slice(offsets[s], offsets[s + 1]))
+    def run(s: int) -> _T:
+        return task(s, slice(offsets[s], offsets[s + 1]))
 
     if workers <= 1:
-        for s in range(STREAM_COUNT):
-            run(s)
-        return
+        return [run(s) for s in range(STREAM_COUNT)]
     from concurrent.futures import ThreadPoolExecutor  # only a run on several threads pays for it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(STREAM_COUNT)))
+        return list(pool.map(run, range(STREAM_COUNT)))
 
 
 def merge_meta(metas: Sequence[dict]) -> dict:
@@ -277,19 +276,17 @@ def _sample(box: BoxDims, count: int, seed: int, workers: int, stream: int | Non
         np.empty((count, 2)),
         np.empty(count),
     )
-    metas: list[dict] = [{}] * STREAM_COUNT
 
-    def task(s: int, rows: slice) -> None:
+    def task(s: int, rows: slice) -> dict:
         part = _stream_batch(box, count, seed, s, draw, meta)
         batch.entry_code[rows] = part.entry_code
         batch.entry_ab[rows] = part.entry_ab
         batch.exit_code[rows] = part.exit_code
         batch.exit_ab[rows] = part.exit_ab
         batch.length[rows] = part.length
-        metas[s] = part.meta
+        return part.meta
 
-    for_each_stream(count, workers, task)
-    batch.meta = merge_meta(metas)
+    batch.meta = merge_meta(for_each_stream(count, workers, task))
     return batch
 
 

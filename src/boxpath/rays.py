@@ -50,7 +50,7 @@ __all__ = [
 # The sampler direction model (`montecarlo.DIRECTION_MODELS`) these laws describe.
 DIRECTION_MODEL = "cube-components"
 
-_BLOCK = 64  # length nodes per vectorised block of the ray joints and length marginals
+_BLOCK = 64  # length nodes per vectorised block of `_on_nodes`
 _MARGINAL_NODES = 16  # Gauss-Legendre nodes per panel of the ray length marginals
 
 
@@ -79,25 +79,13 @@ def _acos_ratio(d, r):
 _leggauss = functools.cache(lambda nodes: np.polynomial.legendre.leggauss(nodes))  # built on first use, off the import path
 
 
-def _panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the panels between the sorted `points` of the last axis.
+def _live_panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between the sorted `points` of each row.
 
     A panel [lo, lo + 2 h] is mapped by x = lo + h (1 - cos phi), which smooths a square-root
-    end of the integrand, and summed by `nodes` nodes in phi.  Both results have shape
-    points.shape[:-1] + (panels, nodes).
-    """
-    edges = np.sort(points, axis=-1)[..., None]
-    lo, half = edges[..., :-1, :], 0.5 * np.diff(edges, axis=-2)
-    shift, sin, w = _panel_rule(nodes)
-    return lo + half * shift, half * sin * w
-
-
-def _live_panels(points, nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_panels` over the rows of 2-d `points`, keeping only the panels of nonzero weight.
-
-    Returns (row, x, w): each kept panel's row in `points`, and its nodes and
-    weights, shape (kept, nodes).  Empty panels are dropped before they are
-    mapped, so their nodes are never built; the kept ones equal `_panels`' bitwise.
+    end of the integrand, and summed by `nodes` nodes in phi.  Returns (row, x, w): each
+    nonzero panel's row in the 2-d `points`, and its nodes and weights, shape (kept, nodes).
+    Empty panels are dropped before they are mapped, so their nodes are never built.
     """
     edges = np.sort(points, axis=-1)
     lo, half = edges[:, :-1], 0.5 * np.diff(edges, axis=-1)
@@ -112,6 +100,23 @@ def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, w = _leggauss(nodes)
     phi = 0.5 * np.pi * (x + 1.0)
     return 1.0 - np.cos(phi), np.sin(phi), 0.5 * np.pi * w
+
+
+def _on_nodes(values, n_grid: np.ndarray, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """values(n), of shape (lengths,) + `shape`, at the length nodes `n_grid`; each call gets a
+    block of `_BLOCK` lengths, so the temporaries of the broadcast laws stay bounded."""
+    out = np.empty(n_grid.shape + shape)
+    for start in range(0, n_grid.size, _BLOCK):
+        out[start : start + _BLOCK] = values(n_grid[start : start + _BLOCK])
+    return out
+
+
+def _face_pdf(box: BoxDims, kind: PairKind, indices: IndexTriple, vals: np.ndarray, mass: float | None = None) -> FacePdf:
+    """The FacePdf of grid values on the last `vals.ndim` axes of the class's `joint_frame`,
+    normalized; its mass is the grid integral unless one is given."""
+    domain, names = joint_frame(box, kind, indices)
+    dens = GridDensity(domain[-vals.ndim :], vals, names[-vals.ndim :])
+    return FacePdf(kind, indices, dens.normalized(), dens.integral() if mass is None else mass)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +165,7 @@ def exit_pdf_opposing(
     a = np.linspace(0.0, xi, a_nodes)[:, None]
     b = np.linspace(0.0, xk, b_nodes)[None, :]
     vals = sum(_ramp_product(p / xj, q / xj) for p in (a, xi - a) for q in (b, xk - b)) / (4.0 * xi * xk)
-    domain, names = joint_frame(box, PairKind.OPPOSING, indices)
-    dens = GridDensity(domain[1:], vals, names[1:])
-    mass = dens.integral()
-    return FacePdf(PairKind.OPPOSING, indices, dens.normalized(), mass)
+    return _face_pdf(box, PairKind.OPPOSING, indices, vals)
 
 
 def exit_pdf_adjacent(
@@ -205,10 +207,7 @@ def exit_pdf_adjacent(
     esub = h * (np.arange(_EDGE_SUBNODES) + 0.5) / _EDGE_SUBNODES
     cell_mass = rows(esub).mean(axis=1) * h
     vals[:, 0] = np.maximum(0.0, 2.0 * (cell_mass - vals[:, 1] * h / 2.0) / h)
-    domain, names = joint_frame(box, PairKind.ADJACENT, indices)
-    dens = GridDensity(domain[1:], vals, names[1:])
-    mass = dens.integral()
-    return FacePdf(PairKind.ADJACENT, indices, dens.normalized(), mass)
+    return _face_pdf(box, PairKind.ADJACENT, indices, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +277,14 @@ def _adjacent_slices(n, a, e, xi, xj, xk):
     return np.where(live, n * inside, 0.0) / (12.0 * xi * xk)
 
 
-def _joint(
-    box: BoxDims,
-    kind: PairKind,
-    indices: IndexTriple,
-    n_nodes: int,
-    a_nodes: int,
-    b_nodes: int,
-) -> FacePdf:
-    """One class joint, filled in blocks of `_BLOCK` length nodes."""
+def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, nodes, slices, mass: float | None = None) -> FacePdf:
+    """One class joint of either path model: `slices(n, u, v, X_i, X_j, X_k)`, broadcast over a block
+    of lengths, on the `joint_frame` grid of `nodes` = (length, u, v) node counts; see `_face_pdf` for the mass."""
     box = BoxDims.from_any(box)
-    xi, xj, xk = indices.dims(box)
-    slices = _opposing_slices if kind is PairKind.OPPOSING else _adjacent_slices
-    domain, names = joint_frame(box, kind, indices)
-    n_grid, a, b = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, (n_nodes, a_nodes, b_nodes)))
-    vals = np.empty((n_nodes, a_nodes, b_nodes))
-    for start in range(0, n_nodes, _BLOCK):
-        vals[start : start + _BLOCK] = slices(n_grid[start : start + _BLOCK, None, None], a[:, None], b, xi, xj, xk)
-    dens = GridDensity(domain, vals, names)
-    mass = dens.integral()
-    return FacePdf(kind, indices, dens.normalized(), mass)
+    domain, dims = joint_frame(box, kind, indices)[0], indices.dims(box)
+    n_grid, u, v = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, nodes))
+    vals = _on_nodes(lambda n: slices(n[:, None, None], u[:, None], v, *dims), n_grid, (u.size, v.size))
+    return _face_pdf(box, kind, indices, vals, mass)
 
 
 def joint_pdf_opposing(
@@ -327,7 +314,7 @@ def joint_pdf_opposing(
     their r -> 0 limit: 2 pi inside the face, pi on an edge and pi/2 at a
     corner.
     """
-    return _joint(box, PairKind.OPPOSING, indices, n_nodes, a_nodes, b_nodes)
+    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), _opposing_slices)
 
 
 def joint_pdf_adjacent(
@@ -354,7 +341,7 @@ def joint_pdf_adjacent(
     half.  The slab e >= n is zero, and so is the n = 0 slab, where
     f(n, a, 0) grows like 1 / n.
     """
-    return _joint(box, PairKind.ADJACENT, indices, n_nodes, a_nodes, e_nodes)
+    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, a_nodes, e_nodes), _adjacent_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +349,27 @@ def joint_pdf_adjacent(
 
 
 def _jump_law(values, lo: float, hi: float, n_nodes: int, nodes: int) -> GridDensity1D:
-    """f = values(n) on `n_nodes` nodes over [lo, hi], in blocks of `_BLOCK` lengths, for f with a jump
+    """f = values(n) on `n_nodes` nodes over [lo, hi] (`_on_nodes`), for f with a jump
     and a sqrt(n - lo) term at lo that the trapezoid rule does not resolve: the lo node is the first
     cell's hat average int f phi_0 / int phi_0, the node value of `GridDensity1D.project`."""
     n_grid = np.linspace(lo, hi, n_nodes)
-    vals = np.concatenate([values(n_grid[start : start + _BLOCK]) for start in range(0, n_nodes, _BLOCK)])
+    vals = _on_nodes(values, n_grid)
     h = n_grid[1] - lo
-    n, w = _panels(np.array([lo, lo + h]), nodes)
+    n, w = _live_panels(np.array([[lo, lo + h]]), nodes)[1:]
     vals[0] = np.sum(w * values(n[0]) * (1.0 - (n[0] - lo) / h)) / (0.5 * h)
     return GridDensity1D(lo, hi, vals)
 
 
 def _opposing_values(n, xi, xj, xk):
     """The opposing length law at lengths n >= X_j (1-d); see `length_marginal_opposing`."""
-    n = n[:, None]
-    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
+    m = n[:, None]
+    r = np.sqrt(np.maximum(m * m - xj * xj, 0.0))
     star = np.minimum(0.25 * np.pi, _acos_ratio(xj, r))
     ends = [_acos_ratio(xi, r), 0.5 * np.pi - _acos_ratio(xk, r)]  # outside them the integrand is 0
-    t, w = _panels(np.concatenate([*ends, star, 0.5 * np.pi - star], axis=-1), _MARGINAL_NODES)
-    rc, rs = r[..., None] * np.cos(t), r[..., None] * np.sin(t)
+    row, t, w = _live_panels(np.concatenate([*ends, star, 0.5 * np.pi - star], axis=-1), _MARGINAL_NODES)
+    rc, rs = r[row] * np.cos(t), r[row] * np.sin(t)
     inside = np.maximum(0.0, xi - rc) * np.maximum(0.0, xk - rs) / np.maximum(xj, np.maximum(rc, rs)) ** 3
-    return xj * n[:, 0] * np.sum(w * inside, axis=(-2, -1)) / (3.0 * xi * xk)
+    return xj * n * np.bincount(row, np.sum(w * inside, axis=-1), minlength=n.size) / (3.0 * xi * xk)
 
 
 def length_marginal_opposing(
@@ -400,7 +387,7 @@ def length_marginal_opposing(
                / max(X_j, r cos t, r sin t)^3 dt,
 
     which `chords._pair_values` closes for chords with weight 1.  Its panels
-    (`_panels`) end at arccos(min(1, X_i / r)) and pi/2 - arccos(min(1, X_k / r))
+    (`_live_panels`) end at arccos(min(1, X_i / r)) and pi/2 - arccos(min(1, X_k / r))
     and split at t* = min(pi/4, arccos(min(1, X_j / r))) and pi/2 - t*, where
     the largest of the three terms changes (pi/4 is a kink only once t* = pi/4).
     The n = X_j node is the first cell's hat average (`_jump_law`).
@@ -444,7 +431,7 @@ def length_marginal_adjacent(
 
     C and D from `_adjacent_arc`, taken from the depth cut
     arccos(min(1, X_k / rho)) to the side cut pi/2 - arccos(min(1, X_i / rho))
-    (empty once the cuts cross).  Its panels in e (`_panels`) split where
+    (empty once the cuts cross).  Its panels in e (`_live_panels`) split where
     the weight's pieces change (n / sqrt(3), n / sqrt(2)), where a cut
     appears or crosses a piece boundary (X_k, and for X = X_k and X_i:
     sqrt(n^2 - X^2), sqrt(n^2 - 2 X^2) and sqrt((n^2 - X^2) / 2)) and where
@@ -457,9 +444,6 @@ def length_marginal_adjacent(
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
-    n_grid = np.linspace(0.0, box.diagonal, n_nodes)
-    vals = np.empty(n_nodes)
+    vals = _on_nodes(lambda n: _adjacent_values(n, xi, xj, xk), np.linspace(0.0, box.diagonal, n_nodes))
     vals[0] = _adjacent_values(np.ones(1), np.inf, np.inf, np.inf)[0]
-    for start in range(1, n_nodes, _BLOCK):
-        vals[start : start + _BLOCK] = _adjacent_values(n_grid[start : start + _BLOCK], xi, xj, xk)
     return GridDensity1D(0.0, box.diagonal, vals / (6.0 * xk))

@@ -173,14 +173,14 @@ def test_conditional_values_are_the_disk_area_derivative(kind):
         kinks = np.unique(np.hypot(c, [0.0, *sides, *corners]))
         n_far = kinks[-1]
         lengths = kinks[:-1] + rng.uniform(0.25, 0.75, kinks.size - 1) * np.diff(kinks)
-        got = chords._conditional_values(box, kind, IDX, [uv[0]], [uv[1]], lengths)[:, 0, 0]
+        got = chords._conditional_values(kind, lengths, *uv, *IDX.dims(box))
         for n, value in zip(lengths, got):
             area = [disk_rect_area(*centre, np.sqrt(m * m - c * c), width, height) for m in (n - h, n + h)]
             expected = (area[1] - area[0]) / (2.0 * h) / (width * height)
             assert value == pytest.approx(expected, rel=1e-4)
 
         def density(n):
-            return chords._conditional_values(box, kind, IDX, [uv[0]], [uv[1]], [n])[0, 0, 0]
+            return chords._conditional_values(kind, n, *uv, *IDX.dims(box))
 
         cdf = integrate.quad(density, c, n_far, points=kinks[1:-1], epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert cdf == pytest.approx(1.0, abs=1e-10)
@@ -193,7 +193,7 @@ def test_conditional_first_node_is_exact(dims):
     xi, xj, xk = box.dim(1), box.dim(2), box.dim(3)
     for uv, theta in (((0.3 * xi, 0.6 * xk), 2.0 * np.pi), ((0.0, 0.6 * xk), np.pi), ((xi, xk), 0.5 * np.pi)):
         dens = chords.conditional_length_pdf(box, PairKind.OPPOSING, IDX, uv)
-        raw = GridDensity1D(dens.lo, dens.hi, chords._conditional_values(box, PairKind.OPPOSING, IDX, [uv[0]], [uv[1]], dens.nodes)[:, 0, 0])
+        raw = GridDensity1D(dens.lo, dens.hi, chords._conditional_values(PairKind.OPPOSING, dens.nodes, *uv, *IDX.dims(box)))
         assert raw.values[0] == pytest.approx(xj * theta / (xi * xk), rel=1e-14)
         assert dens.values[0] == pytest.approx(raw.values[0] / raw.integral(), rel=1e-12)
 

@@ -578,6 +578,30 @@ def test_sample_refuses_negative_workers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["analytic", "sample"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("samples", True),
+        ("samples", 1e3),
+        ("seed", -1),
+        ("seed", "7"),
+        ("workers", False),
+        ("grid_nodes_3d", 16.0),
+        ("bins_length", None),
+        ("bins_joint", [6, 6.0, 6]),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_refused_before_writing(tmp_path, capsys, stage, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, key: value}))
+    out = tmp_path / stage
+    spill = ["--spill"] if stage == "sample" else []
+    assert cli.main([stage, "--config", str(cfg), "--out", str(out), *spill]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _glibc() -> bool:
     try:
         return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")

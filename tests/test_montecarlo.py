@@ -102,6 +102,14 @@ def test_stream_batches_are_the_runs_rows(cube, sampler):
         draw(stream=STREAM_COUNT)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_for_each_stream_returns_results_in_stream_order(workers):
+    n = STREAM_COUNT * 2 + 5
+    results = for_each_stream(n, workers, lambda s, rows: (s, rows.stop - rows.start))
+    assert [s for s, _ in results] == list(range(STREAM_COUNT))
+    assert sum(m for _, m in results) == n
+
+
 @pytest.mark.parametrize("model", DIRECTION_MODELS)
 def test_ray_sampler_counters(cube, model):
     """Redraws and direction proposals are integer sums over streams."""

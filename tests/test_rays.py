@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from boxpath import BoxDims, IndexTriple, PairKind, canonical_classes, compare, rays
+from boxpath import BoxDims, IndexTriple, PairKind, canonical_classes, chords, compare, rays
 from boxpath.geometry import FaceId, IndexTriple, Side
 
 IDX = IndexTriple(1, 2, 3)
@@ -152,6 +152,19 @@ def test_opposing_support_starts_at_gap(cube, cube_joints):
     jo, _ = cube_joints
     assert jo.density.domain[0][0] == pytest.approx(1.0)
     assert jo.density.domain[0][1] == pytest.approx(np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("model", [rays, chords], ids=["rays", "chords"])
+def test_joints_are_bitwise_equal_across_a_length_block_boundary(model, monkeypatch):
+    """At 70 length nodes a joint spans two `rays._BLOCK` blocks; one block of 128 gives the same bytes."""
+    box = BoxDims(1.3, 0.8, 1.1)
+    for joint in (model.joint_pdf_opposing, model.joint_pdf_adjacent):
+        blocked = joint(box, IDX, 70, 9, 7)
+        monkeypatch.setattr(rays, "_BLOCK", 128)
+        whole = joint(box, IDX, 70, 9, 7)
+        monkeypatch.undo()
+        assert np.array_equal(blocked.density.values, whole.density.values)
+        assert blocked.mass == whole.mass
 
 
 def test_joints_match_sampling(cube, cube_joints, rays_batch_cube):
