@@ -1,5 +1,6 @@
 """End-to-end CLI runs on tiny grids, plus figure rendering."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -272,6 +273,48 @@ def test_sample_same_bytes_by_any_route(tmp_path, box, samples):
         del manifest["config"]["workers"], manifest["config_hash"]
     assert manifests[0] == manifests[1]
     assert manifests[0]["stats"] == stats
+
+
+# The sha256 (first 24 hex digits) of each `sample` file and of the manifest's
+# `stats` (as sorted JSON), for the cube on 1 worker and the slab on 2.  They
+# were recorded before the stream kernels and the per-stream counting were
+# rewritten for speed, which kept every draw, sum and byte; they pin the
+# counting and the spill, which the batch digests of test_montecarlo do not.
+STAGE_DIGESTS = {
+    "cube-1-worker": (
+        {"box": [1.0, 1.0, 1.0], "seed": 11, "samples": 64_000, "workers": 1},
+        {
+            "sample_rays_hists.npz": "016135838fe7b86cbaa94699",
+            "sample_chords_hists.npz": "716283d32bc0ddcccf1f3c04",
+            "sample_lengths.npz": "c42304c7b7051f786f505545",
+            "rays.bin": "88adac6c5a5cf10de4fd13cf",
+            "chords.bin": "3a0fb2d2e86546a67fd32426",
+            "stats": "afbad3bd4562b35f24eaaeab",
+        },
+    ),
+    "slab-2-workers": (
+        {"box": [1.0, 0.1, 1.0], "seed": 12, "samples": 64_013, "workers": 2},
+        {
+            "sample_rays_hists.npz": "29386bc18eb0c8b304731a00",
+            "sample_chords_hists.npz": "4e9464084f9268c95d94df71",
+            "sample_lengths.npz": "c395dfe84c78278046f60915",
+            "rays.bin": "aadc14a872bc45411dd515a5",
+            "chords.bin": "63327f7013fdeb3f6b7b652f",
+            "stats": "ee09590cb3788e137d4d78e0",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STAGE_DIGESTS))
+def test_sample_stage_digests(tmp_path, name):
+    cfg, digests = STAGE_DIGESTS[name]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["sample", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), "--spill"]) == 0
+    got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()[:24] for f in SAMPLE_FILES}
+    stats = json.loads((tmp_path / "out" / "manifest.json").read_text())["stats"]
+    got["stats"] = hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()[:24]
+    assert got == digests
 
 
 def test_sample_memory_is_bounded_by_streams(tmp_path):
