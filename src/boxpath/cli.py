@@ -16,9 +16,10 @@ failure, 4 missing or corrupt artifacts.  All outputs are deterministic
 for a fixed configuration, including byte-identical npz/CSV/SVG files.
 
 Run as a program (``python -m boxpath.cli``), the module loads numpy and
-the stage modules only for a subcommand that needs them, so ``presets``,
-``--help`` and ``--version`` load neither.  Imported as a module, it loads
-them at once, so every stage module is in ``sys.modules`` afterwards.
+the stage modules only for a subcommand that needs them: ``presets``,
+``--help`` and ``--version`` load neither, and ``sample`` loads only the
+sampler, its geometry and the writers.  Imported as a module, it loads them
+all at once, so every stage module is in ``sys.modules`` afterwards.
 """
 
 from __future__ import annotations
@@ -38,14 +39,18 @@ from .errors import EmptyCellError, IncompatibleGridError, NumericalError
 __all__ = ["build_parser", "main"]
 
 
-def _load_stages() -> None:
-    """Bind numpy, the stage modules and the geometry names as module globals."""
+def _load_stages(laws: bool = True) -> None:
+    """Bind numpy, the stage modules and the geometry names as module globals;
+    the law and report modules (`rays`, `chords`, `combined`, `compare`, `svg`) only with `laws`."""
     global np, chords, combined, compare, bio, montecarlo, rays, svg
     global FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
     import numpy as np
 
-    from . import chords, combined, compare, io as bio, montecarlo, rays, svg
+    from . import io as bio, montecarlo
     from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
+
+    if laws:
+        from . import chords, combined, compare, rays, svg
 
 
 _NODE_KEYS = ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "bins_length")  # integer sizes of at least 4
@@ -83,14 +88,22 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = cls().to_dict()
         merged.update(data)
-        cfg = cls(**{**merged, "box": tuple(merged["box"]), "bins_joint": tuple(merged["bins_joint"])})
+        cfg = cls(**merged)
         cfg.validate()
-        return cfg
+        return dataclasses.replace(cfg, box=tuple(cfg.box), bins_joint=tuple(cfg.bins_joint))
 
     def validate(self) -> None:
+        for name, kind, types in (("box", "real numbers", (int, float)), ("bins_joint", "integers", int)):
+            value = getattr(self, name)
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == 3
+                and all(isinstance(v, types) and not isinstance(v, bool) for v in value)
+            ):
+                raise ValueError(f"{name} must be a list of 3 {kind}, got {value!r}")
         BoxDims.from_any(self.box)
-        counts = [(name, getattr(self, name)) for name in ("seed", "samples", "workers", *_NODE_KEYS)]
-        for name, value in counts + [(f"bins_joint[{i}]", b) for i, b in enumerate(self.bins_joint)]:
+        for name in ("seed", "samples", "workers", *_NODE_KEYS):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
@@ -104,7 +117,7 @@ class RunConfig:
         for name in _NODE_KEYS:
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} is too small")
-        if len(self.bins_joint) != 3 or any(b < 2 for b in self.bins_joint):
+        if any(b < 2 for b in self.bins_joint):
             raise ValueError("bins_joint needs three entries of at least 2")
 
     @property
@@ -268,39 +281,35 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 # sample
 
 
-def _sample_streams(sampler, box: BoxDims, cfg: RunConfig, workers: int, spill: Path | None):
-    """Draw, bin and spill each Philox stream of one model inside its pool task.
+def _sample_streams(sampler, binning, lengths, samples: int, workers: int, spill: Path | None):
+    """Draw, count and spill each Philox stream of one model inside its pool task.
 
-    The integer counts are summed under a lock: integer sums do not depend
-    on the order the streams finish in.  Returns the class histograms, the
-    length counts (all entry faces, then entry axes 1..3), the entry and
-    exit face counts, and the run's sampler meta.
+    A task counts its stream with the run's `binning` (a
+    `montecarlo.JointBinning`) and `lengths` (a `montecarlo.LengthBinning`)
+    and adds the two integer arrays into the run's under a lock: integer sums
+    do not depend on the order the streams finish in.  Returns the class
+    histograms, the length counts (all entry faces, then entry axes 1..3),
+    the entry and exit face counts, taken from the pair counts, and the
+    run's sampler meta.
     """
-    binning = montecarlo.JointBinning(box, *cfg.bins_joint)
-    hists = binning.histograms()
-    lengths = np.zeros((4, cfg.bins_length), dtype=np.uint64)
-    faces = np.zeros((2, 6), dtype=np.int64)
+    pairs = np.zeros(binning.count_shape, dtype=np.int64)
+    by_length = np.zeros((4, lengths.bins), dtype=np.uint64)
     lock = threading.Lock()
     if spill is not None:
-        bio.start_trajectories(spill, box, cfg.samples)
+        bio.start_trajectories(spill, binning.box, samples)
 
     def task(stream: int, rows: slice) -> dict:
         batch = sampler(stream=stream)
-        part = montecarlo.canonical_histograms(batch, binning=binning)
-        part_lengths = montecarlo.length_counts(batch, cfg.bins_length)[1]
-        part_faces = montecarlo.face_counts(batch)
+        part, part_lengths = binning.count(batch), lengths.count(batch)
         if spill is not None:
             bio.write_trajectories(spill, batch, at=rows.start)
         with lock:
-            for label, hist in part.items():
-                hists[label].counts += hist.counts
-                hists[label].total += hist.total
-            lengths[:] += part_lengths
-            faces[:] += part_faces
+            pairs[:] += part
+            by_length[:] += part_lengths
         return batch.meta
 
-    metas = montecarlo.for_each_stream(cfg.samples, workers, task)
-    return hists, lengths, faces, montecarlo.merge_meta(metas)
+    metas = montecarlo.for_each_stream(samples, workers, task)
+    return binning.histograms(pairs), by_length, binning.face_counts(pairs), montecarlo.merge_meta(metas)
 
 
 def _keep_freed_heap() -> bool:
@@ -342,8 +351,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     outputs: list[str] = []
     stats: dict = {}
     length_arrays: dict[str, np.ndarray] = {}
-    # The edges np.histogram gives every stream's length counts.
-    edges = np.histogram_bin_edges(np.empty(0), cfg.bins_length, range=(0.0, box.diagonal))
+    # The bin tables of both models' streams, built once.
+    binning = montecarlo.JointBinning(box, *cfg.bins_joint)
+    lengths = montecarlo.LengthBinning(cfg.bins_length, 0.0, box.diagonal)
     samplers = {
         "rays": functools.partial(montecarlo.sample_rays, box, cfg.samples, cfg.seed, cfg.direction_model),
         "chords": functools.partial(montecarlo.sample_chords, box, cfg.samples, cfg.seed + 1),
@@ -354,13 +364,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             # An older run's spill would no longer match this run's histograms.
             spill.unlink(missing_ok=True)
             spill = None
-        hists, lengths, faces, meta = _sample_streams(sampler, box, cfg, workers, spill)
+        hists, by_length, faces, meta = _sample_streams(sampler, binning, lengths, cfg.samples, workers, spill)
         bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **meta})
         outputs.append(f"sample_{name}_hists.npz")
-        length_arrays[f"{name}/edges"] = edges
-        length_arrays[f"{name}/counts"] = lengths[0]
+        length_arrays[f"{name}/edges"] = lengths.edges
+        length_arrays[f"{name}/counts"] = by_length[0]
         for axis in (1, 2, 3):
-            length_arrays[f"{name}_axis{axis}/counts"] = lengths[axis]
+            length_arrays[f"{name}_axis{axis}/counts"] = by_length[axis]
         stats[name] = {"meta": meta, "entry_face_counts": faces[0].tolist(), "exit_face_counts": faces[1].tolist()}
         if spill is not None:
             outputs.append(spill.name)
@@ -657,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     corrupt: tuple[type[Exception], ...] = ()  # presets reads no archive and loads no zipfile
     if args.command != "presets":
-        _load_stages()
+        _load_stages(laws=args.command != "sample")
         from zipfile import BadZipFile  # io has loaded it
         corrupt = (BadZipFile,)
     try:

@@ -15,16 +15,24 @@ that stream's rows alone, and without it collects every stream's rows
 in order.  The worker count controls thread parallelism only, so
 outputs are bitwise identical for any `workers` value and a given seed.
 
+A stream draws phase by phase (face codes, points, directions, redraws),
+each phase one raw Philox draw over the whole stream that gives the very
+doubles `Generator.random` and `uniform` would (`_uniform`).  The kernels
+then work through the stream in row blocks of `_BLOCK`, on arrays stored
+axis by axis, with gathers and branch-free arithmetic in place of selects
+on random masks.
+
 Counts made from a run (histograms, face counts, sampler counters) are
 integer sums over its streams, so a caller that bins each stream inside
 its task and drops the rows gets the same counts as one that bins the
 collected batch, while holding O(workers x stream) rows instead of
-O(N).  `JointBinning` holds the class-histogram tables for that, built
-once per box and bin counts.
+O(N).  `JointBinning` and `LengthBinning` hold the bin tables for that,
+built once per run, and count a batch with one `np.bincount` each.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
@@ -36,6 +44,7 @@ __all__ = [
     "DIRECTION_MODELS",
     "JointBinning",
     "JointHistogram",
+    "LengthBinning",
     "STREAM_COUNT",
     "TrajectoryBatch",
     "canonical_histograms",
@@ -77,57 +86,124 @@ class TrajectoryBatch:
         return self.entry_code.size
 
 
-def _face_probabilities(box: BoxDims) -> np.ndarray:
-    return np.array([f.area(box) for f in ALL_FACES]) / box.surface_area
+@functools.lru_cache(maxsize=16)
+def _face_cumulative(box: BoxDims) -> np.ndarray:
+    """The cumulative face probabilities by code: each face's area over the surface area, summed."""
+    cum = np.cumsum(np.array([f.area(box) for f in ALL_FACES]) / box.surface_area)
+    cum.flags.writeable = False
+    return cum
 
 
-def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> np.ndarray:
-    """Face codes drawn by area: how many cumulative probabilities lie at or below a uniform draw.
+def _uniform(rng: np.random.Generator, count: int, signed: bool = False, axes: int = 0) -> np.ndarray:
+    """Doubles from one raw draw: bitwise `rng.random(count)`, or `rng.uniform(-1.0, 1.0, count)` if `signed`.
+
+    `Generator.random` makes each 64-bit output r into (r >> 11) * 2**-53,
+    and `uniform(-1, 1)` into -1 + 2 * that, where the doubling is exact, so
+    one multiply (and for `signed` one subtract) of the raw outputs gives
+    the same doubles.  Raw draws and `Generator` calls take the same outputs
+    in turn from one stream.  With `axes` > 0 the draw is `rng.random((count,
+    axes))`'s rows (count, axes), stored axis by axis: the transpose of a
+    C-contiguous (axes, count) array, which the kernels slice by axis.
+    """
+    raw = rng.bit_generator.random_raw(count * max(axes, 1))
+    raw >>= 11
+    scale = 2.0**-52 if signed else 2.0**-53
+    if axes:
+        out = np.multiply(raw.reshape(count, axes).T, scale, order="C").T
+    else:
+        out = np.multiply(raw, scale, out=raw.view(np.float64))
+    if signed:
+        out -= 1.0
+    return out
+
+
+def _face_codes(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Face codes by area from uniforms `u`: how many cumulative probabilities lie at or below each.
 
     This is `np.searchsorted(cum, u, side="right")`, counted in a few passes.
     The last face takes every draw past `cum[-2]`, so a total that rounds
     below 1 can never yield code 6.
     """
-    u = rng.random(count)
-    codes = np.zeros(count, dtype=np.uint8)
+    codes = np.zeros(u.size, dtype=np.uint8)
     for c in cum[:-1]:
         codes += c <= u
     return codes
 
 
-def _surface_points(rng: np.random.Generator, box: BoxDims, codes: np.ndarray) -> np.ndarray:
-    """Uniform points on the faces `codes`, one row per axis: shape (3, count)."""
-    x = box.as_array()
-    pts = rng.random((codes.size, 3)).T.copy()
-    pts *= x[:, None]
-    ax = codes >> 1
-    pts[ax, np.arange(codes.size)] = (codes & 1) * x[ax]
+def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> np.ndarray:
+    """`count` face codes drawn by area."""
+    return _face_codes(_uniform(rng, count), cum)
+
+
+def _surface_points(rng: np.random.Generator, codes: np.ndarray) -> np.ndarray:
+    """Uniform points on the faces `codes` in box units, one row each: shape (count, 3), stored axis by axis.
+
+    Column a of a row is a uniform on [0, 1) to be scaled by X_a, except
+    on the face's own axis, where it is the face's side, 0 or 1.
+    """
+    pts = _uniform(rng, codes.size, axes=3)
+    pts.T.reshape(-1)[_face_axis_index(codes)] = codes & 1
     return pts
 
 
-def _local_coords(codes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The two in-plane coordinates, ascending by axis, of points (3, count) on faces `codes`."""
-    ax = codes >> 1
-    return np.stack([np.where(ax == 0, pts[1], pts[0]), np.where(ax == 2, pts[1], pts[2])], axis=1)
+def _face_axis_index(codes: np.ndarray) -> np.ndarray:
+    """Flat index, into a (3, count) array, of each row's entry on its face's own axis."""
+    index = (codes >> 1).astype(np.intp)
+    index *= codes.size
+    index += np.arange(codes.size)
+    return index
 
 
 def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[np.ndarray, int]:
-    """`count` directions, and the number of proposals drawn for them."""
+    """`count` directions, one row each and stored axis by axis, and the number of proposals drawn for them."""
     if model == "cube-components":
-        return rng.uniform(-1.0, 1.0, (count, 3)), count
+        return _uniform(rng, count, signed=True, axes=3), count
     if model == "ball-rejection":
-        out = np.empty((count, 3))
+        out = np.empty((3, count)).T
         filled = draws = 0
         while filled < count:
-            draw = rng.uniform(-1.0, 1.0, (count - filled, 3))
+            draw = _uniform(rng, count - filled, signed=True, axes=3)
             draws += count - filled
-            r2 = np.einsum("ij,ij->i", draw, draw)
+            r2 = _squared_norm(draw.T)
             keep = (r2 <= 1.0) & (r2 > 0.0)
             k = int(keep.sum())
             out[filled : filled + k] = draw[keep]
             filled += k
         return out, draws
     raise ValueError(f"unknown direction model {model!r}; choose from {DIRECTION_MODELS}")
+
+
+def _squared_norm(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The squared norm of each column of `v` (3, n): (v0^2 + v2^2) + v1^2, the order einsum sums rows of 3 in."""
+    sq = v * v
+    out = np.add(sq[0], sq[2], out=out)
+    out += sq[1]
+    return out
+
+
+# Rows of a stream that the kernels work on at a time: a block's (3, rows)
+# temporaries stay in a core's L2 cache, and its numpy calls are amortised.
+_BLOCK = 8192
+# The two in-plane axes of each face, ascending, by face code.
+_PLANE = np.array([[1, 2], [1, 2], [0, 2], [0, 2], [0, 1], [0, 1]], dtype=np.intp)
+# Row i of a block, twice: the row part of a flat index into a (3, count) array.
+_ROWS = np.repeat(np.arange(_BLOCK), 2).reshape(_BLOCK, 2)
+_PLANE.flags.writeable = _ROWS.flags.writeable = False
+
+
+def _blocks(count: int):
+    """A stream's rows, `_BLOCK` at a time."""
+    return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+
+
+def _local(src: np.ndarray, codes: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+    """Write into `out` (n, 2) the two in-plane coordinates, on its face `codes`, of each of rows
+    start..start + n of `src` (3, count)."""
+    index = (_PLANE * src.shape[1]).take(codes, axis=0)
+    index += _ROWS[: codes.size]
+    if start:
+        index += start
+    np.take(src, index, out=out, mode="clip")  # every index is in range; "clip" skips the check
 
 
 def _ray_rows(
@@ -138,46 +214,81 @@ def _ray_rows(
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
-    cum = np.cumsum(_face_probabilities(box))
     codes = (
         np.full(count, entry_code, dtype=np.uint8)
         if entry_code is not None
-        else _draw_face_codes(rng, count, cum)
+        else _draw_face_codes(rng, count, _face_cumulative(box))
     )
-    p0 = _surface_points(rng, box, codes)
+    p0 = _surface_points(rng, codes).T
     d, draws = _draw_directions(rng, count, model)
-    ax = codes >> 1
-    zero = np.flatnonzero(d[np.arange(count), ax] == 0.0)
+    at = _face_axis_index(codes)
+    normal = d.T.take(at)  # each direction's entry-axis component, redrawn while it is 0
+    zero = np.flatnonzero(normal == 0.0)
     redraws = 0
     while zero.size:
         d[zero], more = _draw_directions(rng, zero.size, model)
         redraws += zero.size
         draws += more
-        zero = zero[d[zero, ax[zero]] == 0.0]
-    # Column by column: point the entry-axis component inward (+ from the
-    # low face, - from the high one), then the distance to each axis's exit
-    # plane, (X - p0) / d ahead, -p0 / d behind, inf when parallel.
-    inward = 1.0 - 2.0 * (codes & 1)
-    dt = np.stack([np.where(ax == a, np.copysign(d[:, a], inward), d[:, a]) for a in range(3)])
-    t_face = np.full((3, count), np.inf)
+        normal[zero] = d.T.take(at[zero])
+        zero = zero[normal[zero] == 0.0]
+    d = np.ascontiguousarray(d.T)
+    # point the entry-axis component inward: + from the low face, - from the high one
+    d.reshape(-1)[at] = np.copysign(normal, 1.0 - 2.0 * (codes & 1))
+    del at, normal
     for a in range(3):
-        np.divide(np.where(dt[a] > 0.0, x[a] - p0[a], -p0[a]), dt[a], out=t_face[a], where=dt[a] != 0.0)
-    # the nearest plane, ties to the lower axis as argmin breaks them
-    t0, t1, t2 = t_face
-    exit_ax = (t1 < t0).astype(np.uint8)
-    t = np.minimum(t0, t1)
-    exit_ax[t2 < t] = 2
-    np.minimum(t, t2, out=t)
-    exit_code = (exit_ax << 1) | (np.choose(exit_ax, dt) > 0.0)
-    p1 = t * dt
-    p1 += p0
-    np.clip(p1, 0.0, x[:, None], out=p1)
-    # the signs flipped above do not change the squared norm
-    length = t * np.sqrt(np.einsum("ij,ij->i", d, d))
+        p0[a] *= x[a]
+    entry_ab, exit_ab = np.empty((count, 2)), np.empty((count, 2))
+    exit_code, length = np.empty(count, dtype=np.uint8), np.empty(count)
+    for rows in _blocks(count):
+        p, dt = p0[:, rows], d[:, rows]
+        _local(p0, codes[rows], entry_ab[rows], rows.start)
+        # The distance to each axis's exit plane in units of the direction,
+        # |X [d > 0] - p| / |d|: inf where the component is 0 (0 / 0 too).
+        ahead = dt > 0.0
+        t3 = np.empty(p.shape)
+        for a in range(3):
+            np.multiply(ahead[a], x[a], out=t3[a])
+        t3 -= p
+        t3 /= dt
+        np.abs(t3, out=t3)
+        np.fmin(t3, np.inf, out=t3)
+        # the nearest plane, ties to the lower axis as argmin breaks them
+        t0, t1, t2 = t3
+        nearer = np.less(t1, t0).view(np.uint8)
+        t = np.minimum(t0, t1)
+        axis = np.less(t2, t).view(np.uint8)
+        axis <<= 1
+        np.maximum(axis, nearer, out=axis)
+        np.minimum(t, t2, out=t)
+        # The exit side: bit a of `up` says whether component a points to the
+        # high plane, so bit `axis` gives the exit face's side.
+        bits = ahead.view(np.uint8)
+        up = bits[1] << 1
+        up |= bits[0]
+        up |= bits[2] << 2
+        up >>= axis
+        up &= 1
+        code = exit_code[rows]
+        np.left_shift(axis, 1, out=code)
+        code |= up
+        # The exit point, clipped onto the box.  It is never -0.0, so
+        # maximum and minimum clip it as np.clip would.
+        p1 = t3
+        for a in range(3):
+            np.multiply(dt[a], t, out=p1[a])
+        p1 += p
+        np.maximum(p1, 0.0, out=p1)
+        for a in range(3):
+            np.minimum(p1[a], x[a], out=p1[a])
+        _local(p1, code, exit_ab[rows])
+        # length: t |d|, the signs flipped above leaving the squared norm as it was
+        out = _squared_norm(dt, out=length[rows])
+        np.sqrt(out, out=out)
+        out *= t
     counters = {"zero_component_redraws": redraws}
     if model == "ball-rejection":
         counters["direction_draws"] = draws
-    return (codes, _local_coords(codes, p0), exit_code, _local_coords(exit_code, p1), length), counters
+    return (codes, entry_ab, exit_code, exit_ab, length), counters
 
 
 def _chord_rows(
@@ -186,15 +297,16 @@ def _chord_rows(
     rng: np.random.Generator,
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
-    cum = np.cumsum(_face_probabilities(box))
+    x = box.as_array()
+    cum = _face_cumulative(box)
     e_code = (
         np.full(count, entry_code, dtype=np.uint8)
         if entry_code is not None
         else _draw_face_codes(rng, count, cum)
     )
-    p0 = _surface_points(rng, box, e_code)
+    p0 = _surface_points(rng, e_code)
     x_code = _draw_face_codes(rng, count, cum)
-    p1 = _surface_points(rng, box, x_code)
+    p1 = _surface_points(rng, x_code)
     attempts, collisions = count, 0
     bad = np.flatnonzero(e_code == x_code)
     while bad.size:
@@ -202,12 +314,19 @@ def _chord_rows(
         collisions += bad.size
         codes = _draw_face_codes(rng, bad.size, cum)
         x_code[bad] = codes
-        p1[:, bad] = _surface_points(rng, box, codes)
+        p1[bad] = _surface_points(rng, codes)
         bad = bad[e_code[bad] == codes]
-    # rows of (dx, dy, dz), laid out as the norm's summation expects
-    step = np.ascontiguousarray((p1 - p0).T)
-    length = np.sqrt(np.einsum("ij,ij->i", step, step))
-    rows = (e_code, _local_coords(e_code, p0), x_code, _local_coords(x_code, p1), length)
+    p0, p1 = p0.T, p1.T
+    for a in range(3):
+        p0[a] *= x[a]
+        p1[a] *= x[a]
+    entry_ab, exit_ab, length = np.empty((count, 2)), np.empty((count, 2)), np.empty(count)
+    for rows in _blocks(count):
+        _local(p0, e_code[rows], entry_ab[rows], rows.start)
+        _local(p1, x_code[rows], exit_ab[rows], rows.start)
+        out = _squared_norm(p1[:, rows] - p0[:, rows], out=length[rows])
+        np.sqrt(out, out=out)
+    rows = (e_code, entry_ab, x_code, exit_ab, length)
     return rows, {"pair_attempts": attempts, "pair_collisions": collisions}
 
 
@@ -386,17 +505,19 @@ def class_bin_edges(
 class JointBinning:
     """The canonical class histograms' bins for one box and bin counts.
 
-    Tables indexed by pair code (entry * 6 + exit; 36 for a row with a
-    face code outside 0..5) give each pair's class, which exit-face column
-    its canonical u is read from (v is the other one), and each axis's
-    scaled offset g = A + B * x, mirroring folded in; per-class tables
-    hold the edges of `class_bin_edges`.  Each row gets one flat bin index
-    in its class's block of bins padded by one on each side of every axis,
-    and one `np.bincount` counts them: a class's total is its block's sum,
-    its histogram the block's inside.  Bin membership is exactly
-    `np.histogramdd`'s over those edges: a bin is [e_i, e_i+1), the last
-    one closed, and rows outside every bin count only in `total` (see
-    `_bins`).
+    A row's pair code is 7 * min(entry, 6) + min(exit, 6), so every face
+    code past 5 reads as 6.  Tables indexed by pair code give each of the
+    30 traversal pairs the scaled offset g = A + B * x of each of its three
+    values: the length and the two exit-face columns, each column on the
+    canonical axis it holds, mirroring folded in.  `count` gives each row
+    one flat bin index in its pair's block of M^3 bins, M = max(bins) + 2,
+    which pads every axis by one bin below and at least one above, and one
+    `np.bincount` counts a batch.  `histograms` then sums each class's pair
+    blocks, their insides for its histogram and whole for its total, once
+    per run.  Bin membership is exactly `np.histogramdd`'s over the edges
+    of `class_bin_edges`: a bin is [e_i, e_i+1), the last one closed, and
+    rows outside every bin, or of no traversal pair, count in no histogram
+    but their class's total (see `_bins`).
     """
 
     _CHUNK = 1 << 18  # rows binned per pass, which bounds the temporaries
@@ -406,78 +527,106 @@ class JointBinning:
         self.shape = (int(n_bins), int(u_bins), int(v_bins))
         self.classes = canonical_classes()
         self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
+        side = self._side = max(self.shape) + 2
+        self.count_shape = (49, side, side, side)  # of `count`'s counts
         slot = {c.label: s for s, c in enumerate(self.classes)}
-        none = len(self.classes)
-        # Per axis, one row of edges per class plus a placeholder row for
-        # rows of no class, and each row's floor offset and scale.
-        self._edges = [np.vstack([e[a] for e in self.edges] + [np.linspace(0.0, 1.0, b + 1)]) for a, b in enumerate(self.shape)]
-        lo = [r[:, 0] for r in self._edges]
-        scale = [b / (r[:, -1] - r[:, 0]) for b, r in zip(self.shape, self._edges)]
-        self._tol = [_near_tol(r, b) for r, b in zip(self._edges, self.shape)]
-        self._cls = np.full(37, none, dtype=np.intp)
-        self._swap = np.zeros(37, dtype=bool)
-        self._mirror = np.zeros((2, 37), dtype=bool)
-        self._dim = np.zeros((2, 37))
+        # Per pair code: the class (-1 for none), whether exit column 0
+        # holds v, and per value A and B (no class: g = 1.5, never near an
+        # edge), each value's bin count, edges padded with nan, mirroring.
+        self._pairs: list[tuple[int, int, bool]] = []
+        a, b_ = np.full((3, 49), 1.5), np.zeros((3, 49))
+        self._nbins = np.zeros((3, 49), dtype=np.intp)
+        self._edge = np.full((3, 49, side - 1), np.nan)
+        self._mirror = np.zeros((2, 49), dtype=bool)
+        self._dim = np.zeros((2, 49))
         for pair in FACE_PAIRS:
-            code = pair.entry_face.code * 6 + pair.exit_face.code
-            self._cls[code] = slot[pair.label]
-            (u_axis, u_col, u_mirror), (v_axis, v_col, v_mirror) = pair.exit_frame
-            self._swap[code] = u_col == 1
-            self._mirror[:, code] = u_mirror, v_mirror
-            self._dim[:, code] = self.box.dim(u_axis), self.box.dim(v_axis)
-        # g = A + B x over each pair's exit column x, X - x where mirrored;
-        # the length axis reads the length itself.
-        self._a = [(1.0 - lo[0] * scale[0]).take(self._cls)]
-        self._b = [scale[0].take(self._cls)]
-        for c in (0, 1):
-            s = scale[c + 1].take(self._cls)
-            self._a.append(1.0 + (np.where(self._mirror[c], self._dim[c], 0.0) - lo[c + 1].take(self._cls)) * s)
-            self._b.append(np.where(self._mirror[c], -s, s))
-        self._base = self._cls * (self.shape[0] + 2)
+            code = pair.entry_face.code * 7 + pair.exit_face.code
+            cls = slot[pair.label]
+            frame = pair.exit_frame
+            swap = frame[0][1] == 1
+            self._pairs.append((code, cls, swap))
+            # the length, then exit columns 0 and 1 as (canonical axis, mirrored, axis dim)
+            values = [(0, False, 0.0)] + [(c + 1, mirror, self.box.dim(axis)) for c, (axis, _, mirror) in enumerate(frame)]
+            if swap:
+                values[1:] = values[:0:-1]
+            for v, (axis, mirror, dim) in enumerate(values):
+                edges = self.edges[cls][axis]
+                b = self.shape[axis]
+                scale = b / (edges[-1] - edges[0])
+                a[v, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
+                b_[v, code] = -scale if mirror else scale
+                self._nbins[v, code] = b
+                self._edge[v, code, : b + 1] = edges
+                if v:
+                    self._mirror[v - 1, code], self._dim[v - 1, code] = mirror, dim
+        self._params = np.concatenate([a, b_]) * _ONE  # rows A then B, one column per code, in fixed point
+        self._tol = max(_near_tol(np.vstack([e[a] for e in self.edges]), b) for a, b in enumerate(self.shape))
 
-    def histograms(self, batch: TrajectoryBatch | None = None) -> dict[str, JointHistogram]:
-        """The class histograms of `batch`, or empty ones to add counts into."""
-        counts = np.zeros((len(self.classes), *self.shape), dtype=np.uint64)
+    def count(self, batch: TrajectoryBatch) -> np.ndarray:
+        """Counts of `batch` per pair code and padded bin: shape (49, M, M, M), one `np.bincount` a chunk."""
+        if batch.box != self.box:
+            raise ValueError(f"batch box {batch.box} differs from the binning's box {self.box}")
+        size = 49 * self._side**3
+        counts = None
+        for lo in range(0, max(len(batch), 1), self._CHUNK):
+            rows = slice(lo, lo + self._CHUNK)
+            flat = self._flat(batch.entry_code[rows], batch.exit_code[rows], batch.exit_ab[rows], batch.length[rows])
+            part = np.bincount(flat, minlength=size)
+            counts = part if counts is None else counts + part
+        return counts.reshape(self.count_shape)
+
+    def _flat(self, entry_code, exit_code, exit_ab, length) -> np.ndarray:
+        n, side = length.size, self._side
+        code = np.minimum(entry_code, 6)
+        code *= 7
+        code += np.minimum(exit_code, 6)
+        code = code.astype(np.intp)
+        g = self._params.take(code, axis=1)  # A for the three values, then B
+        values = g[3:]
+        values[0] *= length
+        values[1:] *= exit_ab.T
+        values += g[:3]
+
+        def exact(at: np.ndarray, k: np.ndarray):
+            v, row = np.divmod(at, n)
+            pair = code.take(row)
+            x = np.where(v == 0, length.take(row), exit_ab.ravel().take(2 * row + np.maximum(v - 1, 0)))
+            col = np.maximum(v - 1, 0)
+            mirror = (v > 0) & self._mirror[col, pair]
+            x = np.where(mirror, self._dim[col, pair] - x, x)
+            b = self._nbins[v, pair]
+            # a k past b + 1 lies in the padding above either way
+            edge = np.where(k <= b + 1, self._edge[v, pair, np.minimum(k, side - 1) - 1], -np.inf)
+            return x, edge, k == b + 1
+
+        idx = _bins(values, side - 1, self._tol, exact)
+        flat = code
+        for v in range(3):
+            flat *= side
+            flat += idx[v]
+        return flat
+
+    def histograms(self, counts: np.ndarray | None = None) -> dict[str, JointHistogram]:
+        """The class histograms of `count`'s counts, summed over a run's batches, or empty ones."""
+        hists = np.zeros((len(self.classes), *self.shape), dtype=np.uint64)
         totals = np.zeros(len(self.classes), dtype=np.int64)
-        if batch is not None:
-            if batch.box != self.box:
-                raise ValueError(f"batch box {batch.box} differs from the binning's box {self.box}")
-            for lo in range(0, len(batch), self._CHUNK):
-                rows = slice(lo, lo + self._CHUNK)
-                c, t = self._count(batch.entry_code[rows], batch.exit_code[rows], batch.exit_ab[rows], batch.length[rows])
-                counts += c
-                totals += t
+        if counts is not None:
+            nb, ub, vb = self.shape
+            for code, cls, swap in self._pairs:
+                block = counts[code]
+                totals[cls] += block.sum()
+                inside = block[1 : nb + 1].transpose(0, 2, 1) if swap else block[1 : nb + 1]
+                hists[cls] += inside[:, 1 : ub + 1, 1 : vb + 1].astype(np.uint64)
         return {
-            cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=counts[s], total=int(totals[s]))
+            cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=hists[s], total=int(totals[s]))
             for s, (cls, edges) in enumerate(zip(self.classes, self.edges))
         }
 
-    def _count(self, entry_code, exit_code, exit_ab, length) -> tuple[np.ndarray, np.ndarray]:
-        none = len(self.classes)
-        valid = (entry_code < 6) & (exit_code < 6)
-        code = np.where(valid, entry_code.astype(np.intp) * 6 + exit_code, 36)
-        ab0, ab1 = np.ascontiguousarray(exit_ab.T)
-        swap = self._swap.take(code)
-        columns = (length, np.where(swap, ab1, ab0), np.where(swap, ab0, ab1))
-        flat = self._base.take(code)
-        for axis, (x, b) in enumerate(zip(columns, self.shape)):
-
-            def near_values(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                pair = code.take(rows)
-                value = x.take(rows)
-                if axis:  # the canonical coordinate, as `exit_local_to_canonical` gives it
-                    value = np.where(self._mirror[axis - 1].take(pair), self._dim[axis - 1].take(pair) - value, value)
-                return value, self._edges[axis][self._cls.take(pair), k - 1]
-
-            g = self._b[axis].take(code)
-            g *= x
-            g += self._a[axis].take(code)
-            if axis:
-                flat *= b + 2
-            flat += _bins(g, b, self._tol[axis], near_values)
-        n, u, v = (b + 2 for b in self.shape)
-        padded = np.bincount(flat, minlength=(none + 1) * n * u * v)[: none * n * u * v].reshape(none, n, u, v)
-        return padded[:, 1:-1, 1:-1, 1:-1].astype(np.uint64), padded.sum(axis=(1, 2, 3))
+    @staticmethod
+    def face_counts(counts: np.ndarray) -> np.ndarray:
+        """Entry and exit counts per face code, (2, 6), from `count`'s counts: rows with both codes in 0..5."""
+        pairs = counts.reshape(7, 7, -1).sum(axis=2)[:6, :6]
+        return np.stack([pairs.sum(axis=1), pairs.sum(axis=0)])
 
 
 def _near_tol(edges: np.ndarray, b: int) -> float:
@@ -494,27 +643,38 @@ def _near_tol(edges: np.ndarray, b: int) -> float:
     return min(0.25, max(1e-6, ulps))
 
 
-def _bins(g: np.ndarray, b: int, tol: float, near_values) -> np.ndarray:
-    """Each value's bin among b equal bins, numbered 1..b, with 0 below them and b + 1 above.
+# `_bins` reads scaled offsets in fixed point: times 2**_FRAC, which is exact,
+# and then truncated to integers, whose low _FRAC bits are the fraction.
+_FRAC = 20
+_ONE = float(1 << _FRAC)
 
-    `g` (overwritten) is each value's scaled offset (x - lo) * b / (hi - lo) + 1,
-    known to within `tol`, so a value whose g lies farther than `tol` from
-    every integer is in bin floor(g).  Only the values within `tol` of an
-    integer k are compared with the edge between bins k - 1 and k:
-    `near_values(rows, k)` gives those rows' exact values and that edge,
-    e_{k-1}.  A bin is [e_i, e_i+1), the last one closed, as
-    `np.histogramdd` has them, and NaN lies outside every bin.
+
+def _bins(g: np.ndarray, top: int, tol: float, exact) -> np.ndarray:
+    """Each value's bin, numbered 1..b among b equal bins, 0 below them and b + 1 and on above.
+
+    `g` (overwritten) holds each value's scaled offset (x - lo) * b / (hi - lo) + 1
+    times `_ONE`, known to within `tol` before the scaling, so a value whose
+    offset lies farther than `tol` from every integer is in bin floor(offset),
+    clipped to 0..top.  Only the values within `tol` of an integer k are
+    compared with the edge between bins k - 1 and k: `exact(at, k)`, for
+    their flat positions in `g`, gives their exact values x, that edge e_{k-1}
+    and whether it is the last one.  A bin is [e_i, e_i+1), the last one
+    closed, as `np.histogramdd` has them, and NaN lies outside every bin.
     """
-    np.fmax(g, 0.5, out=g)  # also NaN to 0.5
-    np.fmin(g, b + 1.5, out=g)
+    np.fmax(g, 0.5 * _ONE, out=g)  # also NaN to 0.5
+    np.fmin(g, (top + 0.5) * _ONE, out=g)
     idx = g.astype(np.intp)
-    frac = g - idx
-    frac -= 0.5
-    near = np.flatnonzero(np.abs(frac, out=frac) > 0.5 - tol)
+    # An offset within tol of k has its fixed point within `reach` of k * _ONE.
+    reach = int(tol * _ONE) + 2
+    frac = idx + reach
+    frac &= (1 << _FRAC) - 1
+    near = np.flatnonzero(frac < 2 * reach)
     if near.size:
-        k = np.rint(g.take(near)).astype(np.intp)
-        x, e = near_values(near, k)
-        idx[near] = k - ((x < e) | ((k == b + 1) & (x == e)))
+        k = (idx.ravel().take(near) + reach) >> _FRAC
+    idx >>= _FRAC
+    if near.size:
+        x, e, last = exact(near, k)
+        idx.ravel()[near] = k - ((x < e) | (last & (x == e)))
     return idx
 
 
@@ -532,7 +692,41 @@ def canonical_histograms(
     canonical frame before binning.  A `binning` built once serves many
     batches of its box, and its bin counts replace the three given here.
     """
-    return (binning or JointBinning(batch.box, n_bins, u_bins, v_bins)).histograms(batch)
+    binning = binning or JointBinning(batch.box, n_bins, u_bins, v_bins)
+    return binning.histograms(binning.count(batch))
+
+
+class LengthBinning:
+    """`np.histogram`'s bins of path lengths over [lo, hi], built once for a run's batches.
+
+    `count` gives the counts of all entry faces, then of each entry axis
+    1..3, from one `np.bincount` over (entry axis, bin); a row with an entry
+    code outside 0..5 counts in the first row only.
+    """
+
+    def __init__(self, bins: int, lo: float, hi: float):
+        self.bins = int(bins)
+        self.edges = np.histogram_bin_edges(np.empty(0), self.bins, range=(lo, hi))
+        lo, hi = self.edges[0], self.edges[-1]
+        scale = self.bins / (hi - lo)
+        self._scale, self._offset = scale * _ONE, (1.0 - lo * scale) * _ONE  # in fixed point
+        self._tol = _near_tol(self.edges[None], self.bins)
+
+    def count(self, batch: TrajectoryBatch) -> np.ndarray:
+        """Counts of shape (4, bins)."""
+        b = self.bins
+        g = batch.length * self._scale
+        g += self._offset
+
+        def exact(at: np.ndarray, k: np.ndarray):
+            return batch.length.take(at), self.edges.take(k - 1), k == b + 1
+
+        idx = _bins(g, b + 1, self._tol, exact)
+        # entry axis 0..2, and 3 for face codes outside 0..5; bins 0 and
+        # b + 1 of each axis lie outside the range
+        idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * (b + 2)
+        by_axis = np.bincount(idx, minlength=4 * (b + 2)).reshape(4, b + 2)[:, 1:-1]
+        return np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
 
 
 def length_counts(
@@ -542,22 +736,10 @@ def length_counts(
 
     Returns (edges, counts) with counts of shape (4, bins): row 0 is
     `np.histogram(batch.length, bins, range=(lo, hi))`, row a that of the
-    rows entering through a face normal to axis a.  One `np.bincount` over
-    (entry axis, bin) makes all four rows.
+    rows entering through a face normal to axis a (see `LengthBinning`).
     """
-    if hi is None:
-        hi = batch.box.diagonal
-    edges = np.histogram_bin_edges(np.empty(0), bins, range=(lo, hi))
-    lo, hi = edges[0], edges[-1]
-    scale = bins / (hi - lo)
-    g = batch.length * scale
-    g += 1.0 - lo * scale
-    idx = _bins(g, bins, _near_tol(edges[None], bins), lambda rows, k: (batch.length.take(rows), edges.take(k - 1)))
-    # entry axis 0..2, and 3 for face codes outside 0..5; bins 0 and
-    # bins + 1 of each axis lie outside the range
-    idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * (bins + 2)
-    by_axis = np.bincount(idx, minlength=4 * (bins + 2)).reshape(4, bins + 2)[:, 1:-1]
-    return edges, np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
+    binning = LengthBinning(bins, lo, batch.box.diagonal if hi is None else hi)
+    return binning.edges, binning.count(batch)
 
 
 def length_histogram(

@@ -633,6 +633,10 @@ def test_sample_refuses_negative_workers(tmp_path, capsys):
         ("grid_nodes_3d", 16.0),
         ("bins_length", None),
         ("bins_joint", [6, 6.0, 6]),
+        ("bins_joint", 6),
+        ("box", [1, True, 1]),
+        ("box", "111"),
+        ("box", 2),
     ],
 )
 def test_config_values_of_the_wrong_type_are_refused_before_writing(tmp_path, capsys, stage, key, value):
@@ -704,6 +708,20 @@ def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
     assert "zipfile" not in imported
     if argv[0] == "presets":
         assert {p.name for p in (tmp_path / "presets").iterdir()} == {"cube.json", "slab.json", "rod.json"}
+
+
+def test_program_run_of_sample_loads_only_the_sampler(tmp_path):
+    # The law and report modules take milliseconds to import, and `sample`
+    # runs none of them.  -X importtime lists each module the run imports.
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-X", "importtime", "-m", "boxpath.cli", "sample", "--samples", "640", "--out", "out"]
+    out = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert "numpy" in imported
+    loaded = sorted(m for m in imported if m.split(".")[0] == "boxpath")
+    assert loaded == [f"boxpath.{m}" if m else "boxpath" for m in ("", "density", "errors", "geometry", "io", "montecarlo")]
+    assert (tmp_path / "out" / "sample_lengths.npz").exists()
 
 
 def test_import_boxpath_loads_no_numpy():

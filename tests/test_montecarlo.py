@@ -233,6 +233,32 @@ def test_sampler_golden_digests(name):
 
 
 # ---------------------------------------------------------------------------
+# raw draws
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 15_625])
+def test_raw_draws_are_the_generators_doubles(count):
+    """One raw draw gives `Generator.random` and `uniform(-1, 1)` bitwise, also
+    for counts that are no multiple of the 4 outputs Philox makes per counter."""
+    raw, ref = _stream_rng(5, 1), _stream_rng(5, 1)
+    assert np.array_equal(montecarlo._uniform(raw, count), ref.random(count))
+    assert np.array_equal(montecarlo._uniform(raw, count, signed=True), ref.uniform(-1.0, 1.0, count))
+    assert np.array_equal(montecarlo._uniform(raw, count, axes=3), ref.random((count, 3)))
+    assert np.array_equal(montecarlo._uniform(raw, count, signed=True, axes=3), ref.uniform(-1.0, 1.0, (count, 3)))
+    assert np.array_equal(raw.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))  # both streams at one place
+
+
+def test_raw_draws_interleave_with_generator_calls():
+    """Raw draws and `Generator` calls on one stream take its outputs in turn."""
+    mixed, ref = _stream_rng(6, 2), _stream_rng(6, 2)
+    for count in (1, 5, 3, 4, 7, 2):
+        assert np.array_equal(montecarlo._uniform(mixed, count), ref.random(count))
+        assert np.array_equal(mixed.uniform(-1.0, 1.0, count + 1), ref.uniform(-1.0, 1.0, count + 1))
+        assert np.array_equal(montecarlo._uniform(mixed, count, signed=True, axes=3), ref.uniform(-1.0, 1.0, (count, 3)))
+        assert np.array_equal(mixed.random(count), ref.random(count))
+
+
+# ---------------------------------------------------------------------------
 # direction models
 
 
@@ -279,15 +305,10 @@ def test_face_codes_end_at_the_last_face(box_name, request):
     On the cube and the slab the cumulative face probabilities end just below 1.
     """
     box = request.getfixturevalue(box_name)
-    cum = np.cumsum(montecarlo._face_probabilities(box))
+    cum = montecarlo._face_cumulative(box)
     u = np.concatenate([cum, np.nextafter(cum, -1.0), [0.0, np.nextafter(1.0, 0.0)]])
-
-    class FixedDraws:
-        def random(self, count):
-            assert count == u.size
-            return u
-
-    codes = montecarlo._draw_face_codes(FixedDraws(), u.size, cum)
+    codes = montecarlo._face_codes(u, cum)
+    assert codes.size == u.size
     assert np.array_equal(codes, np.minimum(np.searchsorted(cum, u, side="right"), 5))
     assert codes[cum.size - 1] == 5 and codes[-1] == 5
 
