@@ -120,14 +120,12 @@ def _uniform(rng: np.random.Generator, count: int, signed: bool = False, axes: i
 def _face_codes(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Face codes by area from uniforms `u`: how many cumulative probabilities lie at or below each.
 
-    This is `np.searchsorted(cum, u, side="right")`, counted in a few passes.
-    The last face takes every draw past `cum[-2]`, so a total that rounds
-    below 1 can never yield code 6.
+    This is `np.searchsorted(cum, u, side="right")`, as one comparison with
+    each of the first five cumulative probabilities, summed.  The last face
+    takes every draw past `cum[-2]`, so a total that rounds below 1 can
+    never yield code 6.
     """
-    codes = np.zeros(u.size, dtype=np.uint8)
-    for c in cum[:-1]:
-        codes += c <= u
-    return codes
+    return (cum[:-1, None] <= u).sum(axis=0, dtype=np.uint8)
 
 
 def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> np.ndarray:
@@ -711,6 +709,8 @@ class LengthBinning:
         scale = self.bins / (hi - lo)
         self._scale, self._offset = scale * _ONE, (1.0 - lo * scale) * _ONE  # in fixed point
         self._tol = _near_tol(self.edges[None], self.bins)
+        # By entry code: the first bin of its entry axis, 0..2, or of 3 for a code past 5.
+        self._axis_start = np.minimum(np.arange(256) >> 1, 3) * (self.bins + 2)
 
     def count(self, batch: TrajectoryBatch) -> np.ndarray:
         """Counts of shape (4, bins)."""
@@ -722,9 +722,8 @@ class LengthBinning:
             return batch.length.take(at), self.edges.take(k - 1), k == b + 1
 
         idx = _bins(g, b + 1, self._tol, exact)
-        # entry axis 0..2, and 3 for face codes outside 0..5; bins 0 and
-        # b + 1 of each axis lie outside the range
-        idx += np.minimum(batch.entry_code >> 1, 3).astype(np.intp) * (b + 2)
+        # bins 0 and b + 1 of each entry axis lie outside the range
+        idx += self._axis_start.take(batch.entry_code)
         by_axis = np.bincount(idx, minlength=4 * (b + 2)).reshape(4, b + 2)[:, 1:-1]
         return np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
 
