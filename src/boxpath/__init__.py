@@ -50,7 +50,6 @@ _EXPORTS = {
         "JointHistogram",
         "TrajectoryBatch",
         "canonical_histograms",
-        "face_counts",
         "length_histogram",
         "sample_chords",
         "sample_rays",

@@ -32,7 +32,6 @@ built once per run, and count a batch with one `np.bincount` each.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
@@ -48,7 +47,6 @@ __all__ = [
     "STREAM_COUNT",
     "TrajectoryBatch",
     "canonical_histograms",
-    "face_counts",
     "for_each_stream",
     "length_counts",
     "length_histogram",
@@ -86,12 +84,8 @@ class TrajectoryBatch:
         return self.entry_code.size
 
 
-@functools.lru_cache(maxsize=16)
-def _face_cumulative(box: BoxDims) -> np.ndarray:
-    """The cumulative face probabilities by code: each face's area over the surface area, summed."""
-    cum = np.cumsum(np.array([f.area(box) for f in ALL_FACES]) / box.surface_area)
-    cum.flags.writeable = False
-    return cum
+def _face_probabilities(box: BoxDims) -> np.ndarray:
+    return np.array([f.area(box) for f in ALL_FACES]) / box.surface_area
 
 
 def _uniform(rng: np.random.Generator, count: int, signed: bool = False, axes: int = 0) -> np.ndarray:
@@ -162,7 +156,7 @@ def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[
         while filled < count:
             draw = _uniform(rng, count - filled, signed=True, axes=3)
             draws += count - filled
-            r2 = _squared_norm(draw.T)
+            r2 = _squared_norm(draw.T.copy())
             keep = (r2 <= 1.0) & (r2 > 0.0)
             k = int(keep.sum())
             out[filled : filled + k] = draw[keep]
@@ -172,21 +166,23 @@ def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[
 
 
 def _squared_norm(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The squared norm of each column of `v` (3, n): (v0^2 + v2^2) + v1^2, the order einsum sums rows of 3 in."""
-    sq = v * v
-    out = np.add(sq[0], sq[2], out=out)
-    out += sq[1]
+    """The squared norm of each column of `v` (3, n), which it overwrites: (v0^2 + v2^2) + v1^2,
+    the order einsum sums rows of 3 in."""
+    v *= v
+    out = np.add(v[0], v[2], out=out)
+    out += v[1]
     return out
 
 
 # Rows of a stream that the kernels work on at a time: a block's (3, rows)
 # temporaries stay in a core's L2 cache, and its numpy calls are amortised.
 _BLOCK = 8192
-# The two in-plane axes of each face, ascending, by face code.
+# The two in-plane axes of each face, ascending, and the sign of its inward normal, by face code.
 _PLANE = np.array([[1, 2], [1, 2], [0, 2], [0, 2], [0, 1], [0, 1]], dtype=np.intp)
+_INWARD = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 # Row i of a block, twice: the row part of a flat index into a (3, count) array.
 _ROWS = np.repeat(np.arange(_BLOCK), 2).reshape(_BLOCK, 2)
-_PLANE.flags.writeable = _ROWS.flags.writeable = False
+_PLANE.flags.writeable = _INWARD.flags.writeable = _ROWS.flags.writeable = False
 
 
 def _blocks(count: int):
@@ -197,10 +193,8 @@ def _blocks(count: int):
 def _local(src: np.ndarray, codes: np.ndarray, out: np.ndarray, start: int = 0) -> None:
     """Write into `out` (n, 2) the two in-plane coordinates, on its face `codes`, of each of rows
     start..start + n of `src` (3, count)."""
-    index = (_PLANE * src.shape[1]).take(codes, axis=0)
+    index = (_PLANE * src.shape[1] + start).take(codes, axis=0)
     index += _ROWS[: codes.size]
-    if start:
-        index += start
     np.take(src, index, out=out, mode="clip")  # every index is in range; "clip" skips the check
 
 
@@ -215,7 +209,7 @@ def _ray_rows(
     codes = (
         np.full(count, entry_code, dtype=np.uint8)
         if entry_code is not None
-        else _draw_face_codes(rng, count, _face_cumulative(box))
+        else _draw_face_codes(rng, count, np.cumsum(_face_probabilities(box)))
     )
     p0 = _surface_points(rng, codes).T
     d, draws = _draw_directions(rng, count, model)
@@ -231,7 +225,7 @@ def _ray_rows(
         zero = zero[normal[zero] == 0.0]
     d = np.ascontiguousarray(d.T)
     # point the entry-axis component inward: + from the low face, - from the high one
-    d.reshape(-1)[at] = np.copysign(normal, 1.0 - 2.0 * (codes & 1))
+    d.reshape(-1)[at] = np.copysign(normal, _INWARD.take(codes))
     del at, normal
     for a in range(3):
         p0[a] *= x[a]
@@ -280,7 +274,7 @@ def _ray_rows(
             np.minimum(p1[a], x[a], out=p1[a])
         _local(p1, code, exit_ab[rows])
         # length: t |d|, the signs flipped above leaving the squared norm as it was
-        out = _squared_norm(dt, out=length[rows])
+        out = _squared_norm(dt, out=length[rows])  # the last use of these rows of d
         np.sqrt(out, out=out)
         out *= t
     counters = {"zero_component_redraws": redraws}
@@ -296,7 +290,7 @@ def _chord_rows(
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
-    cum = _face_cumulative(box)
+    cum = np.cumsum(_face_probabilities(box))
     e_code = (
         np.full(count, entry_code, dtype=np.uint8)
         if entry_code is not None
@@ -528,11 +522,13 @@ class JointBinning:
         side = self._side = max(self.shape) + 2
         self.count_shape = (49, side, side, side)  # of `count`'s counts
         slot = {c.label: s for s, c in enumerate(self.classes)}
-        # Per pair code: the class (-1 for none), whether exit column 0
-        # holds v, and per value A and B (no class: g = 1.5, never near an
-        # edge), each value's bin count, edges padded with nan, mirroring.
-        self._pairs: list[tuple[int, int, bool]] = []
-        a, b_ = np.full((3, 49), 1.5), np.zeros((3, 49))
+        # Per pair code, for its length and exit columns 0 and 1: A then B of
+        # the scaled offset in fixed point (a code of no pair gets g = 1.5,
+        # never near an edge), the bin count and the edges padded with nan,
+        # and for the columns whether they are mirrored and the axis length.
+        self._pairs: list[tuple[int, int, bool]] = []  # code, class slot, whether column 0 holds v
+        self._params = np.zeros((6, 49))
+        self._params[:3] = 1.5
         self._nbins = np.zeros((3, 49), dtype=np.intp)
         self._edge = np.full((3, 49, side - 1), np.nan)
         self._mirror = np.zeros((2, 49), dtype=bool)
@@ -543,7 +539,7 @@ class JointBinning:
             frame = pair.exit_frame
             swap = frame[0][1] == 1
             self._pairs.append((code, cls, swap))
-            # the length, then exit columns 0 and 1 as (canonical axis, mirrored, axis dim)
+            # the length, then exit columns 0 and 1 as (canonical axis, mirrored, axis length)
             values = [(0, False, 0.0)] + [(c + 1, mirror, self.box.dim(axis)) for c, (axis, _, mirror) in enumerate(frame)]
             if swap:
                 values[1:] = values[:0:-1]
@@ -551,13 +547,13 @@ class JointBinning:
                 edges = self.edges[cls][axis]
                 b = self.shape[axis]
                 scale = b / (edges[-1] - edges[0])
-                a[v, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
-                b_[v, code] = -scale if mirror else scale
+                self._params[v, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
+                self._params[3 + v, code] = -scale if mirror else scale
                 self._nbins[v, code] = b
                 self._edge[v, code, : b + 1] = edges
                 if v:
                     self._mirror[v - 1, code], self._dim[v - 1, code] = mirror, dim
-        self._params = np.concatenate([a, b_]) * _ONE  # rows A then B, one column per code, in fixed point
+        self._params *= _ONE
         self._tol = max(_near_tol(np.vstack([e[a] for e in self.edges]), b) for a, b in enumerate(self.shape))
 
     def count(self, batch: TrajectoryBatch) -> np.ndarray:
@@ -586,15 +582,14 @@ class JointBinning:
         values += g[:3]
 
         def exact(at: np.ndarray, k: np.ndarray):
-            v, row = np.divmod(at, n)
-            pair = code.take(row)
-            x = np.where(v == 0, length.take(row), exit_ab.ravel().take(2 * row + np.maximum(v - 1, 0)))
-            col = np.maximum(v - 1, 0)
-            mirror = (v > 0) & self._mirror[col, pair]
-            x = np.where(mirror, self._dim[col, pair] - x, x)
+            v, row = np.divmod(at, n)  # value 0 is the length, 1 and 2 the exit columns
+            pair, col = code.take(row), np.maximum(v - 1, 0)
+            x = np.where(v == 0, length.take(row), exit_ab.ravel().take(2 * row + col))
+            # the canonical coordinate, as `exit_local_to_canonical` gives it
+            x = np.where((v > 0) & self._mirror[col, pair], self._dim[col, pair] - x, x)
             b = self._nbins[v, pair]
             # a k past b + 1 lies in the padding above either way
-            edge = np.where(k <= b + 1, self._edge[v, pair, np.minimum(k, side - 1) - 1], -np.inf)
+            edge = np.where(k <= b + 1, self._edge[v, pair, k - 1], -np.inf)
             return x, edge, k == b + 1
 
         idx = _bins(values, side - 1, self._tol, exact)
@@ -757,11 +752,3 @@ def length_histogram(
         raise ValueError(f"entry_axis must be None or 1..3, got {entry_axis!r}")
     edges, counts = length_counts(batch, bins, lo, hi)
     return edges, counts[entry_axis or 0]
-
-
-def face_counts(batch: TrajectoryBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Entry and exit sample counts per face code."""
-    return (
-        np.bincount(batch.entry_code, minlength=6),
-        np.bincount(batch.exit_code, minlength=6),
-    )
