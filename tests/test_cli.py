@@ -712,10 +712,11 @@ def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
 
 def test_program_run_of_sample_loads_only_the_sampler(tmp_path):
     # The law and report modules take milliseconds to import, and `sample`
-    # runs none of them.  -X importtime lists each module the run imports.
+    # runs none of them.  -S and -X importtime as above; with -S, numpy is
+    # found through PYTHONPATH.
     src = str(Path(boxpath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    run = [sys.executable, "-X", "importtime", "-m", "boxpath.cli", "sample", "--samples", "640", "--out", "out"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(np.__file__).resolve().parents[1])])}
+    run = [sys.executable, "-S", "-X", "importtime", "-m", "boxpath.cli", "sample", "--samples", "640", "--out", "out"]
     out = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "numpy" in imported

@@ -158,6 +158,17 @@ def test_zero_component_redraws(cube, monkeypatch):
     assert np.max(np.abs(np.linalg.norm(p1 - p0, axis=1) - batch.length)) <= 1e-9
 
 
+@pytest.mark.parametrize("sampler", ["rays", "chords"])
+def test_kernels_are_bitwise_equal_across_row_blocks(skew_box, monkeypatch, sampler):
+    """A stream's rows do not depend on the row blocks its kernel works in."""
+    draw = partial(sample_rays, skew_box, STREAM_COUNT * 1000, 3) if sampler == "rays" else partial(sample_chords, skew_box, STREAM_COUNT * 1000, 3)
+    whole = draw(stream=5)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 96)
+    blocked = draw(stream=5)
+    for name in ("entry_code", "entry_ab", "exit_code", "exit_ab", "length"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+
 # Digests of every batch array, and the sampler counters, of runs that cover
 # both direction models, the chord sampler, a pinned entry face, a count
 # that is no multiple of STREAM_COUNT, and the cube, the slab (37.8 % of
