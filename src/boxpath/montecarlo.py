@@ -600,17 +600,16 @@ class JointBinning:
             flat += idx[v]
         return flat
 
-    def histograms(self, counts: np.ndarray | None = None) -> dict[str, JointHistogram]:
-        """The class histograms of `count`'s counts, summed over a run's batches, or empty ones."""
+    def histograms(self, counts: np.ndarray) -> dict[str, JointHistogram]:
+        """The class histograms of `count`'s counts, summed over a run's batches."""
         hists = np.zeros((len(self.classes), *self.shape), dtype=np.uint64)
         totals = np.zeros(len(self.classes), dtype=np.int64)
-        if counts is not None:
-            nb, ub, vb = self.shape
-            for code, cls, swap in self._pairs:
-                block = counts[code]
-                totals[cls] += block.sum()
-                inside = block[1 : nb + 1].transpose(0, 2, 1) if swap else block[1 : nb + 1]
-                hists[cls] += inside[:, 1 : ub + 1, 1 : vb + 1].astype(np.uint64)
+        nb, ub, vb = self.shape
+        for code, cls, swap in self._pairs:
+            block = counts[code]
+            totals[cls] += block.sum()
+            inside = block[1 : nb + 1].transpose(0, 2, 1) if swap else block[1 : nb + 1]
+            hists[cls] += inside[:, 1 : ub + 1, 1 : vb + 1].astype(np.uint64)
         return {
             cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=hists[s], total=int(totals[s]))
             for s, (cls, edges) in enumerate(zip(self.classes, self.edges))
@@ -663,8 +662,7 @@ def _bins(g: np.ndarray, top: int, tol: float, exact) -> np.ndarray:
     frac = idx + reach
     frac &= (1 << _FRAC) - 1
     near = np.flatnonzero(frac < 2 * reach)
-    if near.size:
-        k = (idx.ravel().take(near) + reach) >> _FRAC
+    k = (idx.ravel().take(near) + reach) >> _FRAC
     idx >>= _FRAC
     if near.size:
         x, e, last = exact(near, k)
