@@ -284,32 +284,37 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _sample_streams(sampler, binning, lengths, samples: int, workers: int, spill: Path | None):
     """Draw, count and spill each Philox stream of one model inside its pool task.
 
-    A task counts its stream with the run's `binning` (a
+    A task bins its stream with the run's `binning` (a
     `montecarlo.JointBinning`) and `lengths` (a `montecarlo.LengthBinning`)
-    and adds the two integer arrays into the run's under a lock: integer sums
-    do not depend on the order the streams finish in.  Returns the class
+    and adds its counts into the run's under a lock: integer sums do not
+    depend on the order the streams finish in.  Returns the class
     histograms, the length counts (all entry faces, then entry axes 1..3),
-    the entry and exit face counts, taken from the pair counts, and the
-    run's sampler meta.
+    the entry and exit face counts, and the run's sampler meta.
     """
-    pairs = np.zeros(binning.count_shape, dtype=np.int64)
+    hists = binning.histograms(np.zeros(binning.count_shape, dtype=np.int64))
     by_length = np.zeros((4, lengths.bins), dtype=np.uint64)
+    faces = np.zeros((2, 6), dtype=np.int64)
     lock = threading.Lock()
     if spill is not None:
         bio.start_trajectories(spill, binning.box, samples)
 
     def task(stream: int, rows: slice) -> dict:
         batch = sampler(stream=stream)
-        part, part_lengths = binning.count(batch), lengths.count(batch)
+        part = montecarlo.canonical_histograms(batch, binning=binning)
+        part_lengths = lengths.count(batch)
+        part_faces = [np.bincount(codes, minlength=6) for codes in (batch.entry_code, batch.exit_code)]
         if spill is not None:
             bio.write_trajectories(spill, batch, at=rows.start)
         with lock:
-            pairs[:] += part
+            for label, hist in part.items():
+                hists[label].counts += hist.counts
+                hists[label].total += hist.total
             by_length[:] += part_lengths
+            faces[:] += part_faces
         return batch.meta
 
     metas = montecarlo.for_each_stream(samples, workers, task)
-    return binning.histograms(pairs), by_length, binning.face_counts(pairs), montecarlo.merge_meta(metas)
+    return hists, by_length, faces, montecarlo.merge_meta(metas)
 
 
 def _keep_freed_heap() -> bool:

@@ -48,7 +48,6 @@ __all__ = [
     "TrajectoryBatch",
     "canonical_histograms",
     "for_each_stream",
-    "length_counts",
     "length_histogram",
     "merge_meta",
     "sample_chords",
@@ -232,52 +231,54 @@ def _ray_rows(
         p0[a] *= x[a]
     entry_ab, exit_ab = np.empty((count, 2)), np.empty((count, 2))
     exit_code, length = np.empty(count, dtype=np.uint8), np.empty(count)
-    for rows in _blocks(count):
-        p, dt = p0[:, rows], d[:, rows]
-        _local(p0, codes[rows], entry_ab[rows], rows.start)
-        # The distance to each axis's exit plane in units of the direction,
-        # |X [d > 0] - p| / |d|: inf where the component is 0 (0 / 0 too).
-        ahead = dt > 0.0
-        t3 = np.empty(p.shape)
-        for a in range(3):
-            np.multiply(ahead[a], x[a], out=t3[a])
-        t3 -= p
-        t3 /= dt
-        np.abs(t3, out=t3)
-        np.fmin(t3, np.inf, out=t3)
-        # the nearest plane, ties to the lower axis as argmin breaks them
-        t0, t1, t2 = t3
-        nearer = np.less(t1, t0).view(np.uint8)
-        t = np.minimum(t0, t1)
-        axis = np.less(t2, t).view(np.uint8)
-        axis <<= 1
-        np.maximum(axis, nearer, out=axis)
-        np.minimum(t, t2, out=t)
-        # The exit side: bit a of `up` says whether component a points to the
-        # high plane, so bit `axis` gives the exit face's side.
-        bits = ahead.view(np.uint8)
-        up = bits[1] << 1
-        up |= bits[0]
-        up |= bits[2] << 2
-        up >>= axis
-        up &= 1
-        code = exit_code[rows]
-        np.left_shift(axis, 1, out=code)
-        code |= up
-        # The exit point, clipped onto the box.  It is never -0.0, so
-        # maximum and minimum clip it as np.clip would.
-        p1 = t3
-        for a in range(3):
-            np.multiply(dt[a], t, out=p1[a])
-        p1 += p
-        np.maximum(p1, 0.0, out=p1)
-        for a in range(3):
-            np.minimum(p1[a], x[a], out=p1[a])
-        _local(p1, code, exit_ab[rows])
-        # length: t |d|, the signs flipped above leaving the squared norm as it was
-        out = _squared_norm(dt, out=length[rows])  # the last use of these rows of d
-        np.sqrt(out, out=out)
-        out *= t
+    # a 0 component divides by 0 below, on purpose
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _blocks(count):
+            p, dt = p0[:, rows], d[:, rows]
+            _local(p0, codes[rows], entry_ab[rows], rows.start)
+            # The distance to each axis's exit plane in units of the direction,
+            # |X [d > 0] - p| / |d|: inf where the component is 0 (0 / 0 too).
+            ahead = dt > 0.0
+            t3 = np.empty(p.shape)
+            for a in range(3):
+                np.multiply(ahead[a], x[a], out=t3[a])
+            t3 -= p
+            t3 /= dt
+            np.abs(t3, out=t3)
+            np.fmin(t3, np.inf, out=t3)
+            # the nearest plane, ties to the lower axis as argmin breaks them
+            t0, t1, t2 = t3
+            nearer = np.less(t1, t0).view(np.uint8)
+            t = np.minimum(t0, t1)
+            axis = np.less(t2, t).view(np.uint8)
+            axis <<= 1
+            np.maximum(axis, nearer, out=axis)
+            np.minimum(t, t2, out=t)
+            # The exit side: bit a of `up` says whether component a points to the
+            # high plane, so bit `axis` gives the exit face's side.
+            bits = ahead.view(np.uint8)
+            up = bits[1] << 1
+            up |= bits[0]
+            up |= bits[2] << 2
+            up >>= axis
+            up &= 1
+            code = exit_code[rows]
+            np.left_shift(axis, 1, out=code)
+            code |= up
+            # The exit point, clipped onto the box.  It is never -0.0, so
+            # maximum and minimum clip it as np.clip would.
+            p1 = t3
+            for a in range(3):
+                np.multiply(dt[a], t, out=p1[a])
+            p1 += p
+            np.maximum(p1, 0.0, out=p1)
+            for a in range(3):
+                np.minimum(p1[a], x[a], out=p1[a])
+            _local(p1, code, exit_ab[rows])
+            # length: t |d|, the signs flipped above leaving the squared norm as it was
+            out = _squared_norm(dt, out=length[rows])  # the last use of these rows of d
+            np.sqrt(out, out=out)
+            out *= t
     counters = {"zero_component_redraws": redraws}
     if model == "ball-rejection":
         counters["direction_draws"] = draws
@@ -500,17 +501,17 @@ class JointBinning:
 
     A row's pair code is 7 * min(entry, 6) + min(exit, 6), so every face
     code past 5 reads as 6.  Tables indexed by pair code give each of the
-    30 traversal pairs the scaled offset g = A + B * x of each of its three
-    values: the length and the two exit-face columns, each column on the
-    canonical axis it holds, mirroring folded in.  `count` gives each row
-    one flat bin index in its pair's block of M^3 bins, M = max(bins) + 2,
-    which pads every axis by one bin below and at least one above, and one
-    `np.bincount` counts a batch.  `histograms` then sums each class's pair
-    blocks, their insides for its histogram and whole for its total, once
-    per run.  Bin membership is exactly `np.histogramdd`'s over the edges
-    of `class_bin_edges`: a bin is [e_i, e_i+1), the last one closed, and
-    rows outside every bin, or of no traversal pair, count in no histogram
-    but their class's total (see `_bins`).
+    30 traversal pairs its class's block of bins, the exit-face columns its
+    canonical u and v are read from, and the scaled offset g = A + B * x of
+    its length, u and v, mirroring folded in.  A block is padded by one bin
+    on each side of every axis; rows of no traversal pair go to a last,
+    spare block.  `count` gives each row one flat bin index and counts a
+    batch with one `np.bincount`; `histograms` takes each class's histogram
+    from its block's inside and its total from the whole block.  Bin
+    membership is exactly `np.histogramdd`'s over the edges of
+    `class_bin_edges`: a bin is [e_i, e_i+1), the last one closed, and rows
+    outside every bin count in no histogram but their class's total (see
+    `_bins`).
     """
 
     _CHUNK = 1 << 18  # rows binned per pass, which bounds the temporaries
@@ -520,48 +521,44 @@ class JointBinning:
         self.shape = (int(n_bins), int(u_bins), int(v_bins))
         self.classes = canonical_classes()
         self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
-        side = self._side = max(self.shape) + 2
-        self.count_shape = (49, side, side, side)  # of `count`'s counts
+        self.count_shape = (len(self.classes) + 1, *(b + 2 for b in self.shape))  # of `count`'s counts
+        self._top = np.array(self.shape) + 1  # each axis's last bin above the range
         slot = {c.label: s for s, c in enumerate(self.classes)}
-        # Per pair code, for its length and exit columns 0 and 1: A then B of
-        # the scaled offset in fixed point (a code of no pair gets g = 1.5,
-        # never near an edge), the bin count and the edges padded with nan,
-        # and for the columns whether they are mirrored and the axis length.
-        self._pairs: list[tuple[int, int, bool]] = []  # code, class slot, whether column 0 holds v
+        # Per pair code: A then B of the scaled offsets of its length, u and v,
+        # in fixed point (a code of no pair gets g = 1.5, never near an edge);
+        # the exit columns of u and v and the first flat index of its block;
+        # and for u and v the edges padded with nan, whether they are mirrored
+        # and the axis length.
         self._params = np.zeros((6, 49))
         self._params[:3] = 1.5
-        self._nbins = np.zeros((3, 49), dtype=np.intp)
-        self._edge = np.full((3, 49, side - 1), np.nan)
+        self._place = np.zeros((3, 49), dtype=np.intp)
+        self._place[1] = 1
+        self._place[2] = len(self.classes) * np.prod(self.count_shape[1:])
+        self._edge = np.full((3, 49, max(self.shape) + 1), np.nan)
         self._mirror = np.zeros((2, 49), dtype=bool)
         self._dim = np.zeros((2, 49))
         for pair in FACE_PAIRS:
             code = pair.entry_face.code * 7 + pair.exit_face.code
             cls = slot[pair.label]
-            frame = pair.exit_frame
-            swap = frame[0][1] == 1
-            self._pairs.append((code, cls, swap))
-            # the length, then exit columns 0 and 1 as (canonical axis, mirrored, axis length)
-            values = [(0, False, 0.0)] + [(c + 1, mirror, self.box.dim(axis)) for c, (axis, _, mirror) in enumerate(frame)]
-            if swap:
-                values[1:] = values[:0:-1]
-            for v, (axis, mirror, dim) in enumerate(values):
-                edges = self.edges[cls][axis]
-                b = self.shape[axis]
-                scale = b / (edges[-1] - edges[0])
-                self._params[v, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
-                self._params[3 + v, code] = -scale if mirror else scale
-                self._nbins[v, code] = b
-                self._edge[v, code, : b + 1] = edges
-                if v:
-                    self._mirror[v - 1, code], self._dim[v - 1, code] = mirror, dim
+            (u_axis, u_col, u_mirror), (v_axis, v_col, v_mirror) = pair.exit_frame
+            self._place[:, code] = u_col, v_col, cls * np.prod(self.count_shape[1:])
+            values = [(False, 0.0), (u_mirror, self.box.dim(u_axis)), (v_mirror, self.box.dim(v_axis))]
+            for a, (mirror, dim) in enumerate(values):
+                edges = self.edges[cls][a]
+                scale = self.shape[a] / (edges[-1] - edges[0])
+                self._params[a, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
+                self._params[3 + a, code] = -scale if mirror else scale
+                self._edge[a, code, : edges.size] = edges
+                if a:
+                    self._mirror[a - 1, code], self._dim[a - 1, code] = mirror, dim
         self._params *= _ONE
         self._tol = max(_near_tol(np.vstack([e[a] for e in self.edges]), b) for a, b in enumerate(self.shape))
 
     def count(self, batch: TrajectoryBatch) -> np.ndarray:
-        """Counts of `batch` per pair code and padded bin: shape (49, M, M, M), one `np.bincount` a chunk."""
+        """Counts of `batch` per class block and padded bin: shape `count_shape`, one `np.bincount` a chunk."""
         if batch.box != self.box:
             raise ValueError(f"batch box {batch.box} differs from the binning's box {self.box}")
-        size = 49 * self._side**3
+        size = int(np.prod(self.count_shape))
         counts = None
         for lo in range(0, max(len(batch), 1), self._CHUNK):
             rows = slice(lo, lo + self._CHUNK)
@@ -571,55 +568,49 @@ class JointBinning:
         return counts.reshape(self.count_shape)
 
     def _flat(self, entry_code, exit_code, exit_ab, length) -> np.ndarray:
-        n, side = length.size, self._side
+        n = length.size
         code = np.minimum(entry_code, 6)
         code *= 7
         code += np.minimum(exit_code, 6)
         code = code.astype(np.intp)
-        g = self._params.take(code, axis=1)  # A for the three values, then B
+        place = self._place.take(code, axis=1)
+        at = place[:2]
+        at += np.arange(0, 2 * n, 2)
+        uv = exit_ab.ravel().take(at)  # each row's exit u and v, before mirroring
+        g = self._params.take(code, axis=1)  # A for the length, u and v, then B
         values = g[3:]
         values[0] *= length
-        values[1:] *= exit_ab.T
+        values[1:] *= uv
         values += g[:3]
 
         def exact(at: np.ndarray, k: np.ndarray):
-            v, row = np.divmod(at, n)  # value 0 is the length, 1 and 2 the exit columns
-            pair, col = code.take(row), np.maximum(v - 1, 0)
-            x = np.where(v == 0, length.take(row), exit_ab.ravel().take(2 * row + col))
+            a, row = np.divmod(at, n)  # axis 0 is the length, 1 and 2 are u and v
+            pair, c = code.take(row), np.maximum(a - 1, 0)
+            x = np.where(a == 0, length.take(row), uv.take(np.maximum(at - n, 0)))
             # the canonical coordinate, as `exit_local_to_canonical` gives it
-            x = np.where((v > 0) & self._mirror[col, pair], self._dim[col, pair] - x, x)
-            b = self._nbins[v, pair]
-            # a k past b + 1 lies in the padding above either way
-            edge = np.where(k <= b + 1, self._edge[v, pair, k - 1], -np.inf)
-            return x, edge, k == b + 1
+            x = np.where((a > 0) & self._mirror[c, pair], self._dim[c, pair] - x, x)
+            return x, self._edge[a, pair, k - 1], k == self._top.take(a)
 
-        idx = _bins(values, side - 1, self._tol, exact)
-        flat = code
-        for v in range(3):
-            flat *= side
-            flat += idx[v]
+        idx = _bins(values, self._top[:, None], self._tol, exact)
+        _, u, v = self.count_shape[1:]
+        flat = idx[0]
+        flat *= u
+        flat += idx[1]
+        flat *= v
+        flat += idx[2]
+        flat += place[2]
         return flat
 
     def histograms(self, counts: np.ndarray) -> dict[str, JointHistogram]:
-        """The class histograms of `count`'s counts, summed over a run's batches."""
-        hists = np.zeros((len(self.classes), *self.shape), dtype=np.uint64)
-        totals = np.zeros(len(self.classes), dtype=np.int64)
+        """The class histograms of `count`'s counts, summed over any of a run's batches."""
         nb, ub, vb = self.shape
-        for code, cls, swap in self._pairs:
-            block = counts[code]
-            totals[cls] += block.sum()
-            inside = block[1 : nb + 1].transpose(0, 2, 1) if swap else block[1 : nb + 1]
-            hists[cls] += inside[:, 1 : ub + 1, 1 : vb + 1].astype(np.uint64)
+        blocks = counts[:-1]
+        hists = blocks[:, 1 : nb + 1, 1 : ub + 1, 1 : vb + 1].astype(np.uint64)
+        totals = blocks.sum(axis=(1, 2, 3))
         return {
             cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=hists[s], total=int(totals[s]))
             for s, (cls, edges) in enumerate(zip(self.classes, self.edges))
         }
-
-    @staticmethod
-    def face_counts(counts: np.ndarray) -> np.ndarray:
-        """Entry and exit counts per face code, (2, 6), from `count`'s counts: rows with both codes in 0..5."""
-        pairs = counts.reshape(7, 7, -1).sum(axis=2)[:6, :6]
-        return np.stack([pairs.sum(axis=1), pairs.sum(axis=0)])
 
 
 def _near_tol(edges: np.ndarray, b: int) -> float:
@@ -642,13 +633,13 @@ _FRAC = 20
 _ONE = float(1 << _FRAC)
 
 
-def _bins(g: np.ndarray, top: int, tol: float, exact) -> np.ndarray:
+def _bins(g: np.ndarray, top, tol: float, exact) -> np.ndarray:
     """Each value's bin, numbered 1..b among b equal bins, 0 below them and b + 1 and on above.
 
     `g` (overwritten) holds each value's scaled offset (x - lo) * b / (hi - lo) + 1
     times `_ONE`, known to within `tol` before the scaling, so a value whose
     offset lies farther than `tol` from every integer is in bin floor(offset),
-    clipped to 0..top.  Only the values within `tol` of an integer k are
+    clipped to 0..top (one top for all of `g`, or one per row).  Only the values within `tol` of an integer k are
     compared with the edge between bins k - 1 and k: `exact(at, k)`, for
     their flat positions in `g`, gives their exact values x, that edge e_{k-1}
     and whether it is the last one.  A bin is [e_i, e_i+1), the last one
@@ -722,19 +713,6 @@ class LengthBinning:
         return np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
 
 
-def length_counts(
-    batch: TrajectoryBatch, bins: int = 128, lo: float = 0.0, hi: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Path-length counts over all entry faces, then per entry axis 1..3.
-
-    Returns (edges, counts) with counts of shape (4, bins): row 0 is
-    `np.histogram(batch.length, bins, range=(lo, hi))`, row a that of the
-    rows entering through a face normal to axis a (see `LengthBinning`).
-    """
-    binning = LengthBinning(bins, lo, batch.box.diagonal if hi is None else hi)
-    return binning.edges, binning.count(batch)
-
-
 def length_histogram(
     batch: TrajectoryBatch,
     bins: int = 128,
@@ -744,10 +722,10 @@ def length_histogram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram path lengths, optionally only for one entry axis (1..3).
 
-    Returns (edges, counts), as `np.histogram` bins them; a row of
-    `length_counts`.
+    Returns (edges, counts), as `np.histogram` bins them: a row of
+    `LengthBinning.count`.
     """
     if entry_axis not in (None, 1, 2, 3):
         raise ValueError(f"entry_axis must be None or 1..3, got {entry_axis!r}")
-    edges, counts = length_counts(batch, bins, lo, hi)
-    return edges, counts[entry_axis or 0]
+    binning = LengthBinning(bins, lo, batch.box.diagonal if hi is None else hi)
+    return binning.edges, binning.count(batch)[entry_axis or 0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -156,6 +157,51 @@ def test_zero_component_redraws(cube, monkeypatch):
     p0 = rebuild_points(cube, batch.entry_code, batch.entry_ab)
     p1 = rebuild_points(cube, batch.exit_code, batch.exit_ab)
     assert np.max(np.abs(np.linalg.norm(p1 - p0, axis=1) - batch.length)) <= 1e-9
+
+
+def test_zero_components_off_the_entry_axis(skew_box, monkeypatch):
+    """A direction component of 0 off the entry axis, also where the entry
+    point lies on that axis's low plane (0 / 0), never picks that axis: the
+    rows are those of a per-axis reference that skips 0 components, and no
+    floating-point warning is raised.
+    """
+    draw_directions, draw_points = montecarlo._draw_directions, montecarlo._surface_points
+    drawn = []
+
+    def zeroing(rng, count, model):
+        d, draws = draw_directions(rng, count, model)
+        d[::2, 1] = 0.0
+        d[::3, 2] = 0.0
+        drawn.append(np.array(d))
+        return d, draws
+
+    def on_low_plane(rng, codes):
+        p = draw_points(rng, codes)
+        p[::6, 1] = 0.0  # rows whose y component is 0 too
+        return p
+
+    monkeypatch.setattr(montecarlo, "_draw_directions", zeroing)
+    monkeypatch.setattr(montecarlo, "_surface_points", on_low_plane)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = sample_rays(skew_box, STREAM_COUNT * 600, 9, "cube-components", 1, FaceId(1, Side.HIGH), stream=0)
+    assert len(drawn) == 1 and batch.meta["zero_component_redraws"] == 0
+    d = drawn[0]
+    d[:, 0] = -np.abs(d[:, 0])  # inward from the high x face
+    p = rebuild_points(skew_box, batch.entry_code, batch.entry_ab)
+    assert np.all(p[::6, 1] == 0.0)
+    x = skew_box.as_array()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t3 = np.where(d != 0.0, (x * (d > 0.0) - p) / d, np.inf)
+    axis, t = t3.argmin(axis=1), t3.min(axis=1)
+    rows = np.arange(len(batch))
+    assert np.array_equal(batch.exit_code, 2 * axis + (d[rows, axis] > 0.0))
+    assert np.all((batch.exit_code[::2] >> 1) != 1) and np.all((batch.exit_code[::3] >> 1) != 2)
+    assert np.array_equal(batch.length, t * np.sqrt((d[:, 0] ** 2 + d[:, 2] ** 2) + d[:, 1] ** 2))
+    assert np.all(np.isfinite(batch.length)) and np.all(batch.length > 0.0)
+    exit = np.clip(p + t[:, None] * d, 0.0, x)
+    off_axis = np.arange(3) != axis[:, None]
+    assert np.array_equal(rebuild_points(skew_box, batch.exit_code, batch.exit_ab)[off_axis], exit[off_axis])
 
 
 @pytest.mark.parametrize("sampler", ["rays", "chords"])
@@ -413,6 +459,25 @@ def test_canonical_histograms_match_per_pair_reference(skew_box, sampler):
     assert sum(h.total for h in hists.values()) == len(batch)
 
 
+@pytest.mark.parametrize("bins", [(40, 4, 4), (3, 17, 2)])
+def test_canonical_histograms_with_unequal_bin_counts(skew_box, bins):
+    """Per-axis bin counts that differ: each class's block is padded per axis,
+    so its size follows the bins, and the counts match the reference, also
+    for values far outside every axis's range."""
+    binning = montecarlo.JointBinning(skew_box, *bins)
+    rng = np.random.default_rng(6)
+    for batch in (sample_rays(skew_box, 50_000, 47, "cube-components", 1), sample_chords(skew_box, 50_000, 48, 1)):
+        odd = [np.nan, np.inf, -np.inf, -1.0, 1e300]
+        batch.length[:2_000] = rng.choice(odd, 2_000)
+        batch.exit_ab[2_000:4_000] = rng.choice(odd, (2_000, 2))
+        counts = binning.count(batch)
+        assert counts.shape == (len(canonical_classes()) + 1, *(b + 2 for b in bins))
+        hists = binning.histograms(counts)
+        for label, (_, ref, total) in per_pair_reference(skew_box, batch, bins).items():
+            assert np.array_equal(hists[label].counts, ref), label
+            assert hists[label].total == total
+
+
 def test_canonical_histograms_bin_edges_like_histogramdd(skew_box):
     """Values on the edges, past the last edge, NaN and infinite: as histogramdd bins them."""
     batch = sample_rays(skew_box, 20_000, 44, "cube-components", 1)
@@ -505,8 +570,9 @@ def test_length_counts_bin_like_histogram(skew_box, lo):
     rng = np.random.default_rng(4)
     batch.length[:10_000] = rng.choice(np.concatenate([edges, np.nextafter(edges, -9.0), odd]), 10_000)
     batch.entry_code[:50] = 7
-    got_edges, counts = montecarlo.length_counts(batch, bins, lo)
-    assert np.array_equal(got_edges, edges)
+    binning = montecarlo.LengthBinning(bins, lo, skew_box.diagonal)
+    counts = binning.count(batch)
+    assert np.array_equal(binning.edges, edges)
     assert counts.shape == (4, bins) and counts.dtype == np.uint64
     assert np.array_equal(counts[0], np.histogram(batch.length, bins, range=(lo, skew_box.diagonal))[0])
     for axis in (1, 2, 3):
