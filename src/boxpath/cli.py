@@ -292,8 +292,7 @@ def _sample_streams(sampler, binning, lengths, samples: int, workers: int, spill
     the entry and exit face counts, and the run's sampler meta.
     """
     hists = binning.histograms(np.zeros(binning.count_shape, dtype=np.int64))
-    by_length = np.zeros((4, lengths.bins), dtype=np.uint64)
-    faces = np.zeros((2, 6), dtype=np.int64)
+    by_pair = np.zeros(lengths.count_shape, dtype=np.int64)
     lock = threading.Lock()
     if spill is not None:
         bio.start_trajectories(spill, binning.box, samples)
@@ -302,19 +301,17 @@ def _sample_streams(sampler, binning, lengths, samples: int, workers: int, spill
         batch = sampler(stream=stream)
         part = montecarlo.canonical_histograms(batch, binning=binning)
         part_lengths = lengths.count(batch)
-        part_faces = [np.bincount(codes, minlength=6) for codes in (batch.entry_code, batch.exit_code)]
         if spill is not None:
             bio.write_trajectories(spill, batch, at=rows.start)
         with lock:
             for label, hist in part.items():
                 hists[label].counts += hist.counts
                 hists[label].total += hist.total
-            by_length[:] += part_lengths
-            faces[:] += part_faces
+            by_pair[:] += part_lengths
         return batch.meta
 
     metas = montecarlo.for_each_stream(samples, workers, task)
-    return hists, by_length, faces, montecarlo.merge_meta(metas)
+    return hists, lengths.by_axis(by_pair), lengths.face_counts(by_pair), montecarlo.merge_meta(metas)
 
 
 def _keep_freed_heap() -> bool:

@@ -524,34 +524,35 @@ class JointBinning:
         self.count_shape = (len(self.classes) + 1, *(b + 2 for b in self.shape))  # of `count`'s counts
         self._top = np.array(self.shape) + 1  # each axis's last bin above the range
         slot = {c.label: s for s, c in enumerate(self.classes)}
-        # Per pair code: A then B of the scaled offsets of its length, u and v,
+        block = int(np.prod(self.count_shape[1:]))
+        # Per pair code: A and B of the scaled offsets of its length, u and v,
         # in fixed point (a code of no pair gets g = 1.5, never near an edge);
-        # the exit columns of u and v and the first flat index of its block;
-        # and for u and v the edges padded with nan, whether they are mirrored
-        # and the axis length.
-        self._params = np.zeros((6, 49))
-        self._params[:3] = 1.5
-        self._place = np.zeros((3, 49), dtype=np.intp)
-        self._place[1] = 1
-        self._place[2] = len(self.classes) * np.prod(self.count_shape[1:])
+        # the exit column u is read from (v is the other one); the first flat
+        # index of its block; and for u and v the edges padded with nan,
+        # whether they are mirrored and the axis length.
+        self._a = np.full((3, 49), 1.5)
+        self._b = np.zeros((3, 49))
+        self._u_col = np.zeros(49, dtype=np.intp)
+        self._start = np.full(49, len(self.classes) * block)
         self._edge = np.full((3, 49, max(self.shape) + 1), np.nan)
         self._mirror = np.zeros((2, 49), dtype=bool)
         self._dim = np.zeros((2, 49))
         for pair in FACE_PAIRS:
             code = pair.entry_face.code * 7 + pair.exit_face.code
             cls = slot[pair.label]
-            (u_axis, u_col, u_mirror), (v_axis, v_col, v_mirror) = pair.exit_frame
-            self._place[:, code] = u_col, v_col, cls * np.prod(self.count_shape[1:])
+            (u_axis, u_col, u_mirror), (v_axis, _, v_mirror) = pair.exit_frame
+            self._u_col[code], self._start[code] = u_col, cls * block
             values = [(False, 0.0), (u_mirror, self.box.dim(u_axis)), (v_mirror, self.box.dim(v_axis))]
             for a, (mirror, dim) in enumerate(values):
                 edges = self.edges[cls][a]
                 scale = self.shape[a] / (edges[-1] - edges[0])
-                self._params[a, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
-                self._params[3 + a, code] = -scale if mirror else scale
+                self._a[a, code] = 1.0 + ((dim if mirror else 0.0) - edges[0]) * scale
+                self._b[a, code] = -scale if mirror else scale
                 self._edge[a, code, : edges.size] = edges
                 if a:
                     self._mirror[a - 1, code], self._dim[a - 1, code] = mirror, dim
-        self._params *= _ONE
+        self._a *= _ONE
+        self._b *= _ONE
         self._tol = max(_near_tol(np.vstack([e[a] for e in self.edges]), b) for a, b in enumerate(self.shape))
 
     def count(self, batch: TrajectoryBatch) -> np.ndarray:
@@ -569,36 +570,36 @@ class JointBinning:
 
     def _flat(self, entry_code, exit_code, exit_ab, length) -> np.ndarray:
         n = length.size
-        code = np.minimum(entry_code, 6)
-        code *= 7
-        code += np.minimum(exit_code, 6)
-        code = code.astype(np.intp)
-        place = self._place.take(code, axis=1)
-        at = place[:2]
+        code = _pair_codes(entry_code, exit_code).astype(np.intp)
+        ab = exit_ab.ravel()
+        # g = A + B x for the length, u and v, u and v read from their exit columns
+        g = self._b.take(code, axis=1)
+        g[0] *= length
+        at = self._u_col.take(code)
         at += np.arange(0, 2 * n, 2)
-        uv = exit_ab.ravel().take(at)  # each row's exit u and v, before mirroring
-        g = self._params.take(code, axis=1)  # A for the length, u and v, then B
-        values = g[3:]
-        values[0] *= length
-        values[1:] *= uv
-        values += g[:3]
+        g[1] *= ab.take(at)
+        at ^= 1
+        g[2] *= ab.take(at)
+        del at
+        g += self._a.take(code, axis=1)
 
         def exact(at: np.ndarray, k: np.ndarray):
             a, row = np.divmod(at, n)  # axis 0 is the length, 1 and 2 are u and v
             pair, c = code.take(row), np.maximum(a - 1, 0)
-            x = np.where(a == 0, length.take(row), uv.take(np.maximum(at - n, 0)))
+            x = np.where(a == 0, length.take(row), ab.take(2 * row + (c ^ self._u_col.take(pair))))
             # the canonical coordinate, as `exit_local_to_canonical` gives it
             x = np.where((a > 0) & self._mirror[c, pair], self._dim[c, pair] - x, x)
             return x, self._edge[a, pair, k - 1], k == self._top.take(a)
 
-        idx = _bins(values, self._top[:, None], self._tol, exact)
+        idx = _bins(g, self._top[:, None], self._tol, exact)
+        del g
         _, u, v = self.count_shape[1:]
         flat = idx[0]
         flat *= u
         flat += idx[1]
         flat *= v
         flat += idx[2]
-        flat += place[2]
+        flat += self._start.take(code)
         return flat
 
     def histograms(self, counts: np.ndarray) -> dict[str, JointHistogram]:
@@ -611,6 +612,14 @@ class JointBinning:
             cls.label: JointHistogram(cls.kind, cls.indices.as_tuple, *edges, counts=hists[s], total=int(totals[s]))
             for s, (cls, edges) in enumerate(zip(self.classes, self.edges))
         }
+
+
+def _pair_codes(entry_code: np.ndarray, exit_code: np.ndarray) -> np.ndarray:
+    """7 * min(entry, 6) + min(exit, 6) for each row: 0..48, uint8."""
+    code = np.minimum(entry_code, 6)
+    code *= 7
+    code += np.minimum(exit_code, 6)
+    return code
 
 
 def _near_tol(edges: np.ndarray, b: int) -> float:
@@ -682,9 +691,10 @@ def canonical_histograms(
 class LengthBinning:
     """`np.histogram`'s bins of path lengths over [lo, hi], built once for a run's batches.
 
-    `count` gives the counts of all entry faces, then of each entry axis
-    1..3, from one `np.bincount` over (entry axis, bin); a row with an entry
-    code outside 0..5 counts in the first row only.
+    `count` counts a batch per pair code (see `JointBinning`) and bin, padded
+    by one bin below and one above the range, with one `np.bincount`.
+    `by_axis` makes the length counts of all entry faces and of each entry
+    axis from those, and `face_counts` the entry and exit counts per face.
     """
 
     def __init__(self, bins: int, lo: float, hi: float):
@@ -694,11 +704,11 @@ class LengthBinning:
         scale = self.bins / (hi - lo)
         self._scale, self._offset = scale * _ONE, (1.0 - lo * scale) * _ONE  # in fixed point
         self._tol = _near_tol(self.edges[None], self.bins)
-        # By entry code: the first bin of its entry axis, 0..2, or of 3 for a code past 5.
-        self._axis_start = np.minimum(np.arange(256) >> 1, 3) * (self.bins + 2)
+        self.count_shape = (7, 7, self.bins + 2)  # of `count`'s counts: entry code, exit code, bin
+        self._start = np.arange(49) * (self.bins + 2)  # each pair code's first bin
 
     def count(self, batch: TrajectoryBatch) -> np.ndarray:
-        """Counts of shape (4, bins)."""
+        """Counts of `batch` per pair code and padded bin: shape `count_shape`."""
         b = self.bins
         g = batch.length * self._scale
         g += self._offset
@@ -707,10 +717,22 @@ class LengthBinning:
             return batch.length.take(at), self.edges.take(k - 1), k == b + 1
 
         idx = _bins(g, b + 1, self._tol, exact)
-        # bins 0 and b + 1 of each entry axis lie outside the range
-        idx += self._axis_start.take(batch.entry_code)
-        by_axis = np.bincount(idx, minlength=4 * (b + 2)).reshape(4, b + 2)[:, 1:-1]
-        return np.vstack([by_axis.sum(axis=0), by_axis[:3]]).astype(np.uint64)
+        idx += self._start.take(_pair_codes(batch.entry_code, batch.exit_code))
+        return np.bincount(idx, minlength=49 * (b + 2)).reshape(self.count_shape)
+
+    @staticmethod
+    def by_axis(counts: np.ndarray) -> np.ndarray:
+        """The length counts of all entry faces, then of each entry axis 1..3, from `count`'s
+        counts: shape (4, bins).  A row with an entry code outside 0..5 counts in the first only."""
+        by_entry = counts[:, :, 1:-1].sum(axis=1)
+        by_axis = by_entry[:6].reshape(3, 2, -1).sum(axis=1)
+        return np.vstack([by_entry.sum(axis=0), by_axis]).astype(np.uint64)
+
+    @staticmethod
+    def face_counts(counts: np.ndarray) -> np.ndarray:
+        """Entry and exit counts per face code, shape (2, 6), from `count`'s counts: rows with both codes in 0..5."""
+        pairs = counts[:6, :6].sum(axis=2)
+        return np.stack([pairs.sum(axis=1), pairs.sum(axis=0)])
 
 
 def length_histogram(
@@ -723,9 +745,9 @@ def length_histogram(
     """Histogram path lengths, optionally only for one entry axis (1..3).
 
     Returns (edges, counts), as `np.histogram` bins them: a row of
-    `LengthBinning.count`.
+    `LengthBinning.by_axis`.
     """
     if entry_axis not in (None, 1, 2, 3):
         raise ValueError(f"entry_axis must be None or 1..3, got {entry_axis!r}")
     binning = LengthBinning(bins, lo, batch.box.diagonal if hi is None else hi)
-    return binning.edges, binning.count(batch)[entry_axis or 0]
+    return binning.edges, binning.by_axis(binning.count(batch))[entry_axis or 0]

@@ -571,7 +571,7 @@ def test_length_counts_bin_like_histogram(skew_box, lo):
     batch.length[:10_000] = rng.choice(np.concatenate([edges, np.nextafter(edges, -9.0), odd]), 10_000)
     batch.entry_code[:50] = 7
     binning = montecarlo.LengthBinning(bins, lo, skew_box.diagonal)
-    counts = binning.count(batch)
+    counts = binning.by_axis(binning.count(batch))
     assert np.array_equal(binning.edges, edges)
     assert counts.shape == (4, bins) and counts.dtype == np.uint64
     assert np.array_equal(counts[0], np.histogram(batch.length, bins, range=(lo, skew_box.diagonal))[0])
@@ -581,6 +581,18 @@ def test_length_counts_bin_like_histogram(skew_box, lo):
         assert np.array_equal(counts[axis], ref)
         assert np.array_equal(length_histogram(batch, bins, lo, entry_axis=axis)[1], ref)
     assert np.array_equal(length_histogram(batch, bins, lo)[1], counts[0])
+
+
+def test_length_binning_face_counts(skew_box):
+    """The entry and exit face counts from the per-pair length counts: those of the rows with both codes in 0..5."""
+    batch = sample_chords(skew_box, 20_000, 49, 1)
+    batch.entry_code[:30] = 9
+    batch.exit_code[30:50] = 6
+    binning = montecarlo.LengthBinning(16, 0.0, skew_box.diagonal)
+    faces = binning.face_counts(binning.count(batch))
+    kept = (batch.entry_code < 6) & (batch.exit_code < 6)
+    assert np.array_equal(faces[0], np.bincount(batch.entry_code[kept], minlength=6))
+    assert np.array_equal(faces[1], np.bincount(batch.exit_code[kept], minlength=6))
 
 
 # ---------------------------------------------------------------------------
