@@ -32,6 +32,7 @@ built once per run, and count a batch with one `np.bincount` each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
@@ -524,7 +525,7 @@ class JointBinning:
         self.count_shape = (len(self.classes) + 1, *(b + 2 for b in self.shape))  # of `count`'s counts
         self._top = np.array(self.shape) + 1  # each axis's last bin above the range
         slot = {c.label: s for s, c in enumerate(self.classes)}
-        block = int(np.prod(self.count_shape[1:]))
+        block = math.prod(self.count_shape[1:])
         # Per pair code: A and B of the scaled offsets of its length, u and v,
         # in fixed point (a code of no pair gets g = 1.5, never near an edge);
         # the exit column u is read from (v is the other one); the first flat
@@ -559,7 +560,7 @@ class JointBinning:
         """Counts of `batch` per class block and padded bin: shape `count_shape`, one `np.bincount` a chunk."""
         if batch.box != self.box:
             raise ValueError(f"batch box {batch.box} differs from the binning's box {self.box}")
-        size = int(np.prod(self.count_shape))
+        size = math.prod(self.count_shape)
         counts = None
         for lo in range(0, max(len(batch), 1), self._CHUNK):
             rows = slice(lo, lo + self._CHUNK)
