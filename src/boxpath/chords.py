@@ -15,9 +15,10 @@ rectangle, so P(L <= n | exit) = |disk(r) & rect| / (W H) and
     f(n | exit) = n theta_in(r) / (W H),
 
 where theta_in is the angle of the circle that lies inside the rectangle
-(`_inside_angle`; Santalo, Integral Geometry and Geometric Probability,
-1976; Ghosh, Bull. Calcutta Math. Soc. 43, 1951).  The conditional law
-and the (length, exit location) joints are these values on a grid.  The
+(Santalo, Integral Geometry and Geometric Probability, 1976; Ghosh, Bull.
+Calcutta Math. Soc. 43, 1951), the ray laws' arc rule `rays._arc_weight`
+with the angle as the cumulative arc weight.  The conditional law and the
+(length, exit location) joints are these values on a grid.  The
 location-integrated pair laws integrate them over the exit face: in
 closed form for an opposing pair, and by Gauss-Legendre panels split at
 the arc's kinks for an adjacent pair.  Every node value (but the opposing
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import FacePdf, _acos_ratio, _joint, _jump_law, _live_panels
+from .rays import FacePdf, _acos_ratio, _arc_weight, _joint, _jump_law, _live_panels
 from .density import GridDensity1D
 from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability, joint_frame
@@ -44,6 +45,11 @@ __all__ = [
 _PANEL_NODES = 24  # Gauss-Legendre nodes per panel of the adjacent pair integral and the opposing edge node
 
 
+def _angle(t):
+    """The cumulative arc weight of `rays._arc_weight` for chords, whose every direction weighs 1."""
+    return t
+
+
 def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> float:
     """P(exit face | entry face) when the exit point is redrawn off the entry face.
 
@@ -57,35 +63,18 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
     return entry_probability(box, exit) / (1.0 - entry_probability(box, entry))
 
 
-def _inside_angle(r, left, right, bottom, top):
-    """Angle of the circle of radius r that lies inside a rectangle.
-
-    The centre lies at distances left, right, bottom and top (all >= 0)
-    from the rectangle's sides.  Each side the circle crosses cuts off an
-    arc of 2 arccos(d / r); where the cut arcs of two sides overlap, at a
-    corner inside the circle, the overlap
-    arccos(d_x / r) + arccos(d_y / r) - pi/2 is added back.  At r = 0 the
-    angle is 2 pi inside the rectangle, pi on an edge and pi/2 at a corner.
-    """
-    cut = [_acos_ratio(d, r) for d in (left, bottom, right, top)]
-    overlap = sum(np.maximum(0.0, cut[s] + cut[(s + 1) % 4] - 0.5 * np.pi) for s in range(4))
-    return np.maximum(0.0, 2.0 * np.pi - 2.0 * sum(cut) + overlap)
-
-
 def _conditional_values(kind: PairKind, n, u, v, xi, xj, xk) -> np.ndarray:
     """f(n | exit) = n theta_in(sqrt(n^2 - c^2)) / (X_i X_k) at the broadcast (n, u, v) of a class with dims X.
 
     Opposing exits sit at (u, v) on x_j = X_j: c = X_j and the centre
     (u, v) lies inside the X_i x X_k entry rectangle.  Adjacent exits sit
     at (u, elevation v) on x_k = 0: c = v and the centre (u, 0) lies on the
-    rectangle's edge x_k = 0.  The density is zero below n = c.
+    rectangle's edge x_k = 0, so only the far side x_k = X_k cuts across.
+    The density is zero below n = c.
     """
-    if kind is PairKind.OPPOSING:
-        c, bottom, top = xj, v, xk - v
-    else:
-        c, bottom, top = v, 0.0, xk
+    c, across = (xj, (v, xk - v)) if kind is PairKind.OPPOSING else (v, (xk,))
     r_sq = n * n - c * c
-    theta = _inside_angle(np.sqrt(np.maximum(r_sq, 0.0)), u, xi - u, bottom, top)
+    theta = _arc_weight(_angle, np.sqrt(np.maximum(r_sq, 0.0)), across, (u, xi - u))
     return np.where(r_sq >= 0.0, n * theta, 0.0) / (xi * xk)
 
 
@@ -164,7 +153,8 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     rectangle is closed.  Adjacent pair: with D_i = t the remaining offset
     (E, Z) is uniform on X_j x X_k, so
     f(n) = 2n / (X_i^2 X_j X_k) int_0^min(n, X_i) (X_i - t) theta(sqrt(n^2 - t^2)) dt,
-    theta the arc angle at a corner of that rectangle.  With t = n sin a
+    theta the arc angle at a corner of that rectangle, the one corner of
+    `rays._arc_weight` that the circle reaches.  With t = n sin a
     the range splits where n cos a equals X_j, X_k or their hypotenuse,
     and each non-empty panel is summed by `rays._live_panels`.
     """
@@ -186,7 +176,7 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     row, a, weight = _live_panels(np.concatenate([np.zeros_like(m), *cuts, a_max], axis=-1), _PANEL_NODES)
     m = m[row]  # most panels are empty, and only the others are evaluated
     s = m * np.cos(a)
-    integrand = (xi - m * np.sin(a)) * _inside_angle(s, 0.0, xj, 0.0, xk) * s
+    integrand = (xi - m * np.sin(a)) * _arc_weight(_angle, s, (xj,), (xk,)) * s
     sums = np.bincount(row, np.sum(weight * integrand, axis=-1), minlength=n.size).reshape(n.shape)
     return 2.0 * n * sums / (xi * xi * xj * xk)
 

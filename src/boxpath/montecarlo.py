@@ -127,6 +127,12 @@ def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> n
     return _face_codes(_uniform(rng, count), cum)
 
 
+def _entry_points(rng: np.random.Generator, count: int, cum: np.ndarray, entry_code: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Entry face codes, all `entry_code` or drawn by area from `cum`, and a `_surface_points` point on each."""
+    codes = np.full(count, entry_code, dtype=np.uint8) if entry_code is not None else _draw_face_codes(rng, count, cum)
+    return codes, _surface_points(rng, codes)
+
+
 def _surface_points(rng: np.random.Generator, codes: np.ndarray) -> np.ndarray:
     """Uniform points on the faces `codes` in box units, one row each: shape (count, 3), stored axis by axis.
 
@@ -207,12 +213,8 @@ def _ray_rows(
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
-    codes = (
-        np.full(count, entry_code, dtype=np.uint8)
-        if entry_code is not None
-        else _draw_face_codes(rng, count, np.cumsum(_face_probabilities(box)))
-    )
-    p0 = _surface_points(rng, codes).T
+    codes, p0 = _entry_points(rng, count, np.cumsum(_face_probabilities(box)), entry_code)
+    p0 = p0.T
     d, draws = _draw_directions(rng, count, model)
     at = _face_axis_index(codes)
     normal = d.T.take(at)  # each direction's entry-axis component, redrawn while it is 0
@@ -294,12 +296,7 @@ def _chord_rows(
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
     cum = np.cumsum(_face_probabilities(box))
-    e_code = (
-        np.full(count, entry_code, dtype=np.uint8)
-        if entry_code is not None
-        else _draw_face_codes(rng, count, cum)
-    )
-    p0 = _surface_points(rng, e_code)
+    e_code, p0 = _entry_points(rng, count, cum, entry_code)
     x_code = _draw_face_codes(rng, count, cum)
     p1 = _surface_points(rng, x_code)
     attempts, collisions = count, 0

@@ -21,10 +21,12 @@ c / s over s piece by piece and are closed (`exit_pdf_opposing`,
 5-variable change of variables onto (n, exit coordinates, auxiliaries)
 with the radial integral closed: a slice at length n integrates the
 direction weight over the arcs of a circle that lie inside the entry
-face, the arcs of `chords._inside_angle` (Santalo, Integral Geometry and
-Geometric Probability, 1976), and on each piece of an arc that weight has
-an elementary antiderivative.  The length marginals integrate the same
-slices over the exit face, by Gauss-Legendre panels split at the kinks.
+face (Santalo, Integral Geometry and Geometric Probability, 1976).  On
+each piece of an arc that weight has an elementary antiderivative, and
+`_arc_weight`, the arc rule of both path models (chords weigh the angle),
+sums the cumulative weight over the face's corners.  The length marginals
+integrate the same slices over the exit face, by Gauss-Legendre panels
+split at the kinks.
 """
 
 from __future__ import annotations
@@ -74,6 +76,21 @@ def _acos_ratio(d, r):
     """arccos(min(1, d / r)) for d, r >= 0, with its r -> 0 limit: 0 off the line, pi/2 on it."""
     near = d < r
     return np.arccos(np.where(near, d / np.where(near, r, 1.0), d > 0))
+
+
+def _arc_weight(cumulative, r, across, along):
+    """The weight on the arcs of the circle of radius r about a point that lie inside a rectangle.
+
+    `across` and `along` hold the point's distances to the sides on two crossing axes (a side
+    through the point may be left out: its corners' arcs are empty).  A side at distance d cuts
+    the arc within cut = arccos(min(1, d / r)) of its normal, so at a corner, in the angle t
+    from the across side's normal, the arc runs from cut_across to pi/2 - cut_along and weighs
+    max(0, C(pi/2 - cut_along) - C(cut_across)), C the model's cumulative arc weight; C(t) = t
+    gives the angle: 2 pi inside the rectangle at r = 0, pi on an edge and pi/2 at a corner.
+    """
+    lo = [cumulative(_acos_ratio(d, r)) for d in across]
+    hi = [cumulative(0.5 * np.pi - _acos_ratio(d, r)) for d in along]
+    return sum(np.maximum(0.0, h - c) for c in lo for h in hi)
 
 
 _leggauss = functools.cache(lambda nodes: np.polynomial.legendre.leggauss(nodes))  # built on first use, off the import path
@@ -240,9 +257,7 @@ def _opposing_arc(xj, r):
 def _opposing_slices(n, a, b, xi, xj, xk):
     """Opposing joint values at lengths n over exits (a, b), broadcast; see `joint_pdf_opposing`."""
     r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
-    cumulative, quarter = _opposing_arc(xj, r)
-    cut = [cumulative(_acos_ratio(d, r)) for d in (a, xi - a, b, xk - b)]
-    inside = sum(np.maximum(0.0, quarter - x - y) for x in cut[:2] for y in cut[2:])
+    inside = _arc_weight(_opposing_arc(xj, r)[0], r, (a, xi - a), (b, xk - b))
     return np.where(n >= xj, xj * n * inside, 0.0) / (12.0 * xi * xk)
 
 
@@ -271,9 +286,7 @@ def _adjacent_slices(n, a, e, xi, xj, xk):
     """Adjacent joint values at lengths n over exits (a, e), broadcast; see `joint_pdf_adjacent`."""
     live = e < n
     rho = np.sqrt(np.where(live, n * n - e * e, 1.0))
-    cumulative = _adjacent_arc(e, rho)
-    depth_cut = cumulative(_acos_ratio(xk, rho))
-    inside = sum(np.maximum(0.0, cumulative(0.5 * np.pi - _acos_ratio(d, rho)) - depth_cut) for d in (a, xi - a))
+    inside = _arc_weight(_adjacent_arc(e, rho), rho, (xk,), (a, xi - a))
     return np.where(live, n * inside, 0.0) / (12.0 * xi * xk)
 
 
@@ -306,13 +319,10 @@ def joint_pdf_opposing(
     to pi/4 and Q - P0(pi/2 - t) after, with
     P0(t) = S3(min(t, t*)) / r^3 + max(0, t - t*) / X_j^3,
     S3(t) = (sec t tan t + ln(sec t + tan t)) / 2,
-    t* = min(pi/4, arccos(min(1, X_j / r))) and Q = 2 P0(pi/4).  A side at
-    distance d cuts the arc of half-width arccos(min(1, d / r)) around its
-    normal, taking C of it from each neighbouring quadrant, so the
-    inclusion-exclusion of `chords._inside_angle` is the sum over the
-    four corners of max(0, Q - C_x - C_y).  At n = X_j the arcs take
-    their r -> 0 limit: 2 pi inside the face, pi on an edge and pi/2 at a
-    corner.
+    t* = min(pi/4, arccos(min(1, X_j / r))) and Q = 2 P0(pi/4).  The
+    arcs inside the face are those of `_arc_weight`, summed over its four
+    corners.  At n = X_j the arcs take their r -> 0 limit: 2 pi inside the
+    face, pi on an edge and pi/2 at a corner.
     """
     return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), _opposing_slices)
 
@@ -336,9 +346,9 @@ def joint_pdf_adjacent(
     then grows by rho sin(t) / e^3 up to t2 = max(pi/4, arcsin(min(1, e / rho))),
     then by -1 / (2 rho^2 sin^2 t).  On each side of the depth axis the
     inside arc runs from the depth cut arccos(min(1, X_k / rho)) to
-    arcsin(min(1, d / rho)), d the distance to the side x_i = 0 or X_i,
-    which is the inclusion-exclusion of `chords._inside_angle` summed per
-    half.  The slab e >= n is zero, and so is the n = 0 slab, where
+    arcsin(min(1, d / rho)), d the distance to the side x_i = 0 or X_i:
+    the two corners of `_arc_weight` at the face's far side x_k = X_k.
+    The slab e >= n is zero, and so is the n = 0 slab, where
     f(n, a, 0) grows like 1 / n.
     """
     return _joint(box, PairKind.ADJACENT, indices, (n_nodes, a_nodes, e_nodes), _adjacent_slices)

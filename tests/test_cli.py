@@ -637,6 +637,9 @@ def test_sample_refuses_negative_workers(tmp_path, capsys):
         ("box", [1, True, 1]),
         ("box", "111"),
         ("box", 2),
+        ("grid_nodes_3d", 3),
+        ("bins_joint", [6, 1, 6]),
+        ("samples", 0),
     ],
 )
 def test_config_values_of_the_wrong_type_are_refused_before_writing(tmp_path, capsys, stage, key, value):

@@ -151,11 +151,13 @@ def test_trajectory_unfilled_spill_rejected(tmp_path, cube):
         bio.read_trajectories(path)
 
 
-def test_trajectory_bad_magic(tmp_path):
+def test_trajectory_bad_magic(tmp_path, cube):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMINE!" + b"\x00" * 64)
     with pytest.raises(IncompatibleGridError):
         bio.read_trajectories(path)
+    with pytest.raises(IncompatibleGridError, match="start_trajectories"):
+        bio.write_trajectories(path, sample_rays(cube, 10, 35, "cube-components", 1), at=0)
 
 
 def test_trajectory_truncation_detected(tmp_path, cube):

@@ -522,12 +522,14 @@ def test_canonical_histograms_near_edges_like_histogramdd(box):
 
 
 def test_canonical_histograms_skip_bad_face_codes(cube):
-    """Rows with a face code outside 0..5 are counted in no class."""
+    """Rows with a face code outside 0..5 are counted in no class, and a batch of another box not at all."""
     batch = sample_rays(cube, 1_000, 43, "cube-components", 1)
     batch.entry_code[:10], batch.exit_code[:10] = 0, 8  # 0 * 6 + 8 is the code of pair (1, 2)
     batch.entry_code[10:20], batch.exit_code[10:20] = 43, 0  # 43 * 6 wraps to 2 in uint8
     hists = canonical_histograms(batch, 2, 2, 2)
     assert sum(h.total for h in hists.values()) == len(batch) - 20
+    with pytest.raises(ValueError, match="differs from the binning's box"):
+        montecarlo.JointBinning(BoxDims(1.0, 2.0, 1.0), 2, 2, 2).count(batch)
 
 
 def test_class_occupancies_match_analytic_masses(rays_batch_cube):
