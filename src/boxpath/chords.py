@@ -153,8 +153,8 @@ def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.nd
     rectangle is closed.  Adjacent pair: with D_i = t the remaining offset
     (E, Z) is uniform on X_j x X_k, so
     f(n) = 2n / (X_i^2 X_j X_k) int_0^min(n, X_i) (X_i - t) theta(sqrt(n^2 - t^2)) dt,
-    theta the arc angle at a corner of that rectangle, the one corner of
-    `rays._arc_weight` that the circle reaches.  With t = n sin a
+    theta the angle inside that rectangle of a circle about its corner:
+    `rays._arc_weight` with only the far sides X_j and X_k.  With t = n sin a
     the range splits where n cos a equals X_j, X_k or their hypotenuse,
     and each non-empty panel is summed by `rays._live_panels`.
     """
