@@ -18,7 +18,9 @@ where theta_in is the angle of the circle that lies inside the rectangle
 (Santalo, Integral Geometry and Geometric Probability, 1976; Ghosh, Bull.
 Calcutta Math. Soc. 43, 1951), the ray laws' arc rule `rays._arc_weight`
 with the angle as the cumulative arc weight.  The conditional law and the
-(length, exit location) joints are these values on a grid.  The
+(length, exit location) joints are these values on a grid: the slice
+function of both path models, `rays._slice`, with the angle and the
+constant 1 / (W H), over the exit face's area for a joint.  The
 location-integrated pair laws integrate them over the exit face: in
 closed form for an opposing pair, and by Gauss-Legendre panels split at
 the arc's kinks for an adjacent pair.  Every node value (but the opposing
@@ -29,9 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rays import FacePdf, _acos_ratio, _arc_weight, _joint, _jump_law, _live_panels
+from .rays import FacePdf, _acos_ratio, _arc_weight, _joint, _jump_law, _live_panels, _slice
 from .density import GridDensity1D
-from .errors import NumericalError
 from .geometry import BoxDims, FaceId, IndexTriple, PairKind, entry_probability, joint_frame
 
 __all__ = [
@@ -63,21 +64,6 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
     return entry_probability(box, exit) / (1.0 - entry_probability(box, entry))
 
 
-def _conditional_values(kind: PairKind, n, u, v, xi, xj, xk) -> np.ndarray:
-    """f(n | exit) = n theta_in(sqrt(n^2 - c^2)) / (X_i X_k) at the broadcast (n, u, v) of a class with dims X.
-
-    Opposing exits sit at (u, v) on x_j = X_j: c = X_j and the centre
-    (u, v) lies inside the X_i x X_k entry rectangle.  Adjacent exits sit
-    at (u, elevation v) on x_k = 0: c = v and the centre (u, 0) lies on the
-    rectangle's edge x_k = 0, so only the far side x_k = X_k cuts across.
-    The density is zero below n = c.
-    """
-    c, across = (xj, (v, xk - v)) if kind is PairKind.OPPOSING else (v, (xk,))
-    r_sq = n * n - c * c
-    theta = _arc_weight(_angle, np.sqrt(np.maximum(r_sq, 0.0)), across, (u, xi - u))
-    return np.where(r_sq >= 0.0, n * theta, 0.0) / (xi * xk)
-
-
 def conditional_length_pdf(
     box: BoxDims,
     kind: PairKind,
@@ -90,20 +76,23 @@ def conditional_length_pdf(
     For an opposing exit the location is (x_i, x_k) on the face x_j = X_j;
     for an adjacent exit it is (x_i, elevation) on x_k = 0.  The support
     runs from the exit's height above the entry plane to the farthest
-    entry corner.
+    entry corner.  The law is f(n | exit) = n theta_in / (X_i X_k), the
+    `rays._slice` of the angle over the entry face's area.  An exit off
+    its face (boundary included) is a ValueError.
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     u, v = float(exit_uv[0]), float(exit_uv[1])
+    extents = joint_frame(box, kind, indices)[0][1:]
+    if not all(lo <= x <= hi for x, (lo, hi) in zip((u, v), extents)):
+        raise ValueError(f"exit_uv {(u, v)} lies off the exit face {extents}")
     if kind is PairKind.OPPOSING:
         n_lo, far_k = xj, max(v * v, (v - xk) ** 2)
     else:
         n_lo, far_k = v, xk * xk
     n_hi = float(np.sqrt(n_lo * n_lo + max(u * u, (u - xi) ** 2) + far_k))
-    if n_hi <= n_lo:
-        raise NumericalError("degenerate conditional support")
     n_grid = np.linspace(n_lo, n_hi, n_nodes)
-    vals = _conditional_values(kind, n_grid, u, v, xi, xj, xk)
+    vals = _slice(kind, lambda c, r: _angle, n_grid, u, v, xi, xj, xk) / (xi * xk)
     return GridDensity1D(n_lo, n_hi, vals).normalized()
 
 
@@ -120,12 +109,10 @@ def joint_pdf_opposing(
     (1 / area) times the conditional length law at each location.  Its
     mass is the exact `conditional_exit_probability`.
     """
-
-    def slices(n, u, v, xi, xj, xk):  # the conditional law over the exit face's area
-        return _conditional_values(PairKind.OPPOSING, n, u, v, xi, xj, xk) / (xi * xk)
-
+    box = BoxDims.from_any(box)
+    xi, _, xk = indices.dims(box)
     mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.j, 1))
-    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, u_nodes, v_nodes), slices, mass)
+    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, u_nodes, v_nodes), lambda c, r: _angle, 1.0 / (xi * xk * xi * xk), mass)
 
 
 def joint_pdf_adjacent(
@@ -136,12 +123,10 @@ def joint_pdf_adjacent(
     v_nodes: int = 64,
 ) -> FacePdf:
     """Joint (length, exit-location) density for an adjacent face pair; as `joint_pdf_opposing`."""
-
-    def slices(n, u, e, xi, xj, xk):  # the conditional law over the exit face's area
-        return _conditional_values(PairKind.ADJACENT, n, u, e, xi, xj, xk) / (xi * xj)
-
+    box = BoxDims.from_any(box)
+    xi, xj, xk = indices.dims(box)
     mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.k, 0))
-    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, u_nodes, v_nodes), slices, mass)
+    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, u_nodes, v_nodes), lambda c, r: _angle, 1.0 / (xi * xk * xi * xj), mass)
 
 
 def _pair_values(box: BoxDims, kind: PairKind, indices: IndexTriple, n) -> np.ndarray:

@@ -211,6 +211,8 @@ def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> N
     written from record `at` on into a spill begun by `start_trajectories`:
     each of the batch's arrays goes to its column with one positional write.
     """
+    if at is not None and at < 0:
+        raise ValueError(f"{path}: record offset at={at} is negative")
     if at is None:
         start_trajectories(path, batch.box, len(batch))
         at = 0

@@ -24,9 +24,12 @@ direction weight over the arcs of a circle that lie inside the entry
 face (Santalo, Integral Geometry and Geometric Probability, 1976).  On
 each piece of an arc that weight has an elementary antiderivative, and
 `_arc_weight`, the arc rule of both path models (chords weigh the angle),
-sums the cumulative weight over the face's corners.  The length marginals
-integrate the same slices over the exit face, by Gauss-Legendre panels
-split at the kinks.
+sums the cumulative weight over the face's corners.  `_slice`, the one
+slice function of both models and both pair kinds, places the circle
+(its height, radius and cutting sides) and applies that rule, so each
+model passes only its arc cumulative and its constant.  The length
+marginals integrate the same slices over the exit face, by Gauss-Legendre
+panels split at the kinks.
 """
 
 from __future__ import annotations
@@ -91,6 +94,22 @@ def _arc_weight(cumulative, r, across, along):
     lo = [cumulative(_acos_ratio(d, r)) for d in across]
     hi = [cumulative(0.5 * np.pi - _acos_ratio(d, r)) for d in along]
     return sum(np.maximum(0.0, h - c) for c in lo for h in hi)
+
+
+def _slice(kind: PairKind, arc, n, u, v, xi, xj, xk):
+    """n times the weight of `_arc_weight` on the entry-face arcs of the paths of length n to the exit
+    (u, v) of a class with dims X, broadcast: either path model's joint slice up to its constant.
+
+    The exit sits at height c above the entry plane, and the entry points at length n lie on the
+    circle of radius r = sqrt(n^2 - c^2) about its projection.  An opposing exit (u, v) on x_j = X_j
+    has c = X_j and its centre inside the X_i x X_k entry face; an adjacent exit (u, elevation v) on
+    x_k = 0 has c = v and its centre (u, 0) on the face's edge x_k = 0, so only the far side x_k = X_k
+    cuts across.  `arc(c, r)` is the model's cumulative arc weight.  The slice is zero below n = c.
+    """
+    c, across = (xj, (v, xk - v)) if kind is PairKind.OPPOSING else (v, (xk,))
+    r_sq = n * n - c * c
+    r = np.sqrt(np.maximum(r_sq, 0.0))
+    return np.where(r_sq >= 0.0, n * _arc_weight(arc(c, r), r, across, (u, xi - u)), 0.0)
 
 
 _leggauss = functools.cache(lambda nodes: np.polynomial.legendre.leggauss(nodes))  # built on first use, off the import path
@@ -254,18 +273,11 @@ def _opposing_arc(xj, r):
     return cumulative, quarter
 
 
-def _opposing_slices(n, a, b, xi, xj, xk):
-    """Opposing joint values at lengths n over exits (a, b), broadcast; see `joint_pdf_opposing`."""
-    r = np.sqrt(np.maximum(n * n - xj * xj, 0.0))
-    inside = _arc_weight(_opposing_arc(xj, r)[0], r, (a, xi - a), (b, xk - b))
-    return np.where(n >= xj, xj * n * inside, 0.0) / (12.0 * xi * xk)
-
-
 def _adjacent_arc(e, rho):
-    """The cumulative weight C(t) of `joint_pdf_adjacent` at elevation e and radius rho > 0, and
-    with moment=True also D(t) = int_0^t rho sin(phi) w(phi) dphi, whose three pieces grow by
-    sec / rho, rho^2 sin^2 / (2 e^3) and -1 / (rho sin)."""
-    rho2 = rho * rho
+    """The cumulative weight C(t) of `joint_pdf_adjacent` at elevation e and radius rho, 0 at
+    rho = 0 < e, and with moment=True (rho > 0) also D(t) = int_0^t rho sin(phi) w(phi) dphi,
+    whose three pieces grow by sec / rho, rho^2 sin^2 / (2 e^3) and -1 / (rho sin)."""
+    rho2 = np.where(rho > 0.0, rho, 1.0) ** 2
     arc = _acos_ratio(e, rho)
     near, far = np.minimum(0.25 * np.pi, arc), np.maximum(0.25 * np.pi, 0.5 * np.pi - arc)
     sin_near, sin_far = np.sin(near), np.sin(far)
@@ -282,21 +294,12 @@ def _adjacent_arc(e, rho):
     return cumulative
 
 
-def _adjacent_slices(n, a, e, xi, xj, xk):
-    """Adjacent joint values at lengths n over exits (a, e), broadcast; see `joint_pdf_adjacent`."""
-    live = e < n
-    rho = np.sqrt(np.where(live, n * n - e * e, 1.0))
-    inside = _arc_weight(_adjacent_arc(e, rho), rho, (xk,), (a, xi - a))
-    return np.where(live, n * inside, 0.0) / (12.0 * xi * xk)
-
-
-def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, nodes, slices, mass: float | None = None) -> FacePdf:
-    """One class joint of either path model: `slices(n, u, v, X_i, X_j, X_k)`, broadcast over a block
-    of lengths, on the `joint_frame` grid of `nodes` = (length, u, v) node counts; see `_face_pdf` for the mass."""
-    box = BoxDims.from_any(box)
+def _joint(box: BoxDims, kind: PairKind, indices: IndexTriple, nodes, arc, scale: float, mass: float | None = None) -> FacePdf:
+    """One class joint of either path model: `scale` times the `_slice` of its cumulative arc weight
+    `arc`, on the `joint_frame` grid of `nodes` = (length, u, v) node counts; see `_face_pdf` for the mass."""
     domain, dims = joint_frame(box, kind, indices)[0], indices.dims(box)
     n_grid, u, v = (np.linspace(lo, hi, m) for (lo, hi), m in zip(domain, nodes))
-    vals = _on_nodes(lambda n: slices(n[:, None, None], u[:, None], v, *dims), n_grid, (u.size, v.size))
+    vals = _on_nodes(lambda n: scale * _slice(kind, arc, n[:, None, None], u[:, None], v, *dims), n_grid, (u.size, v.size))
     return _face_pdf(box, kind, indices, vals, mass)
 
 
@@ -319,12 +322,14 @@ def joint_pdf_opposing(
     to pi/4 and Q - P0(pi/2 - t) after, with
     P0(t) = S3(min(t, t*)) / r^3 + max(0, t - t*) / X_j^3,
     S3(t) = (sec t tan t + ln(sec t + tan t)) / 2,
-    t* = min(pi/4, arccos(min(1, X_j / r))) and Q = 2 P0(pi/4).  The
-    arcs inside the face are those of `_arc_weight`, summed over its four
-    corners.  At n = X_j the arcs take their r -> 0 limit: 2 pi inside the
-    face, pi on an edge and pi/2 at a corner.
+    t* = min(pi/4, arccos(min(1, X_j / r))) and Q = 2 P0(pi/4)
+    (`_opposing_arc`).  `_slice` sums C over the arcs inside the face,
+    the four corners of `_arc_weight`.  At n = X_j the arcs take their
+    r -> 0 limit: 2 pi inside the face, pi on an edge and pi/2 at a corner.
     """
-    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), _opposing_slices)
+    box = BoxDims.from_any(box)
+    xi, xj, xk = indices.dims(box)
+    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), lambda c, r: _opposing_arc(c, r)[0], xj / (12.0 * xi * xk))
 
 
 def joint_pdf_adjacent(
@@ -344,14 +349,16 @@ def joint_pdf_adjacent(
     measured from the depth axis.  w is even; on [0, pi/2] its cumulative
     weight C(t) is tan(t) / rho^2 up to t1 = min(pi/4, arccos(min(1, e / rho))),
     then grows by rho sin(t) / e^3 up to t2 = max(pi/4, arcsin(min(1, e / rho))),
-    then by -1 / (2 rho^2 sin^2 t).  On each side of the depth axis the
-    inside arc runs from the depth cut arccos(min(1, X_k / rho)) to
-    arcsin(min(1, d / rho)), d the distance to the side x_i = 0 or X_i:
-    the two corners of `_arc_weight` at the face's far side x_k = X_k.
-    The slab e >= n is zero, and so is the n = 0 slab, where
-    f(n, a, 0) grows like 1 / n.
+    then by -1 / (2 rho^2 sin^2 t) (`_adjacent_arc`).  On each side of
+    the depth axis the inside arc runs from the depth cut
+    arccos(min(1, X_k / rho)) to arcsin(min(1, d / rho)), d the distance
+    to the side x_i = 0 or X_i: `_slice` of an adjacent exit, whose
+    circle only the far side x_k = X_k cuts across.  The slab e >= n is
+    zero, and so is the n = 0 slab, where f(n, a, 0) grows like 1 / n.
     """
-    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, a_nodes, e_nodes), _adjacent_slices)
+    box = BoxDims.from_any(box)
+    xi, _, xk = indices.dims(box)
+    return _joint(box, PairKind.ADJACENT, indices, (n_nodes, a_nodes, e_nodes), _adjacent_arc, 1.0 / (12.0 * xi * xk))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from boxpath import (
     canonical_classes,
     chords,
     combined,
+    rays,
 )
 from boxpath.density import GridDensity1D
 
@@ -155,6 +156,11 @@ def exit_geometry(box, kind, uv):
     return c, centre, (xi, xk), sides
 
 
+def conditional_values(kind, n, u, v, xi, xj, xk):
+    """f(n | exit) = n theta_in / (X_i X_k): the chords' angle and constant on `rays._slice`."""
+    return rays._slice(kind, lambda c, r: chords._angle, n, u, v, xi, xj, xk) / (xi * xk)
+
+
 @pytest.mark.parametrize("kind", [PairKind.OPPOSING, PairKind.ADJACENT], ids=["opposing", "adjacent"])
 def test_conditional_values_are_the_disk_area_derivative(kind):
     """n theta_in / (W H) is d/dn of |disk & rect| / (W H), and its CDF reaches 1 at the farthest corner.
@@ -173,14 +179,14 @@ def test_conditional_values_are_the_disk_area_derivative(kind):
         kinks = np.unique(np.hypot(c, [0.0, *sides, *corners]))
         n_far = kinks[-1]
         lengths = kinks[:-1] + rng.uniform(0.25, 0.75, kinks.size - 1) * np.diff(kinks)
-        got = chords._conditional_values(kind, lengths, *uv, *IDX.dims(box))
+        got = conditional_values(kind, lengths, *uv, *IDX.dims(box))
         for n, value in zip(lengths, got):
             area = [disk_rect_area(*centre, np.sqrt(m * m - c * c), width, height) for m in (n - h, n + h)]
             expected = (area[1] - area[0]) / (2.0 * h) / (width * height)
             assert value == pytest.approx(expected, rel=1e-4)
 
         def density(n):
-            return chords._conditional_values(kind, n, *uv, *IDX.dims(box))
+            return conditional_values(kind, n, *uv, *IDX.dims(box))
 
         cdf = integrate.quad(density, c, n_far, points=kinks[1:-1], epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert cdf == pytest.approx(1.0, abs=1e-10)
@@ -193,7 +199,7 @@ def test_conditional_first_node_is_exact(dims):
     xi, xj, xk = box.dim(1), box.dim(2), box.dim(3)
     for uv, theta in (((0.3 * xi, 0.6 * xk), 2.0 * np.pi), ((0.0, 0.6 * xk), np.pi), ((xi, xk), 0.5 * np.pi)):
         dens = chords.conditional_length_pdf(box, PairKind.OPPOSING, IDX, uv)
-        raw = GridDensity1D(dens.lo, dens.hi, chords._conditional_values(PairKind.OPPOSING, dens.nodes, *uv, *IDX.dims(box)))
+        raw = GridDensity1D(dens.lo, dens.hi, conditional_values(PairKind.OPPOSING, dens.nodes, *uv, *IDX.dims(box)))
         assert raw.values[0] == pytest.approx(xj * theta / (xi * xk), rel=1e-14)
         assert dens.values[0] == pytest.approx(raw.values[0] / raw.integral(), rel=1e-12)
 
@@ -284,6 +290,10 @@ def test_conditional_support_endpoints(cube):
     dens = chords.conditional_length_pdf(cube, PairKind.ADJACENT, IDX, (0.3, 0.7))
     assert dens.lo == pytest.approx(0.7)  # the elevation is the shortest chord
     assert dens.hi == pytest.approx(np.sqrt(0.7**2 + 0.7**2 + 1.0))
+    # an exit off its face is refused before any evaluation, on either axis and either side
+    for kind, uv in ((PairKind.ADJACENT, (0.5, 1.2)), (PairKind.OPPOSING, (0.5, 1.2)), (PairKind.ADJACENT, (0.5, -0.1)), (PairKind.OPPOSING, (1.5, 0.5)), (PairKind.ADJACENT, (-0.2, 0.5))):
+        with pytest.raises(ValueError, match=r"exit_uv .* off the exit face \(\(0\.0, 1\.0\), \(0\.0, 1\.0\)\)"):
+            chords.conditional_length_pdf(cube, kind, IDX, uv)
 
 
 def test_conditional_exit_probability(slab):

@@ -580,11 +580,12 @@ def test_program_run_exits_4_for_a_corrupt_npz(workdir, tmp_path, damage):
     assert "missing or corrupt artifact" in run.stderr
 
 
-@pytest.mark.parametrize("stage", ["presets", "analytic"])
-def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, capsys, stage):
+@pytest.mark.parametrize("stage", ["presets", "analytic", "compare"])
+def test_out_that_cannot_be_created_is_a_usage_error(workdir, tmp_path, capsys, stage):
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "sub"
-    assert cli.main([stage, "--out", str(out)]) == 2
+    inputs = ["--analytic", str(workdir / "analytic"), "--sample", str(workdir / "sample")] if stage == "compare" else []
+    assert cli.main([stage, *inputs, "--out", str(out)]) == 2
     assert f"--out {out}" in capsys.readouterr().err
 
 

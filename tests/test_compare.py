@@ -54,6 +54,9 @@ def test_incompatible_domains_raise():
     shifted = GridDensity(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), d.values)
     with pytest.raises(IncompatibleGridError):
         compare.compare_joint(h, shifted)
+    edges = np.linspace(1.0, 2.0, 65)
+    with pytest.raises(IncompatibleGridError, match="bin shapes differ"):
+        compare.compare_length(edges, np.ones(63, dtype=np.int64), d.marginal_1d(0))
 
 
 def test_length_comparison():

@@ -138,6 +138,9 @@ def test_trajectory_positional_writes(tmp_path, cube):
     assert parts.read_bytes() == whole.read_bytes()
     with pytest.raises(ValueError, match="past the end"):
         bio.write_trajectories(parts, part, at=900)
+    with pytest.raises(ValueError, match="negative"):
+        bio.write_trajectories(parts, part, at=-1)
+    assert parts.read_bytes() == whole.read_bytes()
 
 
 def test_trajectory_unfilled_spill_rejected(tmp_path, cube):

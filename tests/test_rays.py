@@ -226,6 +226,16 @@ def adjacent_slice_quad(n, a, e, xi, xj, xk):
     return n * piecewise_quad(f, points + [-0.25 * np.pi, 0.0, 0.25 * np.pi], -0.5 * np.pi, 0.5 * np.pi) / (12.0 * xi * xk)
 
 
+def opposing_slices(n, a, b, xi, xj, xk):
+    """`joint_pdf_opposing`'s values: its arc cumulative and constant on `rays._slice`."""
+    return xj / (12.0 * xi * xk) * rays._slice(PairKind.OPPOSING, lambda c, r: rays._opposing_arc(c, r)[0], n, a, b, xi, xj, xk)
+
+
+def adjacent_slices(n, a, e, xi, xj, xk):
+    """`joint_pdf_adjacent`'s values: its arc cumulative and constant on `rays._slice`."""
+    return rays._slice(PairKind.ADJACENT, rays._adjacent_arc, n, a, e, xi, xj, xk) / (12.0 * xi * xk)
+
+
 def assert_close(closed, ref, rel=1e-10):
     closed, ref = np.asarray(closed), np.asarray(ref)
     assert np.all(np.abs(closed - ref) <= rel * np.abs(ref) + 1e-14 * ref.max())
@@ -241,9 +251,9 @@ def test_opposing_slices_match_quad(dims):
         a = np.concatenate([rng.uniform(0.0, xi, 8), [0.0, xi, 0.0, xi]])
         b = np.concatenate([rng.uniform(0.0, xk, 8), [0.3 * xk, 0.0, 0.0, xk]])
         ref = [opposing_slice_quad(*node, xi, xj, xk) for node in zip(n, a, b)]
-        assert_close(rays._opposing_slices(n, a, b, xi, xj, xk), ref)
+        assert_close(opposing_slices(n, a, b, xi, xj, xk), ref)
         # n = X_j: 2 pi inside the face, pi on an edge and pi/2 at a corner, all at weight 1 / X_j^3
-        limit = rays._opposing_slices(xj, np.array([0.5 * xi, 0.0, xi]), np.array([0.5 * xk, 0.5 * xk, xk]), xi, xj, xk)
+        limit = opposing_slices(xj, np.array([0.5 * xi, 0.0, xi]), np.array([0.5 * xk, 0.5 * xk, xk]), xi, xj, xk)
         assert_close(limit, np.array([2.0, 1.0, 0.5]) * np.pi / (12.0 * xi * xj * xk))
 
 
@@ -257,8 +267,8 @@ def test_adjacent_slices_match_quad(dims):
         a = np.concatenate([rng.uniform(0.0, xi, 8), [0.0, xi, 0.0, xi, 0.4 * xi, 0.6 * xi]])
         e = np.concatenate([rng.uniform(0.0, np.minimum(n[:8], xj)), [0.5, 0.5, 0.0, 0.0, 0.0, 0.999] * np.minimum(n[8:], xj)])
         ref = [adjacent_slice_quad(*node, xi, xj, xk) for node in zip(n, a, e)]
-        assert_close(rays._adjacent_slices(n, a, e, xi, xj, xk), ref)
-        assert np.all(rays._adjacent_slices(n[:4], a[:4], n[:4], xi, xj, xk) == 0.0)
+        assert_close(adjacent_slices(n, a, e, xi, xj, xk), ref)
+        assert np.all(adjacent_slices(n[:4], a[:4], n[:4], xi, xj, xk) == 0.0)
 
 
 def overlap_kernel(u, alpha, width):
