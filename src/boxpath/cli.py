@@ -15,17 +15,18 @@ Exit codes: 0 success, 2 usage or configuration error, 3 numerical
 failure, 4 missing or corrupt artifacts.  All outputs are deterministic
 for a fixed configuration, including byte-identical npz/CSV/SVG files.
 
-Run as a program (``python -m boxpath.cli``), the module loads numpy and
-the stage modules only for a subcommand that needs them: ``presets``,
-``--help`` and ``--version`` load neither, and ``sample`` loads only the
-sampler, its geometry and the writers.  Imported as a module, it loads them
-all at once, so every stage module is in ``sys.modules`` afterwards.
+Run as a program (``python -m boxpath.cli``, or ``python -m boxpath`` and
+the ``boxpath`` script, which run this module as ``__main__``), the module
+loads numpy and the stage modules only for a subcommand that needs them:
+``presets``, ``--help`` and ``--version`` load neither, nor ``dataclasses``,
+and ``sample`` loads only the sampler, its geometry and the writers.
+Imported as a module, it loads them all at once, so every stage module is
+in ``sys.modules`` afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -56,23 +57,42 @@ def _load_stages(laws: bool = True) -> None:
 _NODE_KEYS = ("grid_nodes_3d", "grid_nodes_2d", "grid_nodes_1d", "bins_length")  # integer sizes of at least 4
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Tunable knobs shared by the subcommands; JSON-serializable."""
+# Every config key with its default, in the order `to_dict` lists them.
+_DEFAULTS = {
+    "box": (1.0, 1.0, 1.0),
+    "seed": 20260813,
+    "samples": 1_000_000,
+    "direction_model": "cube-components",
+    "workers": 0,  # 0 = use BOXPATH_WORKERS or 1
+    "grid_nodes_3d": 64,
+    "grid_nodes_2d": 129,
+    "grid_nodes_1d": 1025,
+    "bins_joint": (8, 8, 8),
+    "bins_length": 128,
+}
 
-    box: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = 20260813
-    samples: int = 1_000_000
-    direction_model: str = "cube-components"
-    workers: int = 0  # 0 = use BOXPATH_WORKERS or 1
-    grid_nodes_3d: int = 64
-    grid_nodes_2d: int = 129
-    grid_nodes_1d: int = 1025
-    bins_joint: tuple[int, int, int] = (8, 8, 8)
-    bins_length: int = 128
+
+class RunConfig:
+    """Tunable knobs shared by the subcommands; JSON-serializable.
+
+    A plain class over `_DEFAULTS`, not a dataclass: `dataclasses` imports
+    `inspect`, which `presets`, `--help` and `--version` would pay for.
+    """
+
+    def __init__(self, **values) -> None:
+        unknown = set(values).difference(_DEFAULTS)
+        if unknown:
+            raise TypeError(f"RunConfig got unknown keys: {sorted(unknown)}")
+        for key, default in _DEFAULTS.items():
+            setattr(self, key, values.get(key, default))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = {key: getattr(self, key) for key in _DEFAULTS}
         d["box"] = list(self.box)
         d["bins_joint"] = list(self.bins_joint)
         return d
@@ -82,15 +102,13 @@ class RunConfig:
         # Older configs still carry these; no law has read them since the
         # length marginals and exit maps became closed or panel integrals.
         data = {key: value for key, value in data.items() if key not in ("angle_nodes", "slope_nodes")}
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged = cls().to_dict()
-        merged.update(data)
-        cfg = cls(**merged)
+        cfg = cls(**data)
         cfg.validate()
-        return dataclasses.replace(cfg, box=tuple(cfg.box), bins_joint=tuple(cfg.bins_joint))
+        cfg.box, cfg.bins_joint = tuple(cfg.box), tuple(cfg.bins_joint)
+        return cfg
 
     def validate(self) -> None:
         for name, kind, types in (("box", "real numbers", (int, float)), ("bins_joint", "integers", int)):
@@ -192,6 +210,8 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _for_class(pdf: rays.FacePdf, indices: IndexTriple) -> rays.FacePdf:
     """`pdf` computed for another class with the same canonical dims, relabelled to `indices`."""
+    import dataclasses  # `geometry` has loaded it; `presets` does not pay for it
+
     rename = {f"x{old}": f"x{new}" for old, new in zip(pdf.indices.as_tuple, indices.as_tuple)}
     names = tuple(rename.get(name, name) for name in pdf.density.axis_names)
     return dataclasses.replace(pdf, indices=indices, density=dataclasses.replace(pdf.density, axis_names=names))
@@ -625,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--direction-model",
             dest="direction_model",
             metavar="MODEL",
-            help=f"the ray sampler's direction model (default {RunConfig.direction_model}); an unknown one is refused",
+            help=f"the ray sampler's direction model (default {_DEFAULTS['direction_model']}); an unknown one is refused",
         )
 
     p = sub.add_parser("analytic", help="evaluate analytic densities onto grids")

@@ -17,6 +17,8 @@ Axes are numbered 1..3 in the public API.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -54,7 +56,13 @@ class PairKind(Enum):
 
 @dataclass(frozen=True)
 class BoxDims:
-    """Edge lengths of the box, all strictly positive and finite."""
+    """Edge lengths of the box, all strictly positive and finite.
+
+    The laws and samplers square the edges and multiply them into face
+    areas, so each square and each area must be a normal double and the
+    squared diagonal finite: at (1e-200,)*3 every area underflows to 0 and
+    the sampler never finishes, and at (1, 1, 1e200) every length is inf.
+    """
 
     x1: float
     x2: float
@@ -64,6 +72,14 @@ class BoxDims:
         for name, value in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"box dimension {name} must be positive and finite, got {value!r}")
+        x1, x2, x3 = float(self.x1), float(self.x2), float(self.x3)
+        squares = (x1 * x1, x2 * x2, x3 * x3)
+        normal = all(sys.float_info.min <= v < math.inf for v in (*squares, x1 * x2, x1 * x3, x2 * x3))
+        if not (normal and math.isfinite(sum(squares))):
+            raise ValueError(
+                f"box {[x1, x2, x3]} is out of range: each squared edge and face area must be "
+                "a normal double, and the squared diagonal finite"
+            )
 
     @classmethod
     def from_any(cls, dims: "BoxDims | tuple | list | np.ndarray") -> "BoxDims":

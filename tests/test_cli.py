@@ -67,6 +67,40 @@ def test_presets(tmp_path):
     assert cli.main(["analytic", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 4
 
 
+# The sha256 of each preset file as `presets` wrote it while `RunConfig` was a dataclass.
+PRESET_DIGESTS = {
+    "cube.json": "eeee4a96983a544dcc8380bee32afbb32319e656077efecc0264105877605f64",
+    "slab.json": "25189fc4f9bc6202de86d2075f24d149737dc050d3a09eef9c72b13666634937",
+    "rod.json": "b4bfab3e0a82d47351d7da9315bbf08cdda7cb70aa4caa860abff48636f8b8b9",
+}
+
+
+def test_preset_files_are_pinned(tmp_path):
+    assert cli.main(["presets", "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PRESET_DIGESTS} == PRESET_DIGESTS
+
+
+def test_run_config_keeps_its_keys_defaults_and_equality():
+    cfg = cli.RunConfig()
+    assert cfg.to_dict() == {
+        "box": [1.0, 1.0, 1.0],
+        "seed": 20260813,
+        "samples": 1_000_000,
+        "direction_model": "cube-components",
+        "workers": 0,
+        "grid_nodes_3d": 64,
+        "grid_nodes_2d": 129,
+        "grid_nodes_1d": 1025,
+        "bins_joint": [8, 8, 8],
+        "bins_length": 128,
+    }
+    assert cfg == cli.RunConfig.from_dict({}) == cli.RunConfig.from_dict(cfg.to_dict())
+    assert cli.RunConfig.from_dict({"box": [1, 2, 3]}).box == (1, 2, 3)
+    assert cfg != cli.RunConfig(seed=1)
+    with pytest.raises(TypeError, match="grid_nodes_9d"):
+        cli.RunConfig(grid_nodes_9d=4)
+
+
 def test_analytic_outputs(workdir):
     out = workdir / "analytic"
     manifest = json.loads((out / "manifest.json").read_text())
@@ -615,6 +649,22 @@ def test_workers_env_override(cube, monkeypatch):
         cli.RunConfig(workers=-3).validate()
 
 
+@pytest.mark.parametrize("box", [[1e-200, 1e-200, 1e-200], [1, 1, 1e200]], ids=["areas-underflow", "squares-overflow"])
+def test_config_refuses_a_box_the_samplers_cannot_represent(box):
+    # no test runs the sampler on the first box: its face areas underflow to 0 and it never finishes
+    with pytest.raises(ValueError, match="box"):
+        cli.RunConfig.from_dict({"box": box})
+
+
+def test_a_tiny_box_runs_both_stages(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "box": [1e-60, 1e-60, 1e-60], "samples": 6400}))
+    assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "analytic")]) == 0
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "sample")]) == 0
+    with bio.load_npz(tmp_path / "sample" / "sample_lengths.npz") as z:
+        assert [int(z[f"{model}/counts"].sum()) for model in ("rays", "chords")] == [6400, 6400]
+
+
 def test_sample_refuses_negative_workers(tmp_path, capsys):
     out = tmp_path / "sample"
     assert cli.main(["sample", "--samples", "1000", "--workers", "-3", "--out", str(out)]) == 2
@@ -641,6 +691,7 @@ def test_sample_refuses_negative_workers(tmp_path, capsys):
         ("grid_nodes_3d", 3),
         ("bins_joint", [6, 1, 6]),
         ("samples", 0),
+        ("box", [1, 1, 1e200]),
     ],
 )
 def test_config_values_of_the_wrong_type_are_refused_before_writing(tmp_path, capsys, stage, key, value):
@@ -709,9 +760,38 @@ def test_program_run_loads_no_stage_for_presets_help_or_version(tmp_path, argv):
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "boxpath" in imported
     assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "boxpath")) == ["boxpath", "boxpath.errors"]
-    assert "zipfile" not in imported
+    # `dataclasses` imports `inspect` and, through it, `ast`, `dis` and `tokenize`
+    assert not {"zipfile", "dataclasses", "inspect"} & imported
     if argv[0] == "presets":
         assert {p.name for p in (tmp_path / "presets").iterdir()} == {"cube.json", "slab.json", "rod.json"}
+
+
+@pytest.mark.parametrize(
+    "entry, loaded",
+    [
+        (["-m", "boxpath"], ["boxpath", "boxpath.errors"]),
+        # what the `boxpath` script runs
+        (["-c", "import sys; from boxpath.__main__ import main; sys.exit(main())"], ["boxpath", "boxpath.__main__", "boxpath.errors"]),
+    ],
+    ids=["package", "script"],
+)
+def test_package_and_script_runs_load_no_stage_for_presets(tmp_path, entry, loaded):
+    # -S and -X importtime as above; both run `boxpath.cli` as __main__, so they get its lazy load
+    src = str(Path(boxpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = [sys.executable, "-S", "-X", "importtime", *entry, "presets", "--out", "presets"]
+    out = subprocess.run(run, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert sorted(m for m in imported if m.split(".")[0] in ("numpy", "boxpath")) == loaded
+    assert not {"zipfile", "dataclasses", "inspect"} & imported
+    digests = {name: hashlib.sha256((tmp_path / "presets" / name).read_bytes()).hexdigest() for name in PRESET_DIGESTS}
+    assert digests == PRESET_DIGESTS
+
+
+def test_boxpath_script_runs_the_package_entry_point():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().splitlines() == ['boxpath = "boxpath.__main__:main"']
 
 
 def test_program_run_of_sample_loads_only_the_sampler(tmp_path):

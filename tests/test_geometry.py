@@ -166,3 +166,18 @@ def test_box_dims_helpers(skew_box):
         BoxDims(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         BoxDims.from_any((1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1e-200, 1e-200, 1e-200), (1.0, 1.0, 1e200), (1e-160, 1.0, 1.0), (1e154, 1e154, 1e154)],
+    ids=["areas-underflow", "square-overflows", "square-underflows", "diagonal-overflows"],
+)
+def test_box_dims_refuse_what_the_laws_cannot_square(dims):
+    with pytest.raises(ValueError, match="box"):
+        BoxDims.from_any(dims)
+
+
+def test_box_dims_keep_a_tiny_box():
+    box = BoxDims.from_any((1e-60, 1e-60, 1e-60))
+    assert box.diagonal == pytest.approx(np.sqrt(3.0) * 1e-60)
