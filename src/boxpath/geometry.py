@@ -72,12 +72,12 @@ class BoxDims:
         for name, value in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"box dimension {name} must be positive and finite, got {value!r}")
-        x1, x2, x3 = float(self.x1), float(self.x2), float(self.x3)
-        squares = (x1 * x1, x2 * x2, x3 * x3)
-        normal = all(sys.float_info.min <= v < math.inf for v in (*squares, x1 * x2, x1 * x3, x2 * x3))
-        if not (normal and math.isfinite(sum(squares))):
+        dims = [float(self.x1), float(self.x2), float(self.x3)]
+        squares = [x * x for x in dims]
+        # A face area lies between two of the squares, so it is normal when they are.
+        if not (all(sys.float_info.min <= v < math.inf for v in squares) and math.isfinite(sum(squares))):
             raise ValueError(
-                f"box {[x1, x2, x3]} is out of range: each squared edge and face area must be "
+                f"box {dims} is out of range: each squared edge, and so each face area, must be "
                 "a normal double, and the squared diagonal finite"
             )
 

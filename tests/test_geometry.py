@@ -176,8 +176,3 @@ def test_box_dims_helpers(skew_box):
 def test_box_dims_refuse_what_the_laws_cannot_square(dims):
     with pytest.raises(ValueError, match="box"):
         BoxDims.from_any(dims)
-
-
-def test_box_dims_keep_a_tiny_box():
-    box = BoxDims.from_any((1e-60, 1e-60, 1e-60))
-    assert box.diagonal == pytest.approx(np.sqrt(3.0) * 1e-60)
