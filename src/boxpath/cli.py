@@ -63,7 +63,7 @@ _DEFAULTS = {
     "seed": 20260813,
     "samples": 1_000_000,
     "direction_model": "cube-components",
-    "workers": 0,  # 0 = use BOXPATH_WORKERS or 1
+    "workers": 0,  # 0 = one thread
     "grid_nodes_3d": 64,
     "grid_nodes_2d": 129,
     "grid_nodes_1d": 1025,
@@ -129,7 +129,7 @@ class RunConfig:
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if self.workers < 0:
-            raise ValueError("workers must be 0 (BOXPATH_WORKERS or 1) or positive")
+            raise ValueError("workers must be 0 (one thread) or positive")
         if self.direction_model not in montecarlo.DIRECTION_MODELS:
             raise ValueError(f"direction_model must be one of {montecarlo.DIRECTION_MODELS}")
         for name in _NODE_KEYS:
@@ -143,19 +143,7 @@ class RunConfig:
         return BoxDims.from_any(self.box)
 
     def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("BOXPATH_WORKERS", "")
-        if env.strip():
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ValueError(f"BOXPATH_WORKERS must be an integer, got {env!r}") from exc
-            if value < 0:
-                raise ValueError(f"BOXPATH_WORKERS must not be negative, got {value}")
-            if value > 0:
-                return value
-        return 1
+        return self.workers or 1
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

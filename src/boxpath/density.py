@@ -189,14 +189,6 @@ class GridDensity:
         w = _hat_bin_weights(self.nodes(axis), np.array([lo, hi]))[:, 0]
         return self._without(axis, np.tensordot(self.values, w, axes=([axis], [0])))
 
-    def marginal_1d(self, axis: int) -> GridDensity1D:
-        """Integrate out every other axis, the highest first."""
-        out = self
-        for other in reversed(range(self.values.ndim)):
-            if other != axis:
-                out = out.integrate_out(other)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Discrete convolution with trapezoid end-correction.

@@ -38,7 +38,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .geometry import ALL_FACES, FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, canonical_classes, joint_frame
+from .geometry import ALL_FACES, FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, canonical_classes, entry_probability, joint_frame
 
 __all__ = [
     "DIRECTION_MODELS",
@@ -84,10 +84,6 @@ class TrajectoryBatch:
         return self.entry_code.size
 
 
-def _face_probabilities(box: BoxDims) -> np.ndarray:
-    return np.array([f.area(box) for f in ALL_FACES]) / box.surface_area
-
-
 def _uniform(rng: np.random.Generator, count: int, signed: bool = False, axes: int = 0) -> np.ndarray:
     """Doubles from one raw draw: bitwise `rng.random(count)`, or `rng.uniform(-1.0, 1.0, count)` if `signed`.
 
@@ -122,14 +118,9 @@ def _face_codes(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return (cum[:-1, None] <= u).sum(axis=0, dtype=np.uint8)
 
 
-def _draw_face_codes(rng: np.random.Generator, count: int, cum: np.ndarray) -> np.ndarray:
-    """`count` face codes drawn by area."""
-    return _face_codes(_uniform(rng, count), cum)
-
-
 def _entry_points(rng: np.random.Generator, count: int, cum: np.ndarray, entry_code: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Entry face codes, all `entry_code` or drawn by area from `cum`, and a `_surface_points` point on each."""
-    codes = np.full(count, entry_code, dtype=np.uint8) if entry_code is not None else _draw_face_codes(rng, count, cum)
+    """Path ends: face codes, all `entry_code` or drawn by area from `cum`, and a `_surface_points` point on each."""
+    codes = np.full(count, entry_code, dtype=np.uint8) if entry_code is not None else _face_codes(_uniform(rng, count), cum)
     return codes, _surface_points(rng, codes)
 
 
@@ -213,7 +204,7 @@ def _ray_rows(
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
-    codes, p0 = _entry_points(rng, count, np.cumsum(_face_probabilities(box)), entry_code)
+    codes, p0 = _entry_points(rng, count, np.cumsum([entry_probability(box, f) for f in ALL_FACES]), entry_code)
     p0 = p0.T
     d, draws = _draw_directions(rng, count, model)
     at = _face_axis_index(codes)
@@ -295,19 +286,16 @@ def _chord_rows(
     entry_code: int | None,
 ) -> tuple[tuple[np.ndarray, ...], dict]:
     x = box.as_array()
-    cum = np.cumsum(_face_probabilities(box))
+    cum = np.cumsum([entry_probability(box, f) for f in ALL_FACES])
     e_code, p0 = _entry_points(rng, count, cum, entry_code)
-    x_code = _draw_face_codes(rng, count, cum)
-    p1 = _surface_points(rng, x_code)
+    x_code, p1 = _entry_points(rng, count, cum, None)
     attempts, collisions = count, 0
     bad = np.flatnonzero(e_code == x_code)
     while bad.size:
         attempts += bad.size
         collisions += bad.size
-        codes = _draw_face_codes(rng, bad.size, cum)
-        x_code[bad] = codes
-        p1[bad] = _surface_points(rng, codes)
-        bad = bad[e_code[bad] == codes]
+        x_code[bad], p1[bad] = _entry_points(rng, bad.size, cum, None)
+        bad = bad[e_code[bad] == x_code[bad]]
     p0, p1 = p0.T, p1.T
     for a in range(3):
         p0[a] *= x[a]
@@ -474,17 +462,6 @@ class JointHistogram:
     def in_range(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def overflow(self) -> int:
-        return self.total - self.in_range
-
-    def probabilities(self) -> np.ndarray:
-        """Bin probabilities over in-range samples."""
-        n = self.in_range
-        if n == 0:
-            raise ValueError("histogram is empty")
-        return self.counts / n
-
 
 def class_bin_edges(
     box: BoxDims, cls_kind: PairKind, indices, n_bins: int, u_bins: int, v_bins: int
@@ -516,7 +493,7 @@ class JointBinning:
 
     def __init__(self, box: BoxDims, n_bins: int, u_bins: int, v_bins: int):
         self.box = BoxDims.from_any(box)
-        self.shape = (int(n_bins), int(u_bins), int(v_bins))
+        self.shape = tuple(_bin_count(name, b) for name, b in zip(("n_bins", "u_bins", "v_bins"), (n_bins, u_bins, v_bins)))
         self.classes = canonical_classes()
         self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
         self.count_shape = (len(self.classes) + 1, *(b + 2 for b in self.shape))  # of `count`'s counts
@@ -612,6 +589,13 @@ class JointBinning:
         }
 
 
+def _bin_count(name: str, value) -> int:
+    """`value` as a bin count: an integer of at least 1, not a bool, checked before any edge is built."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _pair_codes(entry_code: np.ndarray, exit_code: np.ndarray) -> np.ndarray:
     """7 * min(entry, 6) + min(exit, 6) for each row: 0..48, uint8."""
     code = np.minimum(entry_code, 6)
@@ -696,7 +680,7 @@ class LengthBinning:
     """
 
     def __init__(self, bins: int, lo: float, hi: float):
-        self.bins = int(bins)
+        self.bins = _bin_count("bins", bins)
         self.edges = np.histogram_bin_edges(np.empty(0), self.bins, range=(lo, hi))
         lo, hi = self.edges[0], self.edges[-1]
         scale = self.bins / (hi - lo)

@@ -257,7 +257,7 @@ def _sec3(t):
 
 
 def _opposing_arc(xj, r):
-    """The folded cumulative weight C(t) of `joint_pdf_opposing` on [0, pi/2] at radius r, and Q = C(pi/2)."""
+    """The folded cumulative weight C(t) of `joint_pdf_opposing` on [0, pi/2] at radius r."""
     star = np.minimum(0.25 * np.pi, _acos_ratio(xj, r))
     r3 = np.where(r > 0.0, r, 1.0) ** 3
 
@@ -270,7 +270,7 @@ def _opposing_arc(xj, r):
         folded = rising(np.minimum(t, 0.5 * np.pi - t))
         return np.where(t <= 0.25 * np.pi, folded, quarter - folded)
 
-    return cumulative, quarter
+    return cumulative
 
 
 def _adjacent_arc(e, rho):
@@ -329,7 +329,7 @@ def joint_pdf_opposing(
     """
     box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
-    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), lambda c, r: _opposing_arc(c, r)[0], xj / (12.0 * xi * xk))
+    return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), _opposing_arc, xj / (12.0 * xi * xk))
 
 
 def joint_pdf_adjacent(

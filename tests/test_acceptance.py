@@ -143,7 +143,7 @@ def test_gate_3_jacobians():
             redrawn += 1
             continue
         points += 1
-        cumulative, _ = rays._opposing_arc(xj, r)
+        cumulative = rays._opposing_arc(xj, r)
         worst["opposing"] = max(worst["opposing"], gap(slope(cumulative, t), 1.0 / max(xj, r * np.cos(t), r * np.sin(t)) ** 3))
         adjacent = rays._adjacent_arc(e, rho)
         weight = rho * np.cos(t) / max(e, rho * np.sin(t), rho * np.cos(t)) ** 3
@@ -308,8 +308,8 @@ def test_gate_7a_band_map_annulus():
 def test_gate_7b_mode_elevation_contrast():
     """Ray exits hug the shared edge; chord exits peak much higher."""
     cube = BOXES["cube"]
-    e_rays = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.marginal_1d(2)
-    e_chords = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.marginal_1d(2)
+    e_rays = rays.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.integrate_out(1).integrate_out(0)
+    e_chords = chords.joint_pdf_adjacent(cube, IDX, 64, 64, 64).density.integrate_out(1).integrate_out(0)
     mode_rays = float(e_rays.nodes[np.argmax(e_rays.values)])
     mode_chords = float(e_chords.nodes[np.argmax(e_chords.values)])
     ok = mode_rays < mode_chords

@@ -620,19 +620,11 @@ def test_numerical_failure_exit_code(workdir):
     assert code == 3
 
 
-def test_workers_env_override(cube, monkeypatch):
+def test_workers_env_is_ignored(monkeypatch):
+    # `workers` (or --workers) is the only thread setting; 0 runs one thread
     monkeypatch.setenv("BOXPATH_WORKERS", "3")
-    assert cli.RunConfig().resolved_workers() == 3
-    monkeypatch.setenv("BOXPATH_WORKERS", "zebra")
-    with pytest.raises(ValueError):
-        cli.RunConfig().resolved_workers()
-    monkeypatch.setenv("BOXPATH_WORKERS", "-2")
-    with pytest.raises(ValueError, match="negative"):
-        cli.RunConfig().resolved_workers()
-    monkeypatch.setenv("BOXPATH_WORKERS", "0")
     assert cli.RunConfig().resolved_workers() == 1
-    monkeypatch.delenv("BOXPATH_WORKERS")
-    assert cli.RunConfig().resolved_workers() == 1
+    assert cli.RunConfig(workers=0).resolved_workers() == 1
     assert cli.RunConfig(workers=2).resolved_workers() == 2
     with pytest.raises(ValueError, match="workers"):
         cli.RunConfig(workers=-3).validate()

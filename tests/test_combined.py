@@ -190,7 +190,7 @@ def test_location_length_pdf_consistent(skew_box):
     mix = sum(
         entry_probability(skew_box, pair.entry_face)
         * joints[pair.label].mass
-        * joints[pair.label].density.marginal_1d(0).project(law.nodes)
+        * joints[pair.label].density.integrate_out(2).integrate_out(1).project(law.nodes)
         for pair in FACE_PAIRS
         if pair.exit_face == face
     )

@@ -56,12 +56,12 @@ def test_incompatible_domains_raise():
         compare.compare_joint(h, shifted)
     edges = np.linspace(1.0, 2.0, 65)
     with pytest.raises(IncompatibleGridError, match="bin shapes differ"):
-        compare.compare_length(edges, np.ones(63, dtype=np.int64), d.marginal_1d(0))
+        compare.compare_length(edges, np.ones(63, dtype=np.int64), d.integrate_out(2).integrate_out(1))
 
 
 def test_length_comparison():
     d = make_density()
-    marg = d.marginal_1d(0)
+    marg = d.integrate_out(2).integrate_out(1)
     edges = np.linspace(1.0, 2.0, 65)
     rng = np.random.default_rng(4)
     from boxpath.density import bin_masses_1d
@@ -80,7 +80,7 @@ def test_empty_cell_raises():
     with pytest.raises(EmptyCellError):
         compare.compare_joint(empty, d)
     with pytest.raises(EmptyCellError):
-        compare.compare_length(h.n_edges, np.zeros(h.n_edges.size - 1), d.marginal_1d(0))
+        compare.compare_length(h.n_edges, np.zeros(h.n_edges.size - 1), d.integrate_out(2).integrate_out(1))
 
 
 def test_report_round_trips_json():

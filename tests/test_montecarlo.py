@@ -1,6 +1,7 @@
 """Samplers: determinism, distributional invariants, and throughput."""
 
 import hashlib
+import re
 import time
 import warnings
 from functools import partial
@@ -361,7 +362,7 @@ def test_face_codes_end_at_the_last_face(box_name, request):
     On the cube and the slab the cumulative face probabilities end just below 1.
     """
     box = request.getfixturevalue(box_name)
-    cum = np.cumsum(montecarlo._face_probabilities(box))
+    cum = np.cumsum([entry_probability(box, f) for f in ALL_FACES])
     u = np.concatenate([cum, np.nextafter(cum, -1.0), [0.0, np.nextafter(1.0, 0.0)]])
     codes = montecarlo._face_codes(u, cum)
     assert codes.size == u.size
@@ -417,9 +418,8 @@ def test_canonical_histograms_partition_samples(rays_batch_cube):
     assert sum(h.total for h in hists.values()) == len(rays_batch_cube)
     h = hists["opposing-entry2"]
     assert h.counts.shape == (8, 8, 8)
-    assert h.in_range + h.overflow == h.total
-    assert h.overflow <= 1e-3 * h.total
-    probs = h.probabilities()
+    assert h.total - h.in_range <= 1e-3 * h.total
+    probs = h.counts / h.in_range
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -555,6 +555,18 @@ def test_length_histogram_axis_filter(rays_batch_cube):
 def test_length_histogram_rejects_other_axes(rays_batch_cube, axis):
     with pytest.raises(ValueError, match="entry_axis"):
         length_histogram(rays_batch_cube, 32, entry_axis=axis)
+
+
+@pytest.mark.parametrize("bins", [0, -1, 2.5, True, False], ids=repr)
+def test_bin_counts_must_be_positive_integers(rays_batch_cube, bins):
+    """Both binnings refuse a bin count that is not an integer of at least 1, naming it, before binning."""
+    for axis, name in enumerate(("n_bins", "u_bins", "v_bins")):
+        shape = [8, 8, 8]
+        shape[axis] = bins
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer of at least 1, got {bins!r}")):
+            canonical_histograms(rays_batch_cube, *shape)
+    with pytest.raises(ValueError, match=re.escape(f"bins must be an integer of at least 1, got {bins!r}")):
+        length_histogram(rays_batch_cube, bins)
 
 
 @pytest.mark.parametrize("lo", [0.0, 0.25])

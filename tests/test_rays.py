@@ -88,9 +88,9 @@ def test_joint_location_marginal_matches_exit_pdf(cube, cube_joints):
 def test_joint_length_marginal_matches_dedicated(cube, cube_joints):
     jo, ja = cube_joints
     lm = rays.length_marginal_opposing(cube, IDX, 513).normalized()
-    assert line_l1(lm, jo.density.marginal_1d(0), 1.0, np.sqrt(3.0)) <= 0.01
+    assert line_l1(lm, jo.density.integrate_out(2).integrate_out(1), 1.0, np.sqrt(3.0)) <= 0.01
     lma = rays.length_marginal_adjacent(cube, IDX, 513, 512, 256).normalized()
-    assert line_l1(lma, ja.density.marginal_1d(0), 0.0, np.sqrt(3.0)) <= 0.03
+    assert line_l1(lma, ja.density.integrate_out(2).integrate_out(1), 0.0, np.sqrt(3.0)) <= 0.03
 
 
 def test_adjacent_marginal_zero_length_limit(skew_box):
@@ -228,7 +228,7 @@ def adjacent_slice_quad(n, a, e, xi, xj, xk):
 
 def opposing_slices(n, a, b, xi, xj, xk):
     """`joint_pdf_opposing`'s values: its arc cumulative and constant on `rays._slice`."""
-    return xj / (12.0 * xi * xk) * rays._slice(PairKind.OPPOSING, lambda c, r: rays._opposing_arc(c, r)[0], n, a, b, xi, xj, xk)
+    return xj / (12.0 * xi * xk) * rays._slice(PairKind.OPPOSING, rays._opposing_arc, n, a, b, xi, xj, xk)
 
 
 def adjacent_slices(n, a, e, xi, xj, xk):
