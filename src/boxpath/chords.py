@@ -60,7 +60,6 @@ def conditional_exit_probability(box: BoxDims, entry: FaceId, exit: FaceId) -> f
     """
     if entry == exit:
         raise ValueError("entry and exit faces coincide")
-    box = BoxDims.from_any(box)
     return entry_probability(box, exit) / (1.0 - entry_probability(box, entry))
 
 
@@ -80,7 +79,6 @@ def conditional_length_pdf(
     `rays._slice` of the angle over the entry face's area.  An exit off
     its face (boundary included) is a ValueError.
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     u, v = float(exit_uv[0]), float(exit_uv[1])
     extents = joint_frame(box, kind, indices)[0][1:]
@@ -109,7 +107,6 @@ def joint_pdf_opposing(
     (1 / area) times the conditional length law at each location.  Its
     mass is the exact `conditional_exit_probability`.
     """
-    box = BoxDims.from_any(box)
     xi, _, xk = indices.dims(box)
     mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.j, 1))
     return _joint(box, PairKind.OPPOSING, indices, (n_nodes, u_nodes, v_nodes), lambda c, r: _angle, 1.0 / (xi * xk * xi * xk), mass)
@@ -123,7 +120,6 @@ def joint_pdf_adjacent(
     v_nodes: int = 64,
 ) -> FacePdf:
     """Joint (length, exit-location) density for an adjacent face pair; as `joint_pdf_opposing`."""
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     mass = conditional_exit_probability(box, FaceId(indices.j, 0), FaceId(indices.k, 0))
     return _joint(box, PairKind.ADJACENT, indices, (n_nodes, u_nodes, v_nodes), lambda c, r: _angle, 1.0 / (xi * xk * xi * xj), mass)
@@ -179,7 +175,6 @@ def pair_length_pdf(
     gap X_j for an opposing pair, whose n = X_j node is the first cell's
     hat average (`rays._jump_law`), and at 0 for an adjacent one.
     """
-    box = BoxDims.from_any(box)
     lo, hi = joint_frame(box, kind, indices)[0][0]
     if kind is PairKind.OPPOSING:
         law = _jump_law(lambda n: _pair_values(box, kind, indices, n), lo, hi, n_nodes, _PANEL_NODES)

@@ -119,7 +119,7 @@ class RunConfig:
                 and all(isinstance(v, types) and not isinstance(v, bool) for v in value)
             ):
                 raise ValueError(f"{name} must be a list of 3 {kind}, got {value!r}")
-        BoxDims.from_any(self.box)
+        BoxDims(*self.box)
         for name in ("seed", "samples", "workers", *_NODE_KEYS):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -140,7 +140,7 @@ class RunConfig:
 
     @property
     def box_dims(self) -> BoxDims:
-        return BoxDims.from_any(self.box)
+        return BoxDims(*self.box)
 
     def resolved_workers(self) -> int:
         return self.workers or 1
@@ -582,7 +582,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         sample_manifest = _read_manifest(sample_dir)
         _check_same_run(manifest, sample_manifest)
         sample_files = {name: sample_dir / name for name in sample_manifest["outputs"]}
-    box = BoxDims.from_any(manifest["config"]["box"])
+    box = BoxDims(*manifest["config"]["box"])
     # A cell square off its face would fail the location figure after other figures were written.
     extents = [box.dim(axis) for axis in exit_face.plane_axes]
     # By default the cell is centred on its face, 5 % of the face's shorter side in half width.

@@ -152,7 +152,6 @@ def class_law_table(
     """
     if model not in ("rays", "chords"):
         raise ValueError(f"unknown model {model!r}; use 'rays' or 'chords'")
-    box = BoxDims.from_any(box)
     laws: dict[tuple, GridDensity1D] = {}
     for cls in canonical_classes() if classes is None else classes:
         key = cls.law_key(box)
@@ -225,7 +224,6 @@ def location_length_pdf(
     renormalized on 513 nodes.  Raises NumericalError when the cell holds
     no mass.
     """
-    box = BoxDims.from_any(box)
     grid = np.linspace(0.0, box.diagonal, 513)
     acc = np.zeros_like(grid)
     for pair in FACE_PAIRS:

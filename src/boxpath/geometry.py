@@ -69,10 +69,15 @@ class BoxDims:
     x3: float
 
     def __post_init__(self) -> None:
-        for name, value in (("x1", self.x1), ("x2", self.x2), ("x3", self.x3)):
-            if not (np.isfinite(value) and value > 0):
+        # Each edge is stored as a Python float: an int or numpy edge gives the same box, hash and bytes.
+        try:
+            dims = [float(self.x1), float(self.x2), float(self.x3)]
+        except OverflowError as exc:
+            raise ValueError(f"box dimension out of range: {exc}") from None
+        for name, value in zip(("x1", "x2", "x3"), dims):
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"box dimension {name} must be positive and finite, got {value!r}")
-        dims = [float(self.x1), float(self.x2), float(self.x3)]
+            object.__setattr__(self, name, value)
         squares = [x * x for x in dims]
         # A face area lies between two of the squares, so it is normal when they are.
         if not (all(sys.float_info.min <= v < math.inf for v in squares) and math.isfinite(sum(squares))):
@@ -80,15 +85,6 @@ class BoxDims:
                 f"box {dims} is out of range: each squared edge, and so each face area, must be "
                 "a normal double, and the squared diagonal finite"
             )
-
-    @classmethod
-    def from_any(cls, dims: "BoxDims | tuple | list | np.ndarray") -> "BoxDims":
-        if isinstance(dims, BoxDims):
-            return dims
-        arr = [float(v) for v in dims]
-        if len(arr) != 3:
-            raise ValueError(f"expected 3 box dimensions, got {len(arr)}")
-        return cls(*arr)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
@@ -156,7 +152,6 @@ def entry_probability(box: BoxDims, face: FaceId) -> float:
     Proportional to face area: X_p X_q / (2 (X1 X2 + X1 X3 + X2 X3)).
     The six values sum to one.
     """
-    box = BoxDims.from_any(box)
     return face.area(box) / box.surface_area
 
 
@@ -239,7 +234,6 @@ class FacePairClass:
         for opposing pairs and (x_i, x_j) on the plane x_k = 0 for adjacent
         pairs.
         """
-        box = BoxDims.from_any(box)
         ab = np.atleast_2d(np.asarray(ab, dtype=float))
         out = np.empty((ab.shape[0], 2))
         for c, (axis, col, mirror) in enumerate(self.exit_frame):

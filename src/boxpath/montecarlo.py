@@ -144,22 +144,21 @@ def _face_axis_index(codes: np.ndarray) -> np.ndarray:
 
 
 def _draw_directions(rng: np.random.Generator, count: int, model: str) -> tuple[np.ndarray, int]:
-    """`count` directions, one row each and stored axis by axis, and the number of proposals drawn for them."""
+    """`count` directions, one row each and stored axis by axis, and the number of proposals drawn for them.
+    `model` is one of `DIRECTION_MODELS`: `sample_rays` refuses any other."""
     if model == "cube-components":
         return _uniform(rng, count, signed=True, axes=3), count
-    if model == "ball-rejection":
-        out = np.empty((3, count)).T
-        filled = draws = 0
-        while filled < count:
-            draw = _uniform(rng, count - filled, signed=True, axes=3)
-            draws += count - filled
-            r2 = _squared_norm(draw.T.copy())
-            keep = (r2 <= 1.0) & (r2 > 0.0)
-            k = int(keep.sum())
-            out[filled : filled + k] = draw[keep]
-            filled += k
-        return out, draws
-    raise ValueError(f"unknown direction model {model!r}; choose from {DIRECTION_MODELS}")
+    out = np.empty((3, count)).T  # ball-rejection
+    filled = draws = 0
+    while filled < count:
+        draw = _uniform(rng, count - filled, signed=True, axes=3)
+        draws += count - filled
+        r2 = _squared_norm(draw.T.copy())
+        keep = (r2 <= 1.0) & (r2 > 0.0)
+        k = int(keep.sum())
+        out[filled : filled + k] = draw[keep]
+        filled += k
+    return out, draws
 
 
 def _squared_norm(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -410,7 +409,6 @@ def sample_rays(
     only that stream's rows of the `count`-path run are drawn, and
     `workers` is unused.
     """
-    box = BoxDims.from_any(box)
     if model not in DIRECTION_MODELS:
         raise ValueError(f"unknown direction model {model!r}; choose from {DIRECTION_MODELS}")
     code = entry_face.code if entry_face else None
@@ -436,7 +434,6 @@ def sample_chords(
     all faces have equal area.  With `entry_face` set, the entry point is
     pinned to that face.  `stream` is as in `sample_rays`.
     """
-    box = BoxDims.from_any(box)
     code = entry_face.code if entry_face else None
     meta = {"sampler": "chords", "seed": int(seed), "streams": STREAM_COUNT, "entry_face": code}
     return _sample(box, count, seed, workers, stream, lambda rng, m: _chord_rows(box, m, rng, code), meta)
@@ -464,10 +461,10 @@ class JointHistogram:
 
 
 def class_bin_edges(
-    box: BoxDims, cls_kind: PairKind, indices, n_bins: int, u_bins: int, v_bins: int
+    box: BoxDims, cls_kind: PairKind, indices: IndexTriple, n_bins: int, u_bins: int, v_bins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Histogram edges over a class's canonical frame (`geometry.joint_frame`)."""
-    domain, _ = joint_frame(BoxDims.from_any(box), cls_kind, IndexTriple(*indices))
+    domain, _ = joint_frame(box, cls_kind, indices)
     return tuple(np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(domain, (n_bins, u_bins, v_bins)))  # type: ignore[return-value]
 
 
@@ -492,10 +489,10 @@ class JointBinning:
     _CHUNK = 1 << 18  # rows binned per pass, which bounds the temporaries
 
     def __init__(self, box: BoxDims, n_bins: int, u_bins: int, v_bins: int):
-        self.box = BoxDims.from_any(box)
+        self.box = box
         self.shape = tuple(_bin_count(name, b) for name, b in zip(("n_bins", "u_bins", "v_bins"), (n_bins, u_bins, v_bins)))
         self.classes = canonical_classes()
-        self.edges = [class_bin_edges(self.box, c.kind, c.indices.as_tuple, *self.shape) for c in self.classes]
+        self.edges = [class_bin_edges(self.box, c.kind, c.indices, *self.shape) for c in self.classes]
         self.count_shape = (len(self.classes) + 1, *(b + 2 for b in self.shape))  # of `count`'s counts
         self._top = np.array(self.shape) + 1  # each axis's last bin above the range
         slot = {c.label: s for s, c in enumerate(self.classes)}

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GridDensity, GridDensity1D
+from .density import GridDensity, GridDensity1D, _unit_mass
 from .geometry import BoxDims, IndexTriple, PairKind, joint_frame
 
 __all__ = [
@@ -149,10 +149,12 @@ def _on_nodes(values, n_grid: np.ndarray, shape: tuple[int, ...] = ()) -> np.nda
 
 def _face_pdf(box: BoxDims, kind: PairKind, indices: IndexTriple, vals: np.ndarray, mass: float | None = None) -> FacePdf:
     """The FacePdf of grid values on the last `vals.ndim` axes of the class's `joint_frame`,
-    normalized; its mass is the grid integral unless one is given."""
+    normalized by their one grid integral; its mass is that integral unless one is given."""
     domain, names = joint_frame(box, kind, indices)
     dens = GridDensity(domain[-vals.ndim :], vals, names[-vals.ndim :])
-    return FacePdf(kind, indices, dens.normalized(), dens.integral() if mass is None else mass)
+    integral = dens.integral()
+    unit = GridDensity(dens.domain, _unit_mass(dens.values, integral), dens.axis_names)
+    return FacePdf(kind, indices, unit, integral if mass is None else mass)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,6 @@ def exit_pdf_opposing(
     with lo <= hi the kinks min(1, 1/p) and min(1, 1/q).  The
     face-restricted integral is the face-exit probability.
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     a = np.linspace(0.0, xi, a_nodes)[:, None]
     b = np.linspace(0.0, xk, b_nodes)[None, :]
@@ -226,7 +227,6 @@ def exit_pdf_adjacent(
     values at `_EDGE_SUBNODES` midpoints), so grid integration conserves
     mass.
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     a = np.linspace(0.0, xi, a_nodes)[:, None]
     e = np.linspace(0.0, xj, e_nodes)
@@ -327,7 +327,6 @@ def joint_pdf_opposing(
     the four corners of `_arc_weight`.  At n = X_j the arcs take their
     r -> 0 limit: 2 pi inside the face, pi on an edge and pi/2 at a corner.
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     return _joint(box, PairKind.OPPOSING, indices, (n_nodes, a_nodes, b_nodes), _opposing_arc, xj / (12.0 * xi * xk))
 
@@ -356,7 +355,6 @@ def joint_pdf_adjacent(
     circle only the far side x_k = X_k cuts across.  The slab e >= n is
     zero, and so is the n = 0 slab, where f(n, a, 0) grows like 1 / n.
     """
-    box = BoxDims.from_any(box)
     xi, _, xk = indices.dims(box)
     return _joint(box, PairKind.ADJACENT, indices, (n_nodes, a_nodes, e_nodes), _adjacent_arc, 1.0 / (12.0 * xi * xk))
 
@@ -409,7 +407,6 @@ def length_marginal_opposing(
     the largest of the three terms changes (pi/4 is a kink only once t* = pi/4).
     The n = X_j node is the first cell's hat average (`_jump_law`).
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     return _jump_law(lambda n: _opposing_values(n, xi, xj, xk), xj, box.diagonal, n_nodes, _MARGINAL_NODES)
 
@@ -459,7 +456,6 @@ def length_marginal_adjacent(
     C0 / (12 X_k), C0 about 3.0936.  `angle_nodes` and `elevation_nodes`
     are unused, kept so that existing calls and argument readers work.
     """
-    box = BoxDims.from_any(box)
     xi, xj, xk = indices.dims(box)
     vals = _on_nodes(lambda n: _adjacent_values(n, xi, xj, xk), np.linspace(0.0, box.diagonal, n_nodes))
     vals[0] = _adjacent_values(np.ones(1), np.inf, np.inf, np.inf)[0]

@@ -236,7 +236,7 @@ SAMPLE_FILES = ("sample_rays_hists.npz", "sample_chords_hists.npz", "sample_leng
 def whole_batch_sample(cfg: dict, out: Path) -> dict:
     """The `sample` stage's files, built from whole batches with per-pair
     `histogramdd` and `np.histogram`; returns the manifest's stats."""
-    box = BoxDims.from_any(cfg["box"])
+    box = BoxDims(*cfg["box"])
     nb, ub, vb = cfg["bins_joint"]
     n, seed, bins = cfg["samples"], cfg["seed"], cfg["bins_length"]
     batches = {"rays": sample_rays(box, n, seed, "cube-components", 1), "chords": sample_chords(box, n, seed + 1, 1)}
@@ -244,7 +244,7 @@ def whole_batch_sample(cfg: dict, out: Path) -> dict:
     for name, batch in batches.items():
         hists = {}
         for cls in canonical_classes():
-            edges = class_bin_edges(box, cls.kind, cls.indices.as_tuple, nb, ub, vb)
+            edges = class_bin_edges(box, cls.kind, cls.indices, nb, ub, vb)
             hists[cls.label] = JointHistogram(cls.kind, cls.indices.as_tuple, *edges, np.zeros((nb, ub, vb), np.uint64), 0)
         for pair in FACE_PAIRS:
             rows = (batch.entry_code == pair.entry_face.code) & (batch.exit_code == pair.exit_face.code)
@@ -541,7 +541,7 @@ def test_figure_tables_carry_the_artifacts_numbers(workdir, tmp_path):
         for model, col in zip(("rays", "chords"), cols[1:]):
             law, _ = bio.load_density(analytic / f"{stem.format(model)}.npz")
             assert np.array_equal(cols[0], law.nodes) and np.array_equal(col, law.values)
-    diag = BoxDims.from_any(TINY["box"]).diagonal
+    diag = BoxDims(*TINY["box"]).diagonal
     sheets = {}
     for label in ("opposing-entry2", "adjacent-entry2-exit1"):
         joint, _ = bio.load_density(analytic / f"chords_joint_{label}.npz")
@@ -673,6 +673,8 @@ def test_sample_refuses_negative_workers(tmp_path, capsys):
         ("bins_joint", [6, 1, 6]),
         ("samples", 0),
         ("box", [1, 1, 1e200]),
+        ("box", [1, 1, 10**400]),
+        ("box", [1.0, 2.0]),
     ],
 )
 def test_config_values_of_the_wrong_type_are_refused_before_writing(tmp_path, capsys, stage, key, value):

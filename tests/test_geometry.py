@@ -134,7 +134,7 @@ def test_class_frame_on_a_box_of_three_different_edges(skew_box, cls):
         assert (joint.domain, joint.axis_names) == (domain, names)
     exit_map = getattr(rays, f"exit_pdf_{kind}")(skew_box, cls.indices, 4, 4).density
     assert (exit_map.domain, exit_map.axis_names) == (domain[1:], names[1:])
-    edges = class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, 3, 3, 3)
+    edges = class_bin_edges(skew_box, cls.kind, cls.indices, 3, 3, 3)
     assert tuple((e[0], e[-1]) for e in edges) == domain
 
 
@@ -164,8 +164,13 @@ def test_box_dims_helpers(skew_box):
     assert FaceId(2, Side.LOW).area(skew_box) == pytest.approx(1.3 * 1.1)
     with pytest.raises(ValueError):
         BoxDims(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        BoxDims.from_any((1.0, 2.0))
+
+
+def test_box_dims_store_python_floats():
+    for box in (BoxDims(1, 1, 1), BoxDims(*np.ones(3))):
+        assert all(type(x) is float for x in (box.x1, box.x2, box.x3))
+        assert box == BoxDims(1.0, 1.0, 1.0)
+        assert hash(box) == hash(BoxDims(1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -175,4 +180,4 @@ def test_box_dims_helpers(skew_box):
 )
 def test_box_dims_refuse_what_the_laws_cannot_square(dims):
     with pytest.raises(ValueError, match="box"):
-        BoxDims.from_any(dims)
+        BoxDims(*dims)

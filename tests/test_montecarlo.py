@@ -427,7 +427,7 @@ def per_pair_reference(box, batch, bins):
     """Every ordered pair binned on its own by histogramdd, through classify_pair."""
     ref = {}
     for cls in canonical_classes():
-        edges = class_bin_edges(box, cls.kind, cls.indices.as_tuple, *bins)
+        edges = class_bin_edges(box, cls.kind, cls.indices, *bins)
         ref[cls.label] = [edges, np.zeros(bins), 0]
     for entry in ALL_FACES:
         for exit in ALL_FACES:
@@ -482,7 +482,7 @@ def test_canonical_histograms_bin_edges_like_histogramdd(skew_box):
     """Values on the edges, past the last edge, NaN and infinite: as histogramdd bins them."""
     batch = sample_rays(skew_box, 20_000, 44, "cube-components", 1)
     bins = (6, 5, 4)
-    edges = [class_bin_edges(skew_box, cls.kind, cls.indices.as_tuple, *bins) for cls in canonical_classes()]
+    edges = [class_bin_edges(skew_box, cls.kind, cls.indices, *bins) for cls in canonical_classes()]
     odd = [np.nan, np.inf, -np.inf, -1e300, 1e300, -1e-300, 0.0, 5.0]
     rng = np.random.default_rng(3)
     batch.length[:5_000] = rng.choice(np.concatenate([e[0] for e in edges] + [odd]), 5_000)
@@ -504,7 +504,7 @@ def test_canonical_histograms_near_edges_like_histogramdd(box):
     lengths span only about 1e-10 and 1e-14 of their length."""
     batch = sample_rays(box, 20_000, 46, "cube-components", 1)
     bins = (6, 5, 4)
-    edges = [class_bin_edges(box, cls.kind, cls.indices.as_tuple, *bins) for cls in canonical_classes()]
+    edges = [class_bin_edges(box, cls.kind, cls.indices, *bins) for cls in canonical_classes()]
 
     def around(v):
         return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), v * (1 - 1e-9), v * (1 + 1e-9)])
