@@ -31,7 +31,7 @@ _EXPORTS = {
         "single_face_length_pdf",
     ),
     "density": ("GridDensity", "GridDensity1D"),
-    "errors": ("BoxpathError", "EmptyCellError", "IncompatibleGridError", "NumericalError"),
+    "errors": ("BoxpathError", "CorruptArtifactError", "EmptyCellError", "IncompatibleGridError", "NumericalError"),
     "geometry": (
         "ALL_FACES",
         "FACE_PAIRS",

@@ -35,20 +35,21 @@ import threading
 from pathlib import Path
 
 from . import __version__
-from .errors import EmptyCellError, IncompatibleGridError, NumericalError
+from .errors import CorruptArtifactError, EmptyCellError, IncompatibleGridError, NumericalError
 
 __all__ = ["build_parser", "main"]
 
 
 def _load_stages(laws: bool = True) -> None:
-    """Bind numpy, the stage modules and the geometry names as module globals;
+    """Bind numpy, the stage modules, the geometry names and `GridDensity` as module globals;
     the law and report modules (`rays`, `chords`, `combined`, `compare`, `svg`) only with `laws`."""
     global np, chords, combined, compare, bio, montecarlo, rays, svg
-    global FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
+    global FACE_PAIRS, BoxDims, FaceId, GridDensity, PairKind, Side, canonical_classes, joint_frame
     import numpy as np
 
     from . import io as bio, montecarlo
-    from .geometry import FACE_PAIRS, BoxDims, FaceId, IndexTriple, PairKind, Side, canonical_classes
+    from .density import GridDensity
+    from .geometry import FACE_PAIRS, BoxDims, FaceId, PairKind, Side, canonical_classes, joint_frame
 
     if laws:
         from . import chords, combined, compare, rays, svg
@@ -196,15 +197,6 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 # analytic
 
 
-def _for_class(pdf: rays.FacePdf, indices: IndexTriple) -> rays.FacePdf:
-    """`pdf` computed for another class with the same canonical dims, relabelled to `indices`."""
-    import dataclasses  # `geometry` has loaded it; `presets` does not pay for it
-
-    rename = {f"x{old}": f"x{new}" for old, new in zip(pdf.indices.as_tuple, indices.as_tuple)}
-    names = tuple(rename.get(name, name) for name in pdf.density.axis_names)
-    return dataclasses.replace(pdf, indices=indices, density=dataclasses.replace(pdf.density, axis_names=names))
-
-
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if cfg.direction_model != rays.DIRECTION_MODEL:
@@ -217,7 +209,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     outputs: list[str] = []
 
     # The kernels see a class only through its canonical dims, so each
-    # distinct (kind, X_i, X_j, X_k) is computed once and relabelled per class.
+    # distinct (kind, X_i, X_j, X_k) is computed once; every class names the
+    # shared grid's axes from its own `joint_frame`.
     laws: dict[tuple, tuple[rays.FacePdf, ...]] = {}
     for cls in canonical_classes():
         key = cls.law_key(box)
@@ -232,27 +225,23 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
                 chord_joint(box, cls.indices, n3, n3, n3),
                 ray_exit(box, cls.indices, n2, n2),
             )
-        joint, cjoint, exit_pdf = (_for_class(pdf, cls.indices) for pdf in laws[key])
-        for stem, pdf in (
-            (f"rays_joint_{cls.label}", joint),
-            (f"chords_joint_{cls.label}", cjoint),
-            (f"rays_exit_{cls.label}", exit_pdf),
-        ):
-            bio.save_density(
-                out / f"{stem}.npz",
-                pdf.density,
-                {"label": cls.label, "kind": pdf.kind.value, "indices": list(pdf.indices.as_tuple), "mass": pdf.mass},
-            )
+        names = joint_frame(box, cls.kind, cls.indices)[1]
+        for prefix, pdf in zip(("rays_joint", "chords_joint", "rays_exit"), laws[key]):
+            stem = f"{prefix}_{cls.label}"
+            ndim = pdf.density.values.ndim
+            density = GridDensity(pdf.density.domain, pdf.density.values, names[-ndim:])
+            meta = {"label": cls.label, "kind": cls.kind.value, "indices": list(cls.indices.as_tuple), "mass": pdf.mass}
+            bio.save_density(out / f"{stem}.npz", density, meta)
             outputs.append(f"{stem}.npz")
-        if args.csv:
-            bio.write_density_csv(out / f"rays_exit_{cls.label}.csv", exit_pdf.density)
-            outputs.append(f"rays_exit_{cls.label}.csv")
+            if args.csv and prefix == "rays_exit":
+                bio.write_density_csv(out / f"{stem}.csv", density)
+                outputs.append(f"{stem}.csv")
 
     for model in ("rays", "chords"):
         table = combined.class_law_table(box, model, cfg.grid_nodes_1d)
         comb = table.combined()
         meta = {
-            "integral": comb.integral,
+            "integral": comb.density.integral(),
             "terms": [
                 {"label": t.label, "multiplicity": t.multiplicity, "weight": t.weight, "mass": t.mass}
                 for t in comb.terms
@@ -268,7 +257,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             bio.save_density(
                 out / f"single_face_{model}_axis{axis}.npz",
                 single.density,
-                {"integral": single.integral, "entry_axis": axis},
+                {"integral": single.density.integral(), "entry_axis": axis},
             )
             outputs.append(f"single_face_{model}_axis{axis}.npz")
 
@@ -523,7 +512,7 @@ def _figure_location(
         joints = {}
         for label in labels:
             density, meta = bio.load_density(analytic_dir / f"{model}_joint_{label}.npz")
-            joints[label] = rays.FacePdf(PairKind(meta["kind"]), IndexTriple(*meta["indices"]), density, meta["mass"])
+            joints[label] = rays.FacePdf(density, meta["mass"])
         series.append(_analytic_series(model, combined.location_length_pdf(joints, box, exit_face, cell), columns))
     for model in ("rays", "chords"):
         spill = sample_files.get(f"{model}.bin")
@@ -582,7 +571,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         sample_manifest = _read_manifest(sample_dir)
         _check_same_run(manifest, sample_manifest)
         sample_files = {name: sample_dir / name for name in sample_manifest["outputs"]}
-    box = BoxDims(*manifest["config"]["box"])
+    try:
+        box = BoxDims(*manifest["config"]["box"])
+    except (TypeError, ValueError) as exc:
+        raise CorruptArtifactError(f"{analytic_dir / 'manifest.json'}: config.box is not a box ({exc})") from exc
     # A cell square off its face would fail the location figure after other figures were written.
     extents = [box.dim(axis) for axis in exit_face.plane_axes]
     # By default the cell is centred on its face, 5 % of the face's shorter side in half width.
@@ -685,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, IncompatibleGridError, EmptyCellError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, KeyError, json.JSONDecodeError, *corrupt) as exc:
+    except (FileNotFoundError, KeyError, json.JSONDecodeError, CorruptArtifactError, *corrupt) as exc:
         print(f"missing or corrupt artifact: {exc!r}", file=sys.stderr)
         return 4
     except (ValueError, TypeError) as exc:

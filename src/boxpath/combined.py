@@ -25,7 +25,6 @@ from .geometry import (
     BoxDims,
     FaceId,
     FacePairClass,
-    IndexTriple,
     PairKind,
     canonical_classes,
     entry_probability,
@@ -50,8 +49,6 @@ class ComponentTerm:
     """One canonical class's contribution to a combined length law."""
 
     label: str
-    kind: PairKind
-    indices: IndexTriple
     multiplicity: int
     weight: float
     mass: float
@@ -59,15 +56,13 @@ class ComponentTerm:
 
 @dataclass(frozen=True)
 class CombinedLengthPdf:
-    """A combined length density with its bookkeeping.
+    """A combined length density with the class terms it mixes.
 
-    `integral` is the grid integral of `density` before any rescaling; a
-    value near one confirms the mixture is a probability density on its
-    own.
+    `density` is not rescaled: its grid integral near one confirms the
+    mixture is a probability density on its own.
     """
 
     density: GridDensity1D
-    integral: float
     terms: tuple[ComponentTerm, ...]
 
     def normalized(self) -> GridDensity1D:
@@ -129,12 +124,12 @@ class ClassLawTable:
                 weight = weight * chords.conditional_exit_probability(box, cls.entry_face, cls.exit_face)
             key = cls.law_key(box)
             values += weight * self.projected[key]
-            terms.append(ComponentTerm(cls.label, cls.kind, cls.indices, mult, weight, self.laws[key].integral()))
+            terms.append(ComponentTerm(cls.label, mult, weight, self.laws[key].integral()))
         density = GridDensity1D(0.0, box.diagonal, values)
         integral = density.integral()
         if abs(integral - 1.0) > _MASS_TOL:
             raise NumericalError(f"{self.model} length mixture has mass {integral:.6g}, off unity by more than {_MASS_TOL}")
-        return CombinedLengthPdf(density, integral, tuple(terms))
+        return CombinedLengthPdf(density, tuple(terms))
 
 
 def class_law_table(

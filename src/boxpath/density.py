@@ -165,10 +165,6 @@ class GridDensity:
             out = np.trapezoid(out, dx=self.spacing(axis), axis=axis)
         return float(out)
 
-    def normalized(self) -> "GridDensity":
-        """Rescale to unit mass."""
-        return GridDensity(self.domain, _unit_mass(self.values, self.integral()), self.axis_names)
-
     def _without(self, axis: int, vals: np.ndarray) -> "GridDensity | GridDensity1D":
         """The density on the axes other than `axis`, holding `vals`."""
         keep = [a for a in range(self.values.ndim) if a != axis]

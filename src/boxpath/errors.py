@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["BoxpathError", "NumericalError", "IncompatibleGridError", "EmptyCellError"]
+__all__ = ["BoxpathError", "NumericalError", "IncompatibleGridError", "EmptyCellError", "CorruptArtifactError"]
 
 
 class BoxpathError(Exception):
@@ -19,3 +19,7 @@ class IncompatibleGridError(BoxpathError):
 
 class EmptyCellError(BoxpathError):
     """A requested location cell contains no samples."""
+
+
+class CorruptArtifactError(BoxpathError):
+    """An artifact file reads, but what it holds is not what its stage writes."""

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .density import GridDensity, GridDensity1D
-from .errors import IncompatibleGridError
+from .errors import CorruptArtifactError, IncompatibleGridError
 from .geometry import BoxDims, PairKind
 from .montecarlo import JointHistogram, TrajectoryBatch
 
@@ -113,16 +113,20 @@ def save_density(path, density: GridDensity1D | GridDensity, meta: Mapping | Non
 
 
 def load_density(path) -> tuple[GridDensity1D | GridDensity, dict]:
+    """The density and meta `save_density` wrote; CorruptArtifactError, naming
+    the file, when the archive's members do not make one."""
     with load_npz(path) as z:
-        domain = z["domain"]
-        values = z["values"]
-        names = [str(s) for s in z["axis_names"]]
-        meta = _meta_load(z["meta"])
-    if values.ndim == 1:
-        return GridDensity1D(domain[0, 0], domain[0, 1], values), meta
-    if values.ndim in (2, 3):
-        return GridDensity(tuple(map(tuple, domain)), values, tuple(names)), meta
-    raise IncompatibleGridError(f"unsupported density rank {values.ndim}")
+        try:
+            domain = z["domain"]
+            values = z["values"]
+            names = [str(s) for s in z["axis_names"]]
+            meta = _meta_load(z["meta"])
+            if values.ndim == 1:
+                ((lo, hi),) = domain
+                return GridDensity1D(lo, hi, values), meta
+            return GridDensity(tuple(map(tuple, domain)), values, tuple(names)), meta
+        except (TypeError, ValueError) as exc:
+            raise CorruptArtifactError(f"{path}: not a density saved by save_density ({exc})") from exc
 
 
 def save_histograms(path, hists: Mapping[str, JointHistogram], meta: Mapping | None = None) -> None:
@@ -204,18 +208,13 @@ def _columns(count: int):
         yield name, dtype, _TRAJ_HEADER + count * offset
 
 
-def write_trajectories(path, batch: TrajectoryBatch, at: int | None = None) -> None:
-    """Raw little-endian spill: 8-byte magic, box dims, count, then one column per field.
-
-    Without `at` the batch is the whole spill.  With `at` its records are
-    written from record `at` on into a spill begun by `start_trajectories`:
-    each of the batch's arrays goes to its column with one positional write.
+def write_trajectories(path, batch: TrajectoryBatch, at: int) -> None:
+    """Write the batch's records from record `at` on into a spill begun by
+    `start_trajectories`: each of its arrays goes to its column, little-endian,
+    with one positional write.
     """
-    if at is not None and at < 0:
+    if at < 0:
         raise ValueError(f"{path}: record offset at={at} is negative")
-    if at is None:
-        start_trajectories(path, batch.box, len(batch))
-        at = 0
     fd = os.open(path, os.O_RDWR)
     try:
         header = os.pread(fd, _TRAJ_HEADER, 0)
@@ -264,7 +263,10 @@ def read_trajectories(path, where=None, fields=None) -> TrajectoryBatch:
         if len(header) < _TRAJ_HEADER or size != _TRAJ_HEADER + count * _TRAJ_DTYPE.itemsize:
             found = max(0, size - _TRAJ_HEADER) // _TRAJ_DTYPE.itemsize
             raise IncompatibleGridError(f"{path}: truncated spill ({found} of {count} records)")
-        box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
+        try:
+            box = BoxDims(*np.frombuffer(header[8:32], dtype="<f8"))
+        except ValueError as exc:
+            raise IncompatibleGridError(f"{path}: bad box in the spill header ({exc})") from exc
         block = count if where is None else _READ_BLOCK
         read = [(name, dtype, offset) for name, dtype, offset in _columns(count) if name in names]
         kept: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in read}

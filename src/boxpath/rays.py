@@ -69,8 +69,6 @@ class FacePdf:
     class entry face, so the physical sub-density is mass * density.
     """
 
-    kind: PairKind
-    indices: IndexTriple
     density: GridDensity
     mass: float
 
@@ -154,7 +152,7 @@ def _face_pdf(box: BoxDims, kind: PairKind, indices: IndexTriple, vals: np.ndarr
     dens = GridDensity(domain[-vals.ndim :], vals, names[-vals.ndim :])
     integral = dens.integral()
     unit = GridDensity(dens.domain, _unit_mass(dens.values, integral), dens.axis_names)
-    return FacePdf(kind, indices, unit, integral if mass is None else mass)
+    return FacePdf(unit, integral if mass is None else mass)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,8 @@ def whole_batch_sample(cfg: dict, out: Path) -> dict:
         for axis in (1, 2, 3):
             on_axis = batch.length[(batch.entry_code >> 1) == axis - 1]
             lengths[f"{name}_axis{axis}/counts"] = np.histogram(on_axis, bins=bins, range=(0.0, box.diagonal))[0].astype(np.uint64)
-        bio.write_trajectories(out / f"{name}.bin", batch)
+        bio.start_trajectories(out / f"{name}.bin", box, n)
+        bio.write_trajectories(out / f"{name}.bin", batch, at=0)
         stats[name] = {
             "meta": batch.meta,
             "entry_face_counts": np.bincount(batch.entry_code, minlength=6).tolist(),
@@ -340,6 +341,132 @@ def test_sample_stage_digests(tmp_path, name):
     assert got == digests
 
 
+# The sha256 (first 16 hex digits) of every file `analytic --csv` writes at
+# small grids, the manifest as sorted JSON without its version.  On the cube
+# every class shares its kind's law, so these pin the names each class's grid
+# takes as well as the values.
+ANALYTIC_GRIDS = {"grid_nodes_3d": 9, "grid_nodes_2d": 9, "grid_nodes_1d": 33}
+ANALYTIC_DIGESTS = {
+    "cube": (
+        [1.0, 1.0, 1.0],
+        {
+            "chords_joint_adjacent-entry1-exit2.npz": "7f8d5d3ff4f1f855",
+            "chords_joint_adjacent-entry1-exit3.npz": "e92331a847cd3315",
+            "chords_joint_adjacent-entry2-exit1.npz": "3599709acc3c9d32",
+            "chords_joint_adjacent-entry2-exit3.npz": "2f572b81490d21dc",
+            "chords_joint_adjacent-entry3-exit1.npz": "39f33d67049cfa55",
+            "chords_joint_adjacent-entry3-exit2.npz": "dce6b923076194b9",
+            "chords_joint_opposing-entry1.npz": "771a973d81c3dbba",
+            "chords_joint_opposing-entry2.npz": "31ac30b9752164a4",
+            "chords_joint_opposing-entry3.npz": "ed3ccbd2c6403c0a",
+            "combined_chords.csv": "4e248d0b56f0b5ef",
+            "combined_chords.npz": "a659dcc397eb7d9a",
+            "combined_rays.csv": "8e66da20be7bbb3e",
+            "combined_rays.npz": "3a1b22076e296597",
+            "manifest.json": "64bfad0031477eb1",
+            "rays_exit_adjacent-entry1-exit2.csv": "2501f4e2b7acfe23",
+            "rays_exit_adjacent-entry1-exit2.npz": "60642c352ae5b341",
+            "rays_exit_adjacent-entry1-exit3.csv": "da470e5f760a5f59",
+            "rays_exit_adjacent-entry1-exit3.npz": "a538e6d2408a84e6",
+            "rays_exit_adjacent-entry2-exit1.csv": "ccbfd95da2c70cd3",
+            "rays_exit_adjacent-entry2-exit1.npz": "1f50fffa651eb333",
+            "rays_exit_adjacent-entry2-exit3.csv": "92e96c2b558a82b2",
+            "rays_exit_adjacent-entry2-exit3.npz": "3138c99ca69cfaeb",
+            "rays_exit_adjacent-entry3-exit1.csv": "64fd3a8d0b751419",
+            "rays_exit_adjacent-entry3-exit1.npz": "db45b5beeac50043",
+            "rays_exit_adjacent-entry3-exit2.csv": "ba6b9b91ec6d4fc4",
+            "rays_exit_adjacent-entry3-exit2.npz": "5cc9a6d056572577",
+            "rays_exit_opposing-entry1.csv": "278575cb76dc8c59",
+            "rays_exit_opposing-entry1.npz": "a43358e245b07b32",
+            "rays_exit_opposing-entry2.csv": "620992d3576a2bfe",
+            "rays_exit_opposing-entry2.npz": "5335490a5291367e",
+            "rays_exit_opposing-entry3.csv": "1ddc5d4ee9f054bf",
+            "rays_exit_opposing-entry3.npz": "352e948333aac137",
+            "rays_joint_adjacent-entry1-exit2.npz": "0fc09ccab27f9575",
+            "rays_joint_adjacent-entry1-exit3.npz": "dc8ce2518e0e482c",
+            "rays_joint_adjacent-entry2-exit1.npz": "fc4c14e4c0cd9e84",
+            "rays_joint_adjacent-entry2-exit3.npz": "73586f694a39ca31",
+            "rays_joint_adjacent-entry3-exit1.npz": "4d8a02de2a235c99",
+            "rays_joint_adjacent-entry3-exit2.npz": "fd25d4661937a183",
+            "rays_joint_opposing-entry1.npz": "4dcbe2840954c24a",
+            "rays_joint_opposing-entry2.npz": "6ecec97c790074c0",
+            "rays_joint_opposing-entry3.npz": "d341cc09d4117850",
+            "single_face_chords_axis1.npz": "e70fce1093a0c626",
+            "single_face_chords_axis2.npz": "5d6df9d065175c17",
+            "single_face_chords_axis3.npz": "9ae23b9b846b91ec",
+            "single_face_rays_axis1.npz": "f1031ca141233208",
+            "single_face_rays_axis2.npz": "9a166735cd6a64f3",
+            "single_face_rays_axis3.npz": "84b50bacfbc40632",
+        },
+    ),
+    "box-1.3x0.8x1.1": (
+        [1.3, 0.8, 1.1],
+        {
+            "chords_joint_adjacent-entry1-exit2.npz": "8112fa91d0da4467",
+            "chords_joint_adjacent-entry1-exit3.npz": "e6b3c0c825a2ab5e",
+            "chords_joint_adjacent-entry2-exit1.npz": "08dc5eb7eb20c8b6",
+            "chords_joint_adjacent-entry2-exit3.npz": "8c46ac8f57399d17",
+            "chords_joint_adjacent-entry3-exit1.npz": "6c25691e1771a1a9",
+            "chords_joint_adjacent-entry3-exit2.npz": "2242731a5b420935",
+            "chords_joint_opposing-entry1.npz": "3281228df62cff4a",
+            "chords_joint_opposing-entry2.npz": "2dd4f0825a137b15",
+            "chords_joint_opposing-entry3.npz": "9da29b0767d580cf",
+            "combined_chords.csv": "242c808d25a016b8",
+            "combined_chords.npz": "32e7ccd844d31f41",
+            "combined_rays.csv": "3d2dc23b18ac5993",
+            "combined_rays.npz": "057581c589892494",
+            "manifest.json": "dd0cb24bdbdc3381",
+            "rays_exit_adjacent-entry1-exit2.csv": "45c438667dd5072a",
+            "rays_exit_adjacent-entry1-exit2.npz": "0a80e24a11b60623",
+            "rays_exit_adjacent-entry1-exit3.csv": "8e93b7b9054f9731",
+            "rays_exit_adjacent-entry1-exit3.npz": "5d794658de720235",
+            "rays_exit_adjacent-entry2-exit1.csv": "90e618af102d4e5c",
+            "rays_exit_adjacent-entry2-exit1.npz": "a4bb89ce56b534b3",
+            "rays_exit_adjacent-entry2-exit3.csv": "c56e56e3277daa83",
+            "rays_exit_adjacent-entry2-exit3.npz": "c097c7df4ccc8d48",
+            "rays_exit_adjacent-entry3-exit1.csv": "475a53e55df8d3df",
+            "rays_exit_adjacent-entry3-exit1.npz": "f7bc361ad7300be9",
+            "rays_exit_adjacent-entry3-exit2.csv": "3dd2f679ac017533",
+            "rays_exit_adjacent-entry3-exit2.npz": "6ca3c9d046edb87d",
+            "rays_exit_opposing-entry1.csv": "923092b071cab6b9",
+            "rays_exit_opposing-entry1.npz": "280ef141f2c13fdd",
+            "rays_exit_opposing-entry2.csv": "08ecc3fbed6192ac",
+            "rays_exit_opposing-entry2.npz": "281e832d5c34787f",
+            "rays_exit_opposing-entry3.csv": "3fd67a9a27031b2d",
+            "rays_exit_opposing-entry3.npz": "cb8dbda5a19995ff",
+            "rays_joint_adjacent-entry1-exit2.npz": "79de6fd103c6aae6",
+            "rays_joint_adjacent-entry1-exit3.npz": "d6cf757edffedc06",
+            "rays_joint_adjacent-entry2-exit1.npz": "42f7ac67cf66896e",
+            "rays_joint_adjacent-entry2-exit3.npz": "a9febd4f1570bd86",
+            "rays_joint_adjacent-entry3-exit1.npz": "3bde6dc0c281d55e",
+            "rays_joint_adjacent-entry3-exit2.npz": "e60b58816befa31f",
+            "rays_joint_opposing-entry1.npz": "6bc0baecf9b5e69c",
+            "rays_joint_opposing-entry2.npz": "14b5e408dffc1541",
+            "rays_joint_opposing-entry3.npz": "cab07098725491fe",
+            "single_face_chords_axis1.npz": "a2a5558d60fb765f",
+            "single_face_chords_axis2.npz": "b939ff68a8b579ad",
+            "single_face_chords_axis3.npz": "cfc6bb85213c65a8",
+            "single_face_rays_axis1.npz": "52f6dcc87f952894",
+            "single_face_rays_axis2.npz": "cc17a9ed9ec680df",
+            "single_face_rays_axis3.npz": "1fc95ce33480cfc5",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYTIC_DIGESTS))
+def test_analytic_stage_digests(tmp_path, name):
+    box, digests = ANALYTIC_DIGESTS[name]
+    (tmp_path / "cfg.json").write_text(json.dumps({**ANALYTIC_GRIDS, "box": box}))
+    out = tmp_path / "out"
+    assert cli.main(["analytic", "--config", str(tmp_path / "cfg.json"), "--out", str(out), "--csv"]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in out.iterdir()}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["version"]
+    got["manifest.json"] = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()[:16]
+    assert got == digests
+
+
 def test_sample_memory_is_bounded_by_streams(tmp_path):
     """The stage holds a few streams' rows at a time, not both models' whole
     batches (42 bytes per path each)."""
@@ -383,7 +510,8 @@ def test_cell_lengths_memory_is_bounded_by_blocks(tmp_path):
     (42 bytes per path on disk, about as much again as columns)."""
     n = 500_000
     spill = tmp_path / "chords.bin"
-    bio.write_trajectories(spill, sample_chords(BoxDims(1.0, 1.0, 1.0), n, 5))
+    bio.start_trajectories(spill, BoxDims(1.0, 1.0, 1.0), n)
+    bio.write_trajectories(spill, sample_chords(BoxDims(1.0, 1.0, 1.0), n, 5), at=0)
     cell = (0.5, 0.25, 0.1)
     whole = bio.read_trajectories(spill)
     rows = whole.exit_code == 3
@@ -601,6 +729,33 @@ def test_program_run_exits_4_for_a_corrupt_npz(workdir, tmp_path, damage):
     run = subprocess.run([sys.executable, "-m", "boxpath.cli", *argv], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert run.returncode == 4
     assert "missing or corrupt artifact" in run.stderr
+
+
+@pytest.mark.parametrize("box", [[1, 1], [1, 1, -1]], ids=["two-edges", "negative-edge"])
+def test_figures_exits_4_for_a_manifest_box_that_is_not_a_box(workdir, tmp_path, capsys, box):
+    """A corrupt analytic manifest is a corrupt artifact, not a configuration error."""
+    analytic = tmp_path / "analytic"
+    analytic.mkdir()
+    manifest = json.loads((workdir / "analytic" / "manifest.json").read_text())
+    manifest["config"]["box"] = box
+    (analytic / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["figures", "--analytic", str(analytic), "--out", str(tmp_path / "figs")]) == 4
+    assert str(analytic / "manifest.json") in capsys.readouterr().err
+    assert not (tmp_path / "figs").exists()
+
+
+def test_figures_exits_4_for_a_joint_npz_that_is_not_a_density(workdir, tmp_path, capsys):
+    """An npz whose members do not make a density is a corrupt artifact, named in the message."""
+    analytic = tmp_path / "analytic"
+    shutil.copytree(workdir / "analytic", analytic)
+    npz = analytic / "chords_joint_opposing-entry2.npz"
+    with bio.load_npz(npz) as z:
+        arrays = {name: z[name] for name in z.files}
+    arrays["domain"] = arrays["domain"][0]  # one axis's bounds, not one row per axis
+    bio.write_npz(npz, arrays)
+    argv = ["figures", "--analytic", str(analytic), "--out", str(tmp_path / "figs"), "--which", "band"]
+    assert cli.main(argv) == 4
+    assert str(npz) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stage", ["presets", "analytic", "compare"])

@@ -53,8 +53,8 @@ def cube_combined_chords(cube):
 
 
 def test_combined_integrates_to_one(cube_combined_rays, cube_combined_chords):
-    assert cube_combined_rays.integral == pytest.approx(1.0, abs=2e-2)
-    assert cube_combined_chords.integral == pytest.approx(1.0, abs=2e-2)
+    assert cube_combined_rays.density.integral() == pytest.approx(1.0, abs=2e-2)
+    assert cube_combined_chords.density.integral() == pytest.approx(1.0, abs=2e-2)
     assert cube_combined_rays.normalized().integral() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -90,8 +90,8 @@ def test_slab_mixtures_keep_their_mass(slab):
     rounding; the ray class laws carry their face-exit masses, which sum
     to 1 up to each law's own trapezoid mass error.
     """
-    assert combined_length_pdf_rays(slab, 257).integral == pytest.approx(1.0, abs=2e-4)
-    assert combined_length_pdf_chords(slab, 257).integral == pytest.approx(1.0, abs=1e-12)
+    assert combined_length_pdf_rays(slab, 257).density.integral() == pytest.approx(1.0, abs=2e-4)
+    assert combined_length_pdf_chords(slab, 257).density.integral() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims, bound", [((1.0, 1.0, 1.0), 1e-6), ((1.0, 0.1, 1.0), 5e-6)], ids=["cube", "slab"])
@@ -183,8 +183,10 @@ def test_location_length_pdf_consistent(skew_box):
     for cls in canonical_classes():
         i, j, k = (skew_box.dim(a) for a in cls.indices.as_tuple)
         n_lo, other = (j, k) if cls.kind is PairKind.OPPOSING else (0.0, j)
-        density = GridDensity(((n_lo, skew_box.diagonal), (0.0, i), (0.0, other)), rng.random((17, 9, 11)) + 0.1)
-        joints[cls.label] = FacePdf(cls.kind, cls.indices, density.normalized(), rng.uniform(0.05, 0.3))
+        domain = ((n_lo, skew_box.diagonal), (0.0, i), (0.0, other))
+        values = rng.random((17, 9, 11)) + 0.1
+        values /= GridDensity(domain, values).integral()
+        joints[cls.label] = FacePdf(GridDensity(domain, values), rng.uniform(0.05, 0.3))
     face = FaceId(3, Side.HIGH)
     law = location_length_pdf(joints, skew_box, face, (0.65, 0.4, 2.0))
     mix = sum(

@@ -64,8 +64,8 @@ def test_face_pairs_table(cube):
     terms = combined_length_pdf_chords(cube, 65).terms
     assert len(terms) == 9
     for term in terms:
-        count = sum(1 for pair in FACE_PAIRS if pair.label == term.label)
-        assert count == term.multiplicity == (2 if term.kind is PairKind.OPPOSING else 4)
+        pairs = [pair for pair in FACE_PAIRS if pair.label == term.label]
+        assert len(pairs) == term.multiplicity == (2 if pairs[0].kind is PairKind.OPPOSING else 4)
 
 
 def test_same_face_pair_rejected():

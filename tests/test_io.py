@@ -6,7 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from boxpath import GridDensity, GridDensity1D, IncompatibleGridError, sample_rays
+from boxpath import CorruptArtifactError, GridDensity, GridDensity1D, IncompatibleGridError, sample_rays
 from boxpath import io as bio
 from boxpath.geometry import BoxDims
 from boxpath.montecarlo import TrajectoryBatch, canonical_histograms
@@ -44,7 +44,7 @@ def test_load_density_rejects_domain_rank_mismatch(tmp_path):
             "meta": np.frombuffer(b"{}", dtype=np.uint8),
         },
     )
-    with pytest.raises(ValueError, match="axes"):
+    with pytest.raises(CorruptArtifactError, match="bad.npz.*axes"):
         bio.load_density(path)
 
 
@@ -114,10 +114,16 @@ def test_histograms_round_trip(tmp_path, cube, rays_batch_cube):
         assert back[label].kind == hists[label].kind
 
 
+def spill(path, batch: TrajectoryBatch) -> None:
+    """Write a whole batch as one spill."""
+    bio.start_trajectories(path, batch.box, len(batch))
+    bio.write_trajectories(path, batch, at=0)
+
+
 def test_trajectory_round_trip(tmp_path, cube):
     batch = sample_rays(cube, 5_000, 31, "cube-components", 1)
     path = tmp_path / "t.bin"
-    bio.write_trajectories(path, batch)
+    spill(path, batch)
     back = bio.read_trajectories(path)
     assert np.array_equal(back.length, batch.length)
     assert np.array_equal(back.entry_code, batch.entry_code)
@@ -126,10 +132,10 @@ def test_trajectory_round_trip(tmp_path, cube):
 
 
 def test_trajectory_positional_writes(tmp_path, cube):
-    """Records written at their offsets, in any order, give the whole-batch spill."""
+    """Records written at their offsets, in any order, give the spill of one write."""
     batch = sample_rays(cube, 1_000, 34, "cube-components", 1)
     whole, parts = tmp_path / "whole.bin", tmp_path / "parts.bin"
-    bio.write_trajectories(whole, batch)
+    spill(whole, batch)
     bio.start_trajectories(parts, batch.box, len(batch))
     for lo, hi in ((600, 1_000), (0, 250), (250, 600)):
         rows = slice(lo, hi)
@@ -163,10 +169,21 @@ def test_trajectory_bad_magic(tmp_path, cube):
         bio.write_trajectories(path, sample_rays(cube, 10, 35, "cube-components", 1), at=0)
 
 
+def test_trajectory_header_box_refused(tmp_path, cube):
+    """A spill whose header holds no box is refused like any other bad header, naming the file."""
+    path = tmp_path / "t.bin"
+    spill(path, sample_rays(cube, 10, 36, "cube-components", 1))
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = struct.pack("<d", -1.0)  # x1, after the magic
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IncompatibleGridError, match=r"t\.bin: bad box"):
+        bio.read_trajectories(path)
+
+
 def test_trajectory_truncation_detected(tmp_path, cube):
     batch = sample_rays(cube, 1_000, 32, "cube-components", 1)
     path = tmp_path / "t.bin"
-    bio.write_trajectories(path, batch)
+    spill(path, batch)
     blob = path.read_bytes()
     path.write_bytes(blob[:-21])
     with pytest.raises(IncompatibleGridError):
@@ -178,7 +195,7 @@ def test_trajectory_bad_face_codes_rejected(tmp_path, cube, exit_byte):
     n = 1_000
     batch = sample_rays(cube, n, 33, "cube-components", 1)
     path = tmp_path / "t.bin"
-    bio.write_trajectories(path, batch)
+    spill(path, batch)
     blob = bytearray(path.read_bytes())
     # past the header and the 40 bytes per record of float columns, the
     # entry face column, then the exit face column, one byte per record
@@ -196,7 +213,7 @@ def test_trajectory_read_of_selected_fields(tmp_path, cube):
     n = 1_000
     batch = sample_rays(cube, n, 35, "cube-components", 1)
     path = tmp_path / "t.bin"
-    bio.write_trajectories(path, batch)
+    spill(path, batch)
     back = bio.read_trajectories(path, where=lambda b: b.exit_code == 3, fields=("length",))
     rows = batch.exit_code == 3
     assert back.entry_ab is None and back.exit_ab is None
@@ -221,7 +238,7 @@ def test_trajectory_record_layout(tmp_path):
     length = np.array([1.5, 0.125, 2.0625])
     batch = TrajectoryBatch(box, np.array(entry_code, np.uint8), entry_ab, np.array(exit_code, np.uint8), exit_ab, length)
     path = tmp_path / "t.bin"
-    bio.write_trajectories(path, batch)
+    spill(path, batch)
     header = b"BOXPATH\x02" + struct.pack("<3dQ", 1.3, 0.8, 1.1, 3)
     columns = [
         struct.pack("<6d", *entry_ab.ravel().tolist()),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from boxpath import BoxDims, IndexTriple, PairKind, canonical_classes, chords, compare, rays
+from boxpath import BoxDims, IndexTriple, NumericalError, PairKind, canonical_classes, chords, compare, rays
 from boxpath.geometry import FaceId, IndexTriple, Side
 
 IDX = IndexTriple(1, 2, 3)
@@ -152,6 +152,13 @@ def test_opposing_support_starts_at_gap(cube, cube_joints):
     jo, _ = cube_joints
     assert jo.density.domain[0][0] == pytest.approx(1.0)
     assert jo.density.domain[0][1] == pytest.approx(np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4)], ids=["exit-map", "joint"])
+def test_face_pdf_refuses_a_zero_mass_grid(cube, shape):
+    """An exit map or joint with no mass has nothing to normalize by."""
+    with pytest.raises(NumericalError, match="zero-mass"):
+        rays._face_pdf(cube, PairKind.OPPOSING, IDX, np.zeros(shape))
 
 
 @pytest.mark.parametrize("model", [rays, chords], ids=["rays", "chords"])
