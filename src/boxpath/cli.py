@@ -143,9 +143,6 @@ class RunConfig:
     def box_dims(self) -> BoxDims:
         return BoxDims(*self.box)
 
-    def resolved_workers(self) -> int:
-        return self.workers or 1
-
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
@@ -238,7 +235,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
                 outputs.append(f"{stem}.csv")
 
     for model in ("rays", "chords"):
-        table = combined.class_law_table(box, model, cfg.grid_nodes_1d)
+        table = combined.ClassLawTable(box, model, cfg.grid_nodes_1d)
         comb = table.combined()
         meta = {
             "integral": comb.density.integral(),
@@ -344,7 +341,6 @@ def _keep_freed_heap() -> bool:
 def _cmd_sample(args: argparse.Namespace) -> int:
     _keep_freed_heap()
     cfg = _load_config(args)
-    workers = cfg.resolved_workers()
     out = _out_dir(args.out)
     box = cfg.box_dims
     outputs: list[str] = []
@@ -363,7 +359,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             # An older run's spill would no longer match this run's histograms.
             spill.unlink(missing_ok=True)
             spill = None
-        hists, by_length, faces, meta = _sample_streams(sampler, binning, lengths, cfg.samples, workers, spill)
+        hists, by_length, faces, meta = _sample_streams(sampler, binning, lengths, cfg.samples, cfg.workers, spill)
         bio.save_histograms(out / f"sample_{name}_hists.npz", hists, {"sampler": name, **meta})
         outputs.append(f"sample_{name}_hists.npz")
         length_arrays[f"{name}/edges"] = lengths.edges
@@ -395,8 +391,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _read_manifest(directory: Path) -> dict:
-    with open(directory / "manifest.json") as fh:
-        return json.load(fh)
+    path = directory / "manifest.json"
+    with open(path) as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise CorruptArtifactError(f"{path}: a manifest is a JSON object, not a {type(manifest).__name__}")
+    return manifest
 
 
 def _check_same_run(analytic: dict, sample: dict) -> None:

@@ -12,7 +12,7 @@ Either way the mixture integrates to one by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "ClassLawTable",
     "CombinedLengthPdf",
     "ComponentTerm",
-    "class_law_table",
     "combined_length_pdf_rays",
     "combined_length_pdf_chords",
     "location_length_pdf",
@@ -65,9 +64,6 @@ class CombinedLengthPdf:
     density: GridDensity1D
     terms: tuple[ComponentTerm, ...]
 
-    def normalized(self) -> GridDensity1D:
-        return self.density.normalized()
-
 
 def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
     """The five classes of one entry face: the opposing exit, then the adjacent ones."""
@@ -75,25 +71,24 @@ def _exit_classes(entry_face: FaceId) -> list[FacePairClass]:
     return sorted(pairs, key=lambda pair: pair.kind is PairKind.ADJACENT)
 
 
-@dataclass(frozen=True)
 class ClassLawTable:
     """Length laws of canonical classes for one box, one model and one set of nodes.
 
-    `laws` is keyed by `FacePairClass.law_key`, (kind, X_i, X_j, X_k).
-    `projected` holds each law projected onto the mixture grid, the
-    n_nodes nodes on [0, diagonal], under the same keys, so every mixture
-    reuses one projection per law.
+    "rays" laws are `rays.length_marginal_*` sub-densities; "chords" laws
+    are `chords.pair_length_pdf` unit densities.  A law is computed the
+    first time a mixture needs it, once per `FacePairClass.law_key`
+    (kind, X_i, X_j, X_k), so on the cube one law serves every class of a
+    kind.  `laws` holds the laws under those keys and `projected` each law
+    projected onto the mixture grid, the n_nodes nodes on [0, diagonal],
+    so every mixture reuses one projection per law.
     """
 
-    box: BoxDims
-    model: str
-    n_nodes: int
-    laws: dict[tuple, GridDensity1D]
-    projected: dict[tuple, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        grid = np.linspace(0.0, self.box.diagonal, self.n_nodes)
-        object.__setattr__(self, "projected", {key: law.project(grid) for key, law in self.laws.items()})
+    def __init__(self, box: BoxDims, model: str = "rays", n_nodes: int = 1025):
+        if model not in ("rays", "chords"):
+            raise ValueError(f"unknown model {model!r}; use 'rays' or 'chords'")
+        self.box, self.model, self.n_nodes = box, model, n_nodes
+        self.laws: dict[tuple, GridDensity1D] = {}
+        self.projected: dict[tuple, np.ndarray] = {}
 
     def combined(self) -> CombinedLengthPdf:
         """The length law over all entries: 2 opposing and 4 adjacent pairs per class."""
@@ -106,6 +101,21 @@ class ClassLawTable:
     def single_face(self, entry_face: FaceId) -> CombinedLengthPdf:
         """The length law conditional on one entry face."""
         return self._mix([(cls, 1, 1.0) for cls in _exit_classes(entry_face)])
+
+    def _law(self, cls: FacePairClass) -> tuple:
+        """The class's law key, its law and projection computed on first use."""
+        box, n_nodes = self.box, self.n_nodes
+        key = cls.law_key(box)
+        if key not in self.laws:
+            if self.model == "chords":
+                law = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes)
+            elif cls.kind is PairKind.OPPOSING:
+                law = rays.length_marginal_opposing(box, cls.indices, n_nodes)
+            else:
+                law = rays.length_marginal_adjacent(box, cls.indices, n_nodes)
+            self.laws[key] = law
+            self.projected[key] = law.project(np.linspace(0.0, box.diagonal, n_nodes))
+        return key
 
     def _mix(self, pairs: list[tuple[FacePairClass, int, float]]) -> CombinedLengthPdf:
         """Sum `multiplicity * p_entry * P(pair | entry) * law` over (class, multiplicity, p_entry).
@@ -122,7 +132,7 @@ class ClassLawTable:
             weight = mult * p_entry
             if self.model == "chords":
                 weight = weight * chords.conditional_exit_probability(box, cls.entry_face, cls.exit_face)
-            key = cls.law_key(box)
+            key = self._law(cls)
             values += weight * self.projected[key]
             terms.append(ComponentTerm(cls.label, mult, weight, self.laws[key].integral()))
         density = GridDensity1D(0.0, box.diagonal, values)
@@ -130,35 +140,6 @@ class ClassLawTable:
         if abs(integral - 1.0) > _MASS_TOL:
             raise NumericalError(f"{self.model} length mixture has mass {integral:.6g}, off unity by more than {_MASS_TOL}")
         return CombinedLengthPdf(density, tuple(terms))
-
-
-def class_law_table(
-    box: BoxDims,
-    model: str = "rays",
-    n_nodes: int = 1025,
-    classes: list[FacePairClass] | None = None,
-) -> ClassLawTable:
-    """Compute the length law of each class in `classes` (default: all nine).
-
-    "rays" laws are `rays.length_marginal_*` sub-densities; "chords" laws
-    are `chords.pair_length_pdf` unit densities.
-    A law is computed once per distinct (kind, X_i, X_j, X_k),
-    so on the cube one law serves every class of a kind.
-    """
-    if model not in ("rays", "chords"):
-        raise ValueError(f"unknown model {model!r}; use 'rays' or 'chords'")
-    laws: dict[tuple, GridDensity1D] = {}
-    for cls in canonical_classes() if classes is None else classes:
-        key = cls.law_key(box)
-        if key in laws:
-            continue
-        if model == "chords":
-            laws[key] = chords.pair_length_pdf(box, cls.kind, cls.indices, n_nodes)
-        elif cls.kind is PairKind.OPPOSING:
-            laws[key] = rays.length_marginal_opposing(box, cls.indices, n_nodes)
-        else:
-            laws[key] = rays.length_marginal_adjacent(box, cls.indices, n_nodes)
-    return ClassLawTable(box, model, n_nodes, laws)
 
 
 def combined_length_pdf_rays(
@@ -170,7 +151,7 @@ def combined_length_pdf_rays(
     f(n) = sum over entry faces of P_entry times the per-entry length law,
     expanded into 2 opposing + 4 adjacent weighted class marginals.
     """
-    return class_law_table(box, "rays", n_nodes).combined()
+    return ClassLawTable(box, "rays", n_nodes).combined()
 
 
 def combined_length_pdf_chords(
@@ -183,7 +164,7 @@ def combined_length_pdf_chords(
     ordered pairs pooled into each canonical class; the class laws are
     unit densities, so the weights themselves sum to one.
     """
-    return class_law_table(box, "chords", n_nodes).combined()
+    return ClassLawTable(box, "chords", n_nodes).combined()
 
 
 def single_face_length_pdf(
@@ -197,10 +178,9 @@ def single_face_length_pdf(
     `model` selects one of: "rays" (uniform entry on the face,
     component-uniform direction) or "chords" (exit uniform on the
     remaining surface).  The five exit faces contribute one opposing and
-    four adjacent terms; the table holds only the laws those need.
+    four adjacent terms; the table computes only the laws those need.
     """
-    table = class_law_table(box, model, n_nodes, _exit_classes(entry_face))
-    return table.single_face(entry_face)
+    return ClassLawTable(box, model, n_nodes).single_face(entry_face)
 
 
 def location_length_pdf(

@@ -123,7 +123,7 @@ def _ks_binned(counts_1d: np.ndarray, probs_1d: np.ndarray, n: int) -> tuple[flo
 
 
 def _compare(
-    q: np.ndarray, counts: np.ndarray, n_in: int, n_samples: int, axes: tuple[str, ...], empty: str
+    q: np.ndarray, counts: np.ndarray, n_samples: int, axes: tuple[str, ...], empty: str
 ) -> ComparisonReport:
     """Distances between in-range `counts` and the model bin masses `q`, one KS test per named axis."""
     q = np.clip(q, 0.0, None)
@@ -132,6 +132,7 @@ def _compare(
     if q.shape != counts.shape:
         raise IncompatibleGridError(f"bin shapes differ: {q.shape} vs {counts.shape}")
     q = q / q.sum()
+    n_in = int(counts.sum())
     if n_in == 0:
         raise EmptyCellError(empty)
     p = counts.astype(float) / n_in
@@ -161,12 +162,11 @@ def compare_joint(hist: JointHistogram, density: GridDensity) -> ComparisonRepor
     """Compare a pooled class histogram with an analytic joint density."""
     q = bin_masses_3d(density, hist.n_edges, hist.u_edges, hist.v_edges)
     empty = "histogram holds no in-range samples"
-    return _compare(q, hist.counts, hist.in_range, hist.total, ("n", "u", "v"), empty)
+    return _compare(q, hist.counts, hist.total, ("n", "u", "v"), empty)
 
 
 def compare_length(
     edges: np.ndarray, counts: np.ndarray, density: GridDensity1D
 ) -> ComparisonReport:
     """Compare a 1-d length histogram with an analytic length density."""
-    n_in = int(counts.sum())
-    return _compare(bin_masses_1d(density, edges), counts, n_in, n_in, ("n",), "length histogram is empty")
+    return _compare(bin_masses_1d(density, edges), counts, int(counts.sum()), ("n",), "length histogram is empty")

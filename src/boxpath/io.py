@@ -147,21 +147,26 @@ def save_histograms(path, hists: Mapping[str, JointHistogram], meta: Mapping | N
 
 
 def load_histograms(path) -> tuple[dict[str, JointHistogram], dict]:
+    """The histograms and meta `save_histograms` wrote; CorruptArtifactError,
+    naming the file, when the archive's members do not make them."""
     with load_npz(path) as z:
-        index = _meta_load(z["index"])["histograms"]
-        meta = _meta_load(z["meta"])
-        out = {}
-        for item in index:
-            label = item["label"]
-            out[label] = JointHistogram(
-                PairKind(item["kind"]),
-                tuple(item["indices"]),
-                z[f"{label}/n_edges"],
-                z[f"{label}/u_edges"],
-                z[f"{label}/v_edges"],
-                z[f"{label}/counts"],
-                int(item["total"]),
-            )
+        try:
+            index = _meta_load(z["index"])["histograms"]
+            meta = _meta_load(z["meta"])
+            out = {}
+            for item in index:
+                label = item["label"]
+                out[label] = JointHistogram(
+                    PairKind(item["kind"]),
+                    tuple(item["indices"]),
+                    z[f"{label}/n_edges"],
+                    z[f"{label}/u_edges"],
+                    z[f"{label}/v_edges"],
+                    z[f"{label}/counts"],
+                    int(item["total"]),
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptArtifactError(f"{path}: not histograms saved by save_histograms ({exc})") from exc
     return out, meta
 
 

@@ -455,10 +455,6 @@ class JointHistogram:
     counts: np.ndarray
     total: int
 
-    @property
-    def in_range(self) -> int:
-        return int(self.counts.sum())
-
 
 def class_bin_edges(
     box: BoxDims, cls_kind: PairKind, indices: IndexTriple, n_bins: int, u_bins: int, v_bins: int

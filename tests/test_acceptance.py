@@ -255,7 +255,7 @@ def test_gate_6_end_to_end():
         rep = compare.compare_joint(hists[cls.label], joint.density)
         worst_joint = max(worst_joint, rep.l1)
     comb = combined_length_pdf_rays(cube, 1025)
-    worst_len = max(worst_len, binned_l1(comb.normalized(), edges, counts))
+    worst_len = max(worst_len, binned_l1(comb.density.normalized(), edges, counts))
 
     batch = sample_chords(cube, n, 607, 1)
     hists = canonical_histograms(batch, 8, 8, 8)
@@ -269,7 +269,7 @@ def test_gate_6_end_to_end():
         rep = compare.compare_joint(hists[cls.label], joint.density)
         worst_joint = max(worst_joint, rep.l1)
     comb = combined_length_pdf_chords(cube, 1025)
-    worst_len = max(worst_len, binned_l1(comb.normalized(), edges, counts))
+    worst_len = max(worst_len, binned_l1(comb.density.normalized(), edges, counts))
 
     ok = worst_joint <= 0.05 and worst_len <= 0.03
     report("6", "monte-carlo-vs-analytic", ok, f"worst joint L1 {worst_joint:.4f}, worst length L1 {worst_len:.4f}")
@@ -374,7 +374,7 @@ def test_gate_7d_single_face_overlays():
                 else:
                     batch = sample_chords(box, 1_000_000, 700 + axis, 1, entry_face=face)
                 edges, counts = length_histogram(batch, 96)
-                worst = max(worst, binned_l1(law.normalized(), edges, counts))
+                worst = max(worst, binned_l1(law.density.normalized(), edges, counts))
     report("7d", "single-face-overlays", worst <= 0.05, f"worst L1 {worst:.4f}")
 
 

@@ -467,6 +467,78 @@ def test_analytic_stage_digests(tmp_path, name):
     assert got == digests
 
 
+# The sha256 (first 16 hex digits) of `report.json` and of every file
+# `figures --sample` writes, after `analytic` and `sample --spill` at small
+# grids.  They pin what `compare` and `figures` make of the artifacts they read.
+DOWNSTREAM_RUN = {**ANALYTIC_GRIDS, "seed": 5, "samples": 20_000, "bins_joint": [4, 4, 4], "bins_length": 16}
+DOWNSTREAM_DIGESTS = {
+    "cube": (
+        [1.0, 1.0, 1.0],
+        {
+            "band_map_adjacent-entry2-exit1.csv": "757393705c42b992",
+            "band_map_adjacent-entry2-exit1.svg": "6ba8e5059aa48ed5",
+            "band_map_opposing-entry2.csv": "f4e3937727b7954a",
+            "band_map_opposing-entry2.svg": "17d12b91ed1e9368",
+            "elevation_profile_chords.csv": "296374fa7a1a5f9c",
+            "elevation_profile_chords.svg": "67505aebe48efeaf",
+            "elevation_profile_rays.csv": "578cc81416c461be",
+            "elevation_profile_rays.svg": "e29a6a339b363148",
+            "figures_manifest.json": "c9e58b6e11b0cb26",
+            "length_overlay_all.csv": "b29b7f471179a9bb",
+            "length_overlay_all.svg": "07b883db9ea78f17",
+            "length_overlay_axis1.csv": "d4bd03ff7d9bc51c",
+            "length_overlay_axis1.svg": "2b158096ef535c0c",
+            "length_overlay_axis2.csv": "d4bd03ff7d9bc51c",
+            "length_overlay_axis2.svg": "155e70ee636d4ab2",
+            "length_overlay_axis3.csv": "d4bd03ff7d9bc51c",
+            "length_overlay_axis3.svg": "09dc8a083124d3b2",
+            "location_length.csv": "6634920813c80855",
+            "location_length.svg": "5e4a9398e4a0d36c",
+            "report.json": "03d4f2c5c50c38f2",
+        },
+    ),
+    "box-1.3x0.8x1.1": (
+        [1.3, 0.8, 1.1],
+        {
+            "band_map_adjacent-entry2-exit1.csv": "9d3eea7b7093692b",
+            "band_map_adjacent-entry2-exit1.svg": "eec19d9316c5d383",
+            "band_map_opposing-entry2.csv": "ba4832a37f9a5869",
+            "band_map_opposing-entry2.svg": "e8e8aa929782de0c",
+            "elevation_profile_chords.csv": "060eae6854d778ab",
+            "elevation_profile_chords.svg": "fd417016d48a2249",
+            "elevation_profile_rays.csv": "b883b476353f9aee",
+            "elevation_profile_rays.svg": "efb3f221cb8249c6",
+            "figures_manifest.json": "c9e58b6e11b0cb26",
+            "length_overlay_all.csv": "47b254881f1d3f11",
+            "length_overlay_all.svg": "bb8efb54ac4ef78b",
+            "length_overlay_axis1.csv": "8bb8d986f317d41a",
+            "length_overlay_axis1.svg": "e25089fa1f27c2bb",
+            "length_overlay_axis2.csv": "2657c873fc5a1c7f",
+            "length_overlay_axis2.svg": "c86d1b9f5f02d5e3",
+            "length_overlay_axis3.csv": "6a98022db4f5a25b",
+            "length_overlay_axis3.svg": "798bdbaef637e946",
+            "location_length.csv": "35088420ed7063d7",
+            "location_length.svg": "ca959a7acd626d2f",
+            "report.json": "77e5db8916dfea6d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOWNSTREAM_DIGESTS))
+def test_compare_and_figures_digests(tmp_path, name):
+    box, digests = DOWNSTREAM_DIGESTS[name]
+    (tmp_path / "cfg.json").write_text(json.dumps({**DOWNSTREAM_RUN, "box": box}))
+    cfg, analytic, sample = str(tmp_path / "cfg.json"), str(tmp_path / "analytic"), str(tmp_path / "sample")
+    assert cli.main(["analytic", "--config", cfg, "--out", analytic]) == 0
+    assert cli.main(["sample", "--config", cfg, "--out", sample, "--spill"]) == 0
+    inputs = ["--analytic", analytic, "--sample", sample]
+    assert cli.main(["compare", *inputs, "--out", str(tmp_path / "report.json")]) == 0
+    assert cli.main(["figures", *inputs, "--out", str(tmp_path / "figures")]) == 0
+    paths = [tmp_path / "report.json", *(tmp_path / "figures").iterdir()]
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16] for path in paths} == digests
+
+
 def test_sample_memory_is_bounded_by_streams(tmp_path):
     """The stage holds a few streams' rows at a time, not both models' whole
     batches (42 bytes per path each)."""
@@ -758,6 +830,40 @@ def test_figures_exits_4_for_a_joint_npz_that_is_not_a_density(workdir, tmp_path
     assert str(npz) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["kind", "total", "counts"])
+def test_compare_exits_4_for_a_hists_npz_that_is_not_histograms(workdir, tmp_path, capsys, damage):
+    """An index entry of an unknown kind or a total that is no number, or a missing counts member,
+    is a corrupt artifact, named in the message."""
+    sample = tmp_path / "sample"
+    shutil.copytree(workdir / "sample", sample, ignore=shutil.ignore_patterns("*.bin"))
+    npz = sample / "sample_rays_hists.npz"
+    with bio.load_npz(npz) as z:
+        arrays = {name: z[name] for name in z.files}
+    index = json.loads(bytes(arrays["index"]).decode())
+    item = index["histograms"][0]
+    if damage == "counts":
+        del arrays[f"{item['label']}/counts"]
+    else:
+        item[damage] = {"kind": "sideways", "total": "many"}[damage]
+    arrays["index"] = np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)
+    bio.write_npz(npz, arrays)
+    argv = ["compare", "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 4
+    assert str(npz) in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["compare", "figures"])
+def test_a_manifest_that_is_not_a_json_object_exits_4(workdir, tmp_path, capsys, stage):
+    sample = tmp_path / "sample"
+    sample.mkdir()
+    (sample / "manifest.json").write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert cli.main([stage, "--analytic", str(workdir / "analytic"), "--sample", str(sample), "--out", str(out)]) == 4
+    assert str(sample / "manifest.json") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["presets", "analytic", "compare"])
 def test_out_that_cannot_be_created_is_a_usage_error(workdir, tmp_path, capsys, stage):
     (tmp_path / "afile").write_text("")
@@ -778,9 +884,7 @@ def test_numerical_failure_exit_code(workdir):
 def test_workers_env_is_ignored(monkeypatch):
     # `workers` (or --workers) is the only thread setting; 0 runs one thread
     monkeypatch.setenv("BOXPATH_WORKERS", "3")
-    assert cli.RunConfig().resolved_workers() == 1
-    assert cli.RunConfig(workers=0).resolved_workers() == 1
-    assert cli.RunConfig(workers=2).resolved_workers() == 2
+    assert cli._load_config(cli.build_parser().parse_args(["sample", "--out", "x"])).workers == 0
     with pytest.raises(ValueError, match="workers"):
         cli.RunConfig(workers=-3).validate()
 

@@ -1,6 +1,5 @@
 """Combined (all-entry) length laws for both models."""
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from boxpath import (
     single_face_length_pdf,
 )
 
-from boxpath.combined import class_law_table, location_length_pdf
+from boxpath.combined import ClassLawTable, location_length_pdf
 from boxpath.rays import FacePdf
 
 from conftest import binned_l1
@@ -55,7 +54,7 @@ def cube_combined_chords(cube):
 def test_combined_integrates_to_one(cube_combined_rays, cube_combined_chords):
     assert cube_combined_rays.density.integral() == pytest.approx(1.0, abs=2e-2)
     assert cube_combined_chords.density.integral() == pytest.approx(1.0, abs=2e-2)
-    assert cube_combined_rays.normalized().integral() == pytest.approx(1.0, abs=1e-9)
+    assert cube_combined_rays.density.normalized().integral() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_component_weights_form_a_partition(cube_combined_rays, cube_combined_chords):
@@ -165,10 +164,12 @@ def test_sampled_chord_class_shares_match_weights(slab):
 
 
 def test_mixture_off_unit_mass_raises(cube):
-    table = class_law_table(cube, "chords", 65)
-    doubled = {key: GridDensity1D(law.lo, law.hi, 2.0 * law.values) for key, law in table.laws.items()}
+    table = ClassLawTable(cube, "chords", 65)
+    table.combined()
+    for projected in table.projected.values():
+        projected *= 2.0  # a projection is linear in its law: the laws doubled
     with pytest.raises(NumericalError):
-        dataclasses.replace(table, laws=doubled).combined()
+        table.combined()
 
 
 def test_single_face_rejects_unknown_model(cube):

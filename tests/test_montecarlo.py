@@ -418,8 +418,8 @@ def test_canonical_histograms_partition_samples(rays_batch_cube):
     assert sum(h.total for h in hists.values()) == len(rays_batch_cube)
     h = hists["opposing-entry2"]
     assert h.counts.shape == (8, 8, 8)
-    assert h.total - h.in_range <= 1e-3 * h.total
-    probs = h.counts / h.in_range
+    assert h.total - h.counts.sum() <= 1e-3 * h.total
+    probs = h.counts / h.counts.sum()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
